@@ -4,6 +4,16 @@ A census classifies every (or a sampled family of) inverse-closed subset
 of a group and tallies the classification buckets. Sharding is over a
 fixed number of index ranges, so merged results are identical for any
 worker count.
+
+An exhaustive census classifies one set per Aut(G)-orbit, the orbit's
+least mask, and tallies its record once per orbit member: an
+automorphism tau of G carries Cay(G,S) isomorphically onto Cay(G,tau S),
+conjugates B(S) onto B(tau S) while normalizing the translations and
+commuting with inversion, so every field of the record is the same on
+the whole orbit. The one label-dependent stop is the S4/S5 work budget,
+so an orbit whose representative has an indeterminate field while |B(S)|
+is within the enumeration cap is classified member by member instead.
+`CensusReport.classified` counts the `classify` calls a census made.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .autgrp import canonical_form
 from .errors import CapExceededError, DomainError, StabcoverError
@@ -97,11 +107,15 @@ class CensusReport:
     A record is determinate when none of its tri-state fields is
     indeterminate; only determinate records are tallied as stable or
     unstable, so the four outcome buckets always add up to `examined`.
+    `classified` is the number of `classify` calls behind the tallies:
+    one per Aut(G)-orbit plus fallback members for an exhaustive census,
+    `examined` for a Monte-Carlo one. It is left out of `signature()`.
     """
 
     group: str
     total: int
     examined: int
+    classified: int
     counts: dict[str, int]
     mode: str
     samples: int | None
@@ -144,12 +158,15 @@ class CensusReport:
         for k in BUCKETS:
             if c[k] < 0 or c[k] > self.examined:
                 raise StabcoverError(f"bucket {k} out of range")
+        if not 0 <= self.classified <= self.examined:
+            raise StabcoverError("classified count out of range")
 
     def to_json_dict(self) -> dict:
         return {
             "group": self.group,
             "total": self.total,
             "examined": self.examined,
+            "classified": self.classified,
             "counts": dict(self.counts),
             "proportions": {k: self.proportion(k) for k in BUCKETS},
             "mode": self.mode,
@@ -172,33 +189,33 @@ def _empty_counts() -> dict[str, int]:
     return {k: 0 for k in BUCKETS}
 
 
-def _tally(counts: dict[str, int], rec: StabilityRecord) -> None:
+def _tally(counts: dict[str, int], rec: StabilityRecord, weight: int = 1) -> None:
     if not rec.connected:
-        counts["disconnected"] += 1
+        counts["disconnected"] += weight
     if rec.connected and rec.bipartite:
-        counts["connected-bipartite"] += 1
+        counts["connected-bipartite"] += weight
     if not rec.twin_free:
-        counts["not-twin-free"] += 1
+        counts["not-twin-free"] += weight
     if rec.in_s1:
-        counts["s1"] += 1
+        counts["s1"] += weight
     if rec.in_s2:
-        counts["s2"] += 1
+        counts["s2"] += weight
     if rec.in_s3 == TriState.YES:
-        counts["s3"] += 1
+        counts["s3"] += weight
     if rec.in_s3prime:
-        counts["s3prime"] += 1
+        counts["s3prime"] += weight
     if rec.in_s4 == TriState.YES:
-        counts["s4"] += 1
+        counts["s4"] += weight
     if rec.in_s5 == TriState.YES:
-        counts["s5"] += 1
+        counts["s5"] += weight
     if TriState.INDETERMINATE in (rec.in_s3, rec.in_s4, rec.in_s5):
-        counts["indeterminate"] += 1
+        counts["indeterminate"] += weight
     elif rec.stable:
-        counts["stable"] += 1
+        counts["stable"] += weight
     elif rec.trivially_unstable:
-        counts["trivially-unstable"] += 1
+        counts["trivially-unstable"] += weight
     else:
-        counts["nontrivially-unstable"] += 1
+        counts["nontrivially-unstable"] += weight
 
 
 def check_record(rec: StabilityRecord) -> None:
@@ -240,20 +257,36 @@ def check_record(rec: StabilityRecord) -> None:
             )
 
 
-def _classify_range(
+def _budget_stopped(rec: StabilityRecord, enum_cap: int) -> bool:
+    """An indeterminate field that the enumeration cap does not explain.
+
+    Only the S4/S5 work budget stops a search with |B| within the cap,
+    and its scan order follows the vertex labels.
+    """
+    indeterminate = TriState.INDETERMINATE in (rec.in_s3, rec.in_s4, rec.in_s5)
+    return indeterminate and rec.b_order <= enum_cap
+
+
+def _classify_orbits(
     G: AbelianGroup,
-    lo: int,
-    hi: int,
+    orbits: list[list[int]],
     enum_cap: int,
     work_budget: int,
     hol_elements,
-    record_sink=None,
-) -> dict[str, int]:
-    orbits = negation_orbits(G)
-    orbit_masks = [sum(1 << x for x in orb) for orb in orbits]
+    by_mask: dict[int, StabilityRecord] | None = None,
+) -> tuple[dict[str, int], int]:
+    """Tally every member of the orbits from one record per orbit.
+
+    Returns the counts and the number of `classify` calls. When `by_mask`
+    is given, it receives the record standing for each member: the
+    representative's, or the member's own after a budget stop.
+    """
     counts = _empty_counts()
-    for idx in range(lo, hi):
-        mask = _mask_at(orbit_masks, idx)
+    classified = 0
+
+    def run(mask: int) -> StabilityRecord:
+        nonlocal classified
+        classified += 1
         rec = classify(
             G,
             ConnectionSet(G, mask),
@@ -262,10 +295,20 @@ def _classify_range(
             hol_elements=hol_elements,
         )
         check_record(rec)
-        _tally(counts, rec)
-        if record_sink is not None:
-            record_sink(rec)
-    return counts
+        return rec
+
+    for orbit in orbits:
+        rep = run(orbit[0])
+        if _budget_stopped(rep, enum_cap):
+            recs = [rep] + [run(mask) for mask in orbit[1:]]
+            for rec in recs:
+                _tally(counts, rec)
+        else:
+            recs = [rep] * len(orbit)
+            _tally(counts, rep, len(orbit))
+        if by_mask is not None:
+            by_mask.update(zip(orbit, recs))
+    return counts, classified
 
 
 def _mask_at(orbit_masks: list[int], idx: int) -> int:
@@ -278,10 +321,10 @@ def _mask_at(orbit_masks: list[int], idx: int) -> int:
     return mask
 
 
-def _exhaustive_shard(args) -> dict[str, int]:
-    factors, lo, hi, enum_cap, work_budget = args
+def _exhaustive_shard(args) -> tuple[dict[str, int], int]:
+    factors, orbits, enum_cap, work_budget = args
     G = make_group(factors)
-    return _classify_range(G, lo, hi, enum_cap, work_budget, holomorph(G))
+    return _classify_orbits(G, orbits, enum_cap, work_budget, holomorph(G))
 
 
 def _shard_ranges(total: int) -> list[tuple[int, int]]:
@@ -309,30 +352,46 @@ def exhaustive_census(
     set_cap: int = DEFAULT_SET_CAP,
     record_sink=None,
 ) -> CensusReport:
-    """Classify every inverse-closed subset of G and tally the buckets."""
+    """Classify every inverse-closed subset of G and tally the buckets.
+
+    One set per Aut(G)-orbit is classified (see the module docstring).
+    A record sink still receives one record per set, in the order of
+    `inverse_closed_masks`, each carrying its own connection set.
+    """
     start = time.monotonic()
     total = count_inverse_closed(G)
     if total > set_cap:
         raise CapExceededError("census set count", total, set_cap)
     if workers < 1:
         raise DomainError("worker count must be at least 1")
+    if workers > 1 and record_sink is not None:
+        raise DomainError("per-set record sinks require a single worker")
+    orbits = hol_orbits(G, set_cap)
     if workers == 1:
-        counts = _classify_range(
-            G, 0, total, enum_cap, work_budget, holomorph(G), record_sink
+        by_mask = None if record_sink is None else {}
+        counts, classified = _classify_orbits(
+            G, orbits, enum_cap, work_budget, holomorph(G), by_mask
         )
-    else:
         if record_sink is not None:
-            raise DomainError("per-set record sinks require a single worker")
+            for mask in inverse_closed_masks(G, set_cap):
+                rec = by_mask[mask]
+                if rec.set.mask != mask:
+                    rec = replace(rec, set=ConnectionSet(G, mask))
+                record_sink(rec)
+    else:
         jobs = [
-            (G.invariant_factors, lo, hi, enum_cap, work_budget)
-            for lo, hi in _shard_ranges(total)
+            (G.invariant_factors, orbits[lo:hi], enum_cap, work_budget)
+            for lo, hi in _shard_ranges(len(orbits))
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = _merge(list(pool.map(_exhaustive_shard, jobs)))
+            parts = list(pool.map(_exhaustive_shard, jobs))
+        counts = _merge([part for part, _ in parts])
+        classified = sum(n for _, n in parts)
     report = CensusReport(
         group=G.spec(),
         total=total,
         examined=total,
+        classified=classified,
         counts=counts,
         mode="exhaustive",
         samples=None,
@@ -344,10 +403,16 @@ def exhaustive_census(
     return report
 
 
-def _sample_shard(args) -> dict[str, int]:
-    factors, shard, lo, hi, seed, enum_cap, work_budget = args
-    G = make_group(factors)
-    hol = holomorph(G)
+def _sample_range(
+    G: AbelianGroup,
+    hol_elements,
+    shard: int,
+    lo: int,
+    hi: int,
+    seed: int,
+    enum_cap: int,
+    work_budget: int,
+) -> dict[str, int]:
     orbits = negation_orbits(G)
     orbit_masks = [sum(1 << x for x in orb) for orb in orbits]
     width = len(orbits)
@@ -360,11 +425,17 @@ def _sample_shard(args) -> dict[str, int]:
             ConnectionSet(G, mask),
             enum_cap=enum_cap,
             work_budget=work_budget,
-            hol_elements=hol,
+            hol_elements=hol_elements,
         )
         check_record(rec)
         _tally(counts, rec)
     return counts
+
+
+def _sample_shard(args) -> dict[str, int]:
+    factors, *job = args
+    G = make_group(factors)
+    return _sample_range(G, holomorph(G), *job)
 
 
 def monte_carlo_census(
@@ -387,14 +458,17 @@ def monte_carlo_census(
     if workers < 1:
         raise DomainError("worker count must be at least 1")
     jobs = [
-        (G.invariant_factors, shard, lo, hi, seed, enum_cap, work_budget)
+        (shard, lo, hi, seed, enum_cap, work_budget)
         for shard, (lo, hi) in enumerate(_shard_ranges(samples))
     ]
     if workers == 1:
-        counts = _merge([_sample_shard(job) for job in jobs])
+        hol = holomorph(G)
+        counts = _merge([_sample_range(G, hol, *job) for job in jobs])
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = _merge(list(pool.map(_sample_shard, jobs)))
+            counts = _merge(list(pool.map(
+                _sample_shard, [(G.invariant_factors, *job) for job in jobs]
+            )))
     if samples > 0:
         p = counts["stable"] / samples
         half_width = 1.96 * math.sqrt(p * (1.0 - p) / samples)
@@ -404,6 +478,7 @@ def monte_carlo_census(
         group=G.spec(),
         total=count_inverse_closed(G),
         examined=samples,
+        classified=samples,
         counts=counts,
         mode="monte-carlo",
         samples=samples,

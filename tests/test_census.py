@@ -8,6 +8,7 @@ import pytest
 from stabcover.census import (
     BUCKETS,
     CensusReport,
+    _tally,
     check_record,
     exhaustive_census,
     hol_orbits,
@@ -18,8 +19,14 @@ from stabcover.census import (
 )
 from stabcover.errors import DomainError, StabcoverError
 from stabcover.graphs import ConnectionSet
-from stabcover.groups import count_inverse_closed, make_group
-from stabcover.stability import classify
+from stabcover.groups import (
+    all_abelian_groups,
+    count_inverse_closed,
+    holomorph,
+    inverse_closed_masks,
+    make_group,
+)
+from stabcover.stability import StabilityRecord, TriState, classify
 
 # tallies confirmed by the per-set classifications tested against the
 # subgroup-lattice and automorphism brute-force oracles
@@ -107,9 +114,66 @@ def test_exhaustive_census_c5_c7():
 
 
 def test_exhaustive_census_worker_independence():
-    G = make_group([7])
-    sigs = {exhaustive_census(G, workers=w).signature() for w in (1, 2, 3)}
-    assert len(sigs) == 1
+    # C2xC6 has a nontrivial Aut(G), so the orbit list spans many shards
+    for facs in ([7], [2, 6]):
+        G = make_group(facs)
+        reps = [exhaustive_census(G, workers=w) for w in (1, 2, 3)]
+        assert len({(r.signature(), r.classified) for r in reps}) == 1
+
+
+TRI_FIELDS = ("in_s3", "in_s4", "in_s5")
+EXACT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(StabilityRecord)
+    if f.name not in TRI_FIELDS + ("set",)
+)
+
+
+def _per_set_oracle(G, **caps):
+    """Plain `classify` on every set: records by mask and their tally."""
+    hol = holomorph(G)
+    records, counts = {}, {k: 0 for k in BUCKETS}
+    for mask in inverse_closed_masks(G):
+        rec = classify(G, ConnectionSet(G, mask), hol_elements=hol, **caps)
+        check_record(rec)
+        _tally(counts, rec)
+        records[mask] = rec
+    return records, counts
+
+
+def _orbit_census_against_oracle(G, **caps):
+    records = []
+    report = exhaustive_census(G, record_sink=records.append, **caps)
+    oracle, oracle_counts = _per_set_oracle(G, **caps)
+    assert [rec.set.mask for rec in records] == list(oracle)
+    for rec in records:
+        want = oracle[rec.set.mask]
+        assert rec.set == want.set
+        for f in EXACT_FIELDS:
+            assert getattr(rec, f) == getattr(want, f), (G.spec(), hex(rec.set.mask), f)
+        # never less determinate than the per-set verdict, never different
+        for f in TRI_FIELDS:
+            got, ref = getattr(rec, f), getattr(want, f)
+            assert got == ref or ref == TriState.INDETERMINATE, (
+                G.spec(), hex(rec.set.mask), f
+            )
+    return report, oracle_counts
+
+
+def test_orbit_census_matches_per_set_oracle():
+    for G in all_abelian_groups(12):
+        report, oracle_counts = _orbit_census_against_oracle(G)
+        assert report.counts == oracle_counts, G.spec()
+        assert report.classified == len(hol_orbits(G)), G.spec()
+
+
+def test_orbit_census_budget_fallback():
+    # a tiny S4/S5 work budget stops label-dependent scans, so some orbits
+    # must be classified member by member
+    for facs in ([2, 6], [12]):
+        G = make_group(facs)
+        report, _ = _orbit_census_against_oracle(G, work_budget=1000)
+        assert report.classified > len(hol_orbits(G))
+        assert report.counts["indeterminate"] > 0
 
 
 def test_exhaustive_census_record_sink():
@@ -128,7 +192,7 @@ def test_monte_carlo_determinism_and_worker_independence():
     assert a.signature() == b.signature()
     c = monte_carlo_census(G, samples=64, seed=43, workers=1)
     assert c.signature() != a.signature()
-    assert a.mode == "monte-carlo" and a.examined == 64
+    assert a.mode == "monte-carlo" and a.examined == a.classified == 64
     p = a.counts["stable"] / 64
     assert a.ci_half_width == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 64))
 
@@ -163,6 +227,7 @@ def test_census_report_serialization():
     d = rep.to_json_dict()
     assert d["group"] == "C5"
     assert set(d["counts"]) == set(BUCKETS)
+    assert d["classified"] == rep.classified == len(hol_orbits(make_group([5])))
     rows = rep.to_csv_rows()
     assert len(rows) == len(BUCKETS)
     assert all(len(r) == len(CensusReport.CSV_HEADER) for r in rows)

@@ -83,6 +83,7 @@ def test_census_exhaustive(capsys):
     assert code == EXIT_OK
     rep = json.loads(out)
     assert rep["total"] == 16 and rep["counts"]["stable"] == 13
+    assert rep["classified"] == 8  # one set per Aut(C7)-orbit
 
 
 def test_census_monte_carlo_requires_seed(capsys):
