@@ -9,10 +9,11 @@ graphs, and text/graph6 export.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapExceededError, DomainError
 from .groups import AbelianGroup, is_inverse_closed
-from .perms import DEFAULT_ENUM_CAP, PermutationGroup, identity_perm, pinv, pmul
+from .perms import DEFAULT_ENUM_CAP, PermutationGroup, identity_perm, pinv, right_mul
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,15 @@ class BiCosetSpec:
 
     All four are given as explicit element collections (image arrays).
     D must be a union of (K, H) double cosets: KdH = D for every d in D.
+
+    The right coset partitions `h_cosets` and `k_cosets` are computed once
+    per spec and shared by the validation, `bicoset_graph` and
+    `verify_bicoset_isomorphism`. KD = D is checked as "every right
+    K-coset lies inside D or is disjoint from it", which is what D being
+    a union of right K-cosets means. DH = D is checked as closure of D
+    under right multiplication by a small generating set of H: each such
+    product permutes the finite set D, so closure under generators is
+    closure under the whole subgroup.
     """
 
     elements: tuple
@@ -192,20 +202,22 @@ class BiCosetSpec:
         elems = set(self.elements)
         if not (self.h_elements <= elems and self.k_elements <= elems):
             raise DomainError("H or K is not contained in X")
-        if not self.d_elements <= elems:
+        d = self.d_elements
+        if not d <= elems:
             raise DomainError("D is not contained in X")
-        # closure of D under left K and right H generators gives K D H = D:
-        # generator multiplication permutes the finite set D, so closure
-        # under a generating set is closure under the whole subgroup
-        k_gens = _small_generators(self.k_elements)
-        h_gens = _small_generators(self.h_elements)
-        for d in self.d_elements:
-            for k in k_gens:
-                if pmul(k, d) not in self.d_elements:
-                    raise DomainError("D is not a union of (K, H) double cosets")
-            for h in h_gens:
-                if pmul(d, h) not in self.d_elements:
-                    raise DomainError("D is not a union of (K, H) double cosets")
+        if not all(d.issuperset(c) or d.isdisjoint(c) for _, c in self.k_cosets):
+            raise DomainError("D is not a union of (K, H) double cosets")
+        for h in _small_generators(self.h_elements):
+            if not d.issuperset(map(right_mul(h), d)):
+                raise DomainError("D is not a union of (K, H) double cosets")
+
+    @cached_property
+    def h_cosets(self) -> list[tuple]:
+        return _right_cosets(self.elements, self.h_elements)
+
+    @cached_property
+    def k_cosets(self) -> list[tuple]:
+        return _right_cosets(self.elements, self.k_elements)
 
 
 def _small_generators(sub: frozenset) -> list:
@@ -218,12 +230,12 @@ def _small_generators(sub: frozenset) -> list:
         if x in closure:
             continue
         gens.append(x)
+        muls = [right_mul(g) for g in gens]
         frontier = list(closure)
         while frontier:
             nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = pmul(y, g)
+            for mul in muls:
+                for z in map(mul, frontier):
                     if z not in closure:
                         closure.add(z)
                         nxt.append(z)
@@ -240,36 +252,40 @@ def make_bicoset_spec(x_elements, h_elements, k_elements, d_elements) -> BiCoset
     )
 
 
-def _right_cosets(elements, sub: frozenset) -> list[list]:
-    """Right cosets {subgroup * x}, ordered by smallest member index in `elements`."""
-    index = {x: i for i, x in enumerate(elements)}
-    seen = set()
+def _right_cosets(elements, sub: frozenset) -> list[tuple]:
+    """Right cosets of `sub` in the group listed by `elements`, as (x, members).
+
+    Each coset Hx is one `map(right_mul(x), sub)`. Scanning `elements` in
+    order, the first element x not yet covered is the least-index member
+    of its coset: a member listed before x would have been scanned first
+    and its coset, which is Hx, would already cover x. So the
+    representative x is the coset's least-index member, and the cosets
+    come out ordered by it.
+    """
+    covered: set = set()
     cosets = []
     for x in elements:
-        if x in seen:
+        if x in covered:
             continue
-        coset = sorted((pmul(h, x) for h in sub), key=index.__getitem__)
-        seen.update(coset)
-        cosets.append(coset)
-    cosets.sort(key=lambda c: index[c[0]])
+        coset = list(map(right_mul(x), sub))
+        covered.update(coset)
+        cosets.append((x, coset))
     return cosets
 
 
 def bicoset_graph(spec: BiCosetSpec) -> LabeledGraph:
     """Bipartite graph on right H-cosets then right K-cosets.
 
-    Hx is adjacent to Ky iff y x^(-1) is in D.
+    Hx is adjacent to Ky iff y x^(-1) is in D; x and y are the cosets'
+    least-index representatives.
     """
-    h_cosets = _right_cosets(spec.elements, spec.h_elements)
-    k_cosets = _right_cosets(spec.elements, spec.k_elements)
-    nh, nk = len(h_cosets), len(k_cosets)
+    k_reps = [y for y, _ in spec.k_cosets]
+    nh, nk = len(spec.h_cosets), len(k_reps)
     n = nh + nk
     rows = [0] * n
-    for a, hc in enumerate(h_cosets):
-        x = hc[0]
-        xi = pinv(x)
-        for b, kc in enumerate(k_cosets):
-            if pmul(kc[0], xi) in spec.d_elements:
+    for a, (x, _) in enumerate(spec.h_cosets):
+        for b, z in enumerate(map(right_mul(pinv(x)), k_reps)):
+            if z in spec.d_elements:
                 rows[a] |= 1 << (nh + b)
                 rows[nh + b] |= 1 << a
     return LabeledGraph(n, tuple(rows))
@@ -309,21 +325,18 @@ def verify_bicoset_isomorphism(
     if model.n != 2 * n:
         return False
 
-    index = {x: i for i, x in enumerate(elems)}
-    h_cosets = _right_cosets(elems, h_sub)
-    k_cosets = _right_cosets(elems, k_sub)
-    h_coset_of = {x: a for a, c in enumerate(h_cosets) for x in c}
-    k_coset_of = {x: b for b, c in enumerate(k_cosets) for x in c}
+    nh = len(spec.h_cosets)
     phi = [-1] * (2 * n)
-    for x in elems:
-        phi[x[0]] = h_coset_of[x]
-        phi[x[n]] = len(h_cosets) + k_coset_of[x]
+    for a, (_, coset) in enumerate(spec.h_cosets):
+        for x in coset:
+            phi[x[0]] = a
+    for b, (_, coset) in enumerate(spec.k_cosets):
+        for x in coset:
+            phi[x[n]] = nh + b
     if sorted(phi) != list(range(2 * n)):
         return False
-    for u in range(2 * n):
-        for v in range(2 * n):
-            if cover.has_edge(u, v) != model.has_edge(phi[u], phi[v]):
-                return False
+    if cover.relabel(phi) != model:
+        return False
 
     # inversion symmetry of Y on translation double cosets
     for g in range(n):

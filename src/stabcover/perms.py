@@ -12,7 +12,8 @@ reproducible for a fixed generator list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import methodcaller
 
 from .errors import CapExceededError, DomainError
 
@@ -70,30 +71,16 @@ def pinv(p):
     return bytes(out) if isinstance(p, bytes) else tuple(out)
 
 
-def conj(p, x):
-    """p^x = x^-1 p x."""
-    return pmul(pmul(pinv(x), p), x)
+def right_mul(q):
+    """The map p -> pmul(p, q), with q's translate table built once.
 
-
-def perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length > 1:
-            a, b = order, length
-            while b:
-                a, b = b, a % b
-            order = order * length // a
-    return order
+    For loops that multiply many elements by one fixed q on the right:
+    `map(right_mul(q), ps)` pads q once instead of once per product.
+    """
+    if isinstance(q, bytes):
+        return methodcaller("translate", pad_table(q))
+    image = q.__getitem__
+    return lambda p: tuple(map(image, p))
 
 
 @dataclass
@@ -228,10 +215,6 @@ class PermutationGroup:
         h, _ = self._sift(p)
         return h == identity_perm(self.degree)
 
-    def is_subgroup(self, other: "PermutationGroup") -> bool:
-        """True if other <= self."""
-        return all(self.contains(g) for g in other.generators)
-
     def elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Perm]:
         """All elements via transversal products, each exactly once."""
         if self.order > cap:
@@ -240,118 +223,9 @@ class PermutationGroup:
         out = [identity_perm(self.degree)]
         for lvl in reversed(chain):
             transversal = [lvl.orbit[pt] for pt in sorted(lvl.orbit)]
-            out = [pmul(s, t) for t in transversal for s in out]
+            out = [s for t in transversal for s in map(right_mul(t), out)]
         return out
 
     def __len__(self) -> int:
         return self.order
 
-
-def membership(Gp: PermutationGroup, p) -> bool:
-    return Gp.contains(p)
-
-
-def enumerate_elements(Gp: PermutationGroup, cap: int = DEFAULT_ENUM_CAP) -> list[Perm]:
-    return Gp.elements(cap)
-
-
-def normalizer_bounded(
-    Gp: PermutationGroup, H: PermutationGroup, cap: int = DEFAULT_ENUM_CAP
-) -> PermutationGroup:
-    """{x in Gp : H^x = H}, by element filtering with generator-conjugation tests."""
-    if Gp.degree != H.degree:
-        raise DomainError("degree mismatch")
-    if not Gp.is_subgroup(H):
-        raise DomainError("H is not a subgroup of Gp")
-    found = []
-    for x in Gp.elements(cap):
-        xi = pinv(x)
-        if all(H.contains(pmul(pmul(xi, h), x)) for h in H.generators):
-            found.append(x)
-    return PermutationGroup(Gp.degree, found)
-
-
-def core_bounded(
-    Gp: PermutationGroup, H: PermutationGroup, cap: int = DEFAULT_ENUM_CAP
-) -> PermutationGroup:
-    """Largest normal subgroup of Gp contained in H.
-
-    An element lies in the core iff its whole conjugation closure under the
-    generators of Gp stays inside H; per-element BFS over that closure.
-    """
-    if Gp.degree != H.degree:
-        raise DomainError("degree mismatch")
-    if not Gp.is_subgroup(H):
-        raise DomainError("H is not a subgroup of Gp")
-    gen_pairs = [(pinv(g), g) for g in Gp.generators]
-    core = []
-    for h in H.elements(cap):
-        seen = {h}
-        frontier = [h]
-        inside = True
-        while frontier and inside:
-            nxt = []
-            for e in frontier:
-                for gi, g in gen_pairs:
-                    c = pmul(pmul(gi, e), g)
-                    if c in seen:
-                        continue
-                    if not H.contains(c):
-                        inside = False
-                        break
-                    seen.add(c)
-                    nxt.append(c)
-                if not inside:
-                    break
-            frontier = nxt
-        if inside:
-            core.append(h)
-    return PermutationGroup(Gp.degree, core)
-
-
-@dataclass(frozen=True)
-class ActionTriple:
-    """(domain, big group X, distinguished subgroup T) with T <= X."""
-
-    domain_size: int
-    big: PermutationGroup
-    distinguished: PermutationGroup
-
-    def __post_init__(self):
-        if self.big.degree != self.domain_size or self.distinguished.degree != self.domain_size:
-            raise DomainError("degree mismatch in triple")
-        if not self.big.is_subgroup(self.distinguished):
-            raise DomainError("distinguished subgroup is not contained in the big group")
-
-
-def triples_equivalent(a: ActionTriple, b: ActionTriple, cap: int = 1_000_000) -> bool:
-    """True iff some bijection conjugates (X1, T1) onto (X2, T2) simultaneously."""
-    if a.domain_size != b.domain_size:
-        return False
-    if a.big.order != b.big.order or a.distinguished.order != b.distinguished.order:
-        return False
-    n = a.domain_size
-    total = 1
-    for k in range(2, n + 1):
-        total *= k
-    if total > cap:
-        raise CapExceededError("triple equivalence search", total, cap)
-    import itertools
-
-    x1_gens = a.big.generators or [identity_perm(n)]
-    t1_gens = a.distinguished.generators or [identity_perm(n)]
-    for images in itertools.permutations(range(n)):
-        phi = as_perm(images)
-        phi_i = pinv(phi)
-        if not all(b.big.contains(pmul(pmul(phi_i, g), phi)) for g in x1_gens):
-            continue
-        if not all(
-            b.distinguished.contains(pmul(pmul(phi_i, g), phi)) for g in t1_gens
-        ):
-            continue
-        return True
-    return False
-
-
-def build_group(degree: int, generators) -> PermutationGroup:
-    return PermutationGroup(degree, generators)

@@ -1,5 +1,6 @@
 """Graph construction, predicates, and the bi-coset model on small cases."""
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from stabcover.graphs import (
     is_bipartite,
     is_connected,
     is_twin_free,
+    _right_cosets,
     make_bicoset_spec,
     to_adjacency_text,
     to_graph6,
@@ -22,7 +24,7 @@ from stabcover.graphs import (
     verify_bicoset_isomorphism,
 )
 from stabcover.groups import make_group
-from stabcover.perms import as_perm
+from stabcover.perms import PermutationGroup, as_perm, pinv, pmul
 from stabcover.stability import b_group
 
 
@@ -162,8 +164,6 @@ def test_bicoset_graph_by_hand():
     # X = Sym(3) on 3 points, H = K = <(0 1)>, D = H: the coset graph is
     # a perfect matching between equal cosets
     gens = [as_perm([1, 0, 2]), as_perm([1, 2, 0])]
-    from stabcover.perms import PermutationGroup
-
     X = PermutationGroup(3, gens)
     elems = X.elements()
     H = frozenset([as_perm([0, 1, 2]), as_perm([1, 0, 2])])
@@ -174,14 +174,122 @@ def test_bicoset_graph_by_hand():
 
 
 def test_bicoset_spec_rejects_partial_double_coset():
-    from stabcover.perms import PermutationGroup
-
     gens = [as_perm([1, 0, 2]), as_perm([1, 2, 0])]
     X = PermutationGroup(3, gens)
     elems = X.elements()
     H = frozenset([as_perm([0, 1, 2]), as_perm([1, 0, 2])])
     with pytest.raises(DomainError):
         make_bicoset_spec(elems, H, H, frozenset([as_perm([1, 0, 2])]))
+
+
+def _sym(n):
+    return [as_perm(p) for p in itertools.permutations(range(n))]
+
+
+def _left_k_closed(k_sub, d):
+    return all(pmul(k, x) in d for k in k_sub for x in d)
+
+
+def _right_h_closed(d, h_sub):
+    return all(pmul(x, h) in d for x in d for h in h_sub)
+
+
+def test_bicoset_spec_validates_each_side():
+    # X = Sym(3), H = <(0 1)> and K = <(0 2)>, so each side of KDH = D
+    # can fail on its own
+    elems = _sym(3)
+    ident = as_perm([0, 1, 2])
+    H = frozenset([ident, as_perm([1, 0, 2])])
+    K = frozenset([ident, as_perm([2, 1, 0])])
+    # D = H is closed under right H but is no union of right K-cosets
+    assert _right_h_closed(H, H) and not _left_k_closed(K, H)
+    with pytest.raises(DomainError):
+        make_bicoset_spec(elems, H, K, H)
+    # D = K is a union of right K-cosets but not closed under right H
+    assert _left_k_closed(K, K) and not _right_h_closed(K, H)
+    with pytest.raises(DomainError):
+        make_bicoset_spec(elems, H, K, K)
+    # the double coset KH and its complement are accepted
+    kh = frozenset(pmul(k, h) for k in K for h in H)
+    assert len(kh) == 4
+    for d in (kh, frozenset(elems) - kh):
+        assert _left_k_closed(K, d) and _right_h_closed(d, H)
+        g = bicoset_graph(make_bicoset_spec(elems, H, K, d))
+        assert g.n == 6 and is_bipartite(g)
+
+
+def _oracle_right_cosets(elements, sub):
+    # products one by one, each coset and the list sorted by element index
+    index = {x: i for i, x in enumerate(elements)}
+    seen = set()
+    cosets = []
+    for x in elements:
+        if x in seen:
+            continue
+        coset = sorted((pmul(h, x) for h in sub), key=index.__getitem__)
+        seen.update(coset)
+        cosets.append(coset)
+    cosets.sort(key=lambda c: index[c[0]])
+    return cosets
+
+
+def _oracle_bicoset_graph(elements, h_sub, k_sub, d):
+    h_cosets = _oracle_right_cosets(elements, h_sub)
+    k_cosets = _oracle_right_cosets(elements, k_sub)
+    nh = len(h_cosets)
+    rows = [0] * (nh + len(k_cosets))
+    for a, hc in enumerate(h_cosets):
+        xi = pinv(hc[0])
+        for b, kc in enumerate(k_cosets):
+            if pmul(kc[0], xi) in d:
+                rows[a] |= 1 << (nh + b)
+                rows[nh + b] |= 1 << a
+    return LabeledGraph(len(rows), tuple(rows))
+
+
+def _assert_cosets_match_oracle(elements, h_sub, k_sub, d):
+    spec = make_bicoset_spec(elements, h_sub, k_sub, d)
+    for sub, got in ((h_sub, spec.h_cosets), (k_sub, spec.k_cosets)):
+        want = _oracle_right_cosets(elements, sub)
+        assert got == _right_cosets(elements, sub)
+        assert [rep for rep, _ in got] == [c[0] for c in want]
+        assert [sorted(c) for _, c in got] == [sorted(c) for c in want]
+    assert bicoset_graph(spec) == _oracle_bicoset_graph(elements, h_sub, k_sub, d)
+
+
+def test_cosets_match_oracle_on_block_stabilizers():
+    cases = [([5], [1]), ([2, 4], [1, 4]), ([2, 4], [1, 2]), ([2, 2, 2], [1, 2, 4])]
+    for factors, gens in cases:
+        G = make_group(factors)
+        S = connection_set(G, gens, symmetrize=True)
+        n = G.order
+        elems = b_group(G, S).elements()
+        nbhd0 = double_cover(cayley_graph(G, S)).rows[0]
+        h_sub = frozenset(x for x in elems if x[0] == 0)
+        k_sub = frozenset(x for x in elems if x[n] == n)
+        y_sub = frozenset(x for x in elems if (nbhd0 >> x[n]) & 1)
+        _assert_cosets_match_oracle(elems, h_sub, k_sub, y_sub)
+
+
+def test_cosets_match_oracle_on_sym4_subgroups():
+    X = PermutationGroup(4, [as_perm([1, 2, 3, 0]), as_perm([1, 0, 2, 3])])
+    subgroups = [
+        PermutationGroup(4, [as_perm([1, 0, 2, 3])]),
+        PermutationGroup(4, [as_perm([1, 2, 3, 0])]),
+        PermutationGroup(4, [as_perm([1, 0, 3, 2]), as_perm([2, 3, 0, 1])]),
+        PermutationGroup(4, [as_perm([0, 2, 3, 1]), as_perm([0, 2, 1, 3])]),
+    ]
+    rng = random.Random(11)
+    shuffled = X.elements()
+    rng.shuffle(shuffled)
+    for elems in (X.elements(), shuffled):
+        for Hg, Kg in itertools.product(subgroups, repeat=2):
+            h_sub, k_sub = frozenset(Hg.elements()), frozenset(Kg.elements())
+            # a union of two (K, H) double cosets
+            d = frozenset(
+                pmul(pmul(k, x), h) for x in rng.sample(elems, 2) for k in k_sub for h in h_sub
+            )
+            _assert_cosets_match_oracle(elems, h_sub, k_sub, d)
 
 
 def test_verify_bicoset_isomorphism_pentagon():
