@@ -5,6 +5,16 @@ Cells are vertex bit-vectors; refinement splits cells by the count of
 neighbours inside each splitter cell until the partition is equitable.
 Automorphisms are read off leaf collisions with the first leaf; the
 canonical form is the lexicographically least leaf encoding.
+
+The automorphisms a search finds (seeds included) are a strong generating
+set relative to its first path as base (McKay and Piperno, *Practical
+graph isomorphism II*, JSC 2014): at the first-path node of depth i, each
+vertex of the target cell in the orbit of the path vertex under the
+stabilizer of the prefix is either explored, and then yields a found
+automorphism fixing the prefix that maps it onto the path vertex, or
+skipped by `_orbit_of` as the image of an explored one under found
+automorphisms fixing the prefix. So `automorphism_group` hands the first
+path to `PermutationGroup.from_base`, which needs no Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -16,18 +26,6 @@ from .graphs import LabeledGraph
 from .perms import PermutationGroup, as_perm, pinv, pmul
 
 DEFAULT_VERTEX_CAP = 2000
-
-
-@dataclass(frozen=True)
-class ColoredGraph:
-    """A graph with an initial vertex coloring constraining the search."""
-
-    graph: LabeledGraph
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.colors) != self.graph.n:
-            raise DomainError("color count does not match vertex count")
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ def automorphism_group(
     # block behavior still needs checking
     for g in search.gens:
         _assert_respects_blocks(g, fixed_blocks)
-    return PermutationGroup(graph.n, search.gens)
+    return PermutationGroup.from_base(graph.n, search.gens, search.first_path)
 
 
 def _assert_respects_blocks(g, fixed_blocks):
@@ -294,44 +292,3 @@ def canonical_form(graph: LabeledGraph) -> CanonicalForm:
     for row in enc:
         blob += row.to_bytes(width, "little")
     return CanonicalForm(bytes(blob), tuple(p))
-
-
-def setwise_stabilizer_of_block(
-    A: PermutationGroup, n: int, cap: int = 1_000_000
-) -> PermutationGroup:
-    """Subgroup of A (degree 2n) fixing the block {0..n-1} setwise.
-
-    When every generator preserves the pair {block, complement} the subgroup
-    has index at most 2 and is computed by Schreier generators over that
-    two-element coset space; otherwise elements are filtered under a cap.
-    """
-    if A.degree != 2 * n:
-        raise DomainError("degree is not twice the block size")
-    block = (1 << n) - 1
-
-    def preserves_pair(g) -> int | None:
-        img = 0
-        for v in range(n):
-            img |= 1 << g[v]
-        if img == block:
-            return 0
-        if img == block << n:
-            return 1
-        return None
-
-    signs = [preserves_pair(g) for g in A.generators]
-    if all(s is not None for s in signs):
-        swapping = [g for g, s in zip(A.generators, signs) if s == 1]
-        if not swapping:
-            return A
-        t = swapping[0]
-        reps = [as_perm(range(2 * n)), t]
-        gens = []
-        for r in reps:
-            for g in A.generators:
-                rg = pmul(r, g)
-                rep = reps[0] if preserves_pair(rg) == 0 else reps[1]
-                gens.append(pmul(rg, pinv(rep)))
-        return PermutationGroup(2 * n, gens)
-    found = [g for g in A.elements(cap) if preserves_pair(g) == 0]
-    return PermutationGroup(2 * n, found)

@@ -4,10 +4,15 @@ Permutations are stored as image arrays. For degree <= 255 the internal
 representation is `bytes`, so products compile down to `bytes.translate`;
 the public API accepts and returns tuples as well.
 
-Groups carry a lazily-built base-and-strong-generating-set (Schreier-Sims)
-giving order, membership, and bounded element enumeration. Base points are
-picked deterministically (smallest moved point), so enumeration order is
-reproducible for a fixed generator list.
+Groups carry a lazily-built stabilizer chain (a base with a strong
+generating set) giving order, membership, and bounded element enumeration.
+Groups from `autgrp.automorphism_group` arrive with a base, the search's
+first path, relative to which their generators are already strong
+(`PermutationGroup.from_base`): each level is then one orbit enumeration,
+with no Schreier generator sifted. The generic constructor still runs
+deterministic Schreier-Sims, picking the smallest moved point as each new
+base point. Either way the chain, and so the enumeration order, is
+reproducible for a fixed generator list (and base).
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ class _Level:
 
 
 class PermutationGroup:
-    """Permutation group with a Schreier-Sims stabilizer chain."""
+    """Permutation group with a stabilizer chain (see the module docstring)."""
 
     def __init__(self, degree: int, generators):
         self.degree = degree
@@ -106,14 +111,31 @@ class PermutationGroup:
         self._chain: list[_Level] | None = None
         self._order: int | None = None
         self._small = degree <= 256
+        self._base: list[int] | None = None
+
+    @classmethod
+    def from_base(cls, degree: int, generators, base) -> PermutationGroup:
+        """The group generated, given that the generators are strong for base.
+
+        The caller guarantees that for every i the generators fixing
+        base[:i] pointwise generate the pointwise stabilizer of base[:i],
+        and that only the identity fixes all of base. The chain is then
+        read off by orbit enumeration alone.
+        """
+        group = cls(degree, generators)
+        group._base = list(base)
+        return group
 
     # -- chain construction -------------------------------------------------
 
     def _build(self) -> list[_Level]:
         if self._chain is None:
             self._chain = []
-            for g in self.generators:
-                self._incorporate(g, 0)
+            if self._base is not None:
+                self._levels_from_base()
+            else:
+                for g in self.generators:
+                    self._incorporate(g, 0)
             order = 1
             for lvl in self._chain:
                 order *= len(lvl.orbit)
@@ -143,6 +165,56 @@ class PermutationGroup:
                 return g, i
             g = pmul(g, lvl.orbit_inv[img])
         return g, len(chain)
+
+    def _levels_from_base(self) -> None:
+        """One level per base point with a nontrivial orbit, by orbit BFS.
+
+        The transversal of level i is built from the generators fixing
+        base[:i] pointwise; by the strong generating property they reach
+        the whole orbit of base[i] under the stabilizer of base[:i].
+        """
+        chain = self._chain
+        assert chain is not None
+        small = self._small
+        ident = identity_perm(self.degree)
+        ident_tab = pad_table(ident) if small else ident
+        # (generator, its table, its inverse) for the generators fixing
+        # the base points passed so far
+        gens = [(s, pad_table(s) if small else s, pinv(s)) for s in self.generators]
+        for point in self._base:
+            if not gens:
+                break
+            orbit = {point: ident}
+            orbit_inv = {point: ident}
+            orbit_inv_tab = {point: ident_tab}
+            pts = [point]
+            for pt in pts:
+                u, ui_tab = orbit[pt], orbit_inv_tab[pt]
+                for s, st, si in gens:
+                    img = s[pt]
+                    if img in orbit:
+                        continue
+                    # the transversal element u s has inverse s^-1 u^-1
+                    if small:
+                        orbit[img] = u.translate(st)
+                        vi = orbit_inv[img] = si.translate(ui_tab)
+                        orbit_inv_tab[img] = pad_table(vi)
+                    else:
+                        orbit[img] = pmul(u, s)
+                        orbit_inv[img] = orbit_inv_tab[img] = pmul(si, ui_tab)
+                    pts.append(img)
+            if len(orbit) > 1:
+                chain.append(
+                    _Level(
+                        point,
+                        [s for s, _, _ in gens],
+                        [st for _, st, _ in gens],
+                        orbit,
+                        orbit_inv,
+                        orbit_inv_tab,
+                    )
+                )
+            gens = [g for g in gens if g[0][point] == point]
 
     def _incorporate(self, g: Perm, level: int) -> None:
         """Add g, known to fix the base points above `level`, as a strong generator.

@@ -80,10 +80,6 @@ def cover_lift(perm):
     return as_perm(list(perm) + [n + perm[v] for v in range(n)])
 
 
-def cover_swap(n: int):
-    return as_perm(list(range(n, 2 * n)) + list(range(n)))
-
-
 @lru_cache(maxsize=64)
 def _base_seeds_cached(G: AbelianGroup) -> tuple:
     gens = tuple(base_translation_perm(G, g) for g in G.generators())
@@ -101,10 +97,6 @@ def _block_cover_seeds_cached(G: AbelianGroup) -> tuple:
 
 def block_cover_seeds(G: AbelianGroup) -> list:
     return list(_block_cover_seeds_cached(G))
-
-
-def full_cover_seeds(G: AbelianGroup) -> list:
-    return block_cover_seeds(G) + [cover_swap(G.order)]
 
 
 @lru_cache(maxsize=64)
@@ -687,13 +679,6 @@ def make_sigma_context(G: AbelianGroup, N: Subgroup) -> SigmaContext:
         masks.append(coset)
         cur = G.add(cur, gen)
     return SigmaContext(G, N, b, tuple(gammas), tuple(masks))
-
-
-def coset_index(ctx: SigmaContext, x: int) -> int:
-    for j, mask in enumerate(ctx.orbit_masks):
-        if mask >> x & 1:
-            return j
-    raise DomainError("element outside the group")
 
 
 def sigma(ctx: SigmaContext, S: ConnectionSet | int, u: int, j: int) -> int:

@@ -6,15 +6,12 @@ import random
 
 import pytest
 
-from stabcover.autgrp import (
-    DEFAULT_VERTEX_CAP,
-    automorphism_group,
-    canonical_form,
-    setwise_stabilizer_of_block,
-)
+from stabcover.autgrp import DEFAULT_VERTEX_CAP, automorphism_group, canonical_form
 from stabcover.errors import CapExceededError, DomainError
-from stabcover.graphs import LabeledGraph
-from stabcover.perms import PermutationGroup, as_perm
+from stabcover.graphs import ConnectionSet, LabeledGraph, cayley_graph, double_cover
+from stabcover.groups import all_abelian_groups, inverse_closed_masks, make_group
+from stabcover.perms import PermutationGroup, as_perm, pmul
+from stabcover.stability import b_group
 
 
 def _random_graph(rng, n, p=0.5, loops=False):
@@ -177,17 +174,69 @@ def test_vertex_cap():
         automorphism_group(g)
 
 
-def test_setwise_stabilizer_of_block():
-    # dihedral group on an 8-cycle; block = one side of the bipartition
-    n = 4
-    cyc8 = LabeledGraph(
-        8, tuple((1 << ((v + 1) % 8)) | (1 << ((v - 1) % 8)) for v in range(8))
-    )
-    A = automorphism_group(cyc8)
-    # relabel so the even vertices come first
-    order = [0, 2, 4, 6, 1, 3, 5, 7]
-    pos = as_perm([order.index(v) for v in range(8)])
-    A2 = PermutationGroup(8, [bytes(pos[g[order[v]]] for v in range(8)) for g in A.generators])
-    stab = setwise_stabilizer_of_block(A2, n)
-    brute = [g for g in A2.elements() if {g[v] for v in range(n)} == set(range(n))]
-    assert stab.order == len(brute)
+def _assert_matches_schreier_sims(A, elements_up_to=2_000):
+    """A's first-path chain against Schreier-Sims on the same generators.
+
+    Membership is compared on every element (sifting through each
+    transversal inverse) and on each element times a transposition.
+    """
+    ref = PermutationGroup(A.degree, A.generators)
+    assert A.order == ref.order
+    swap = as_perm([1, 0] + list(range(2, A.degree)) if A.degree > 1 else [0])
+    if A.order <= elements_up_to:
+        elems = A.elements()
+        assert len(elems) == A.order
+        assert set(elems) == set(ref.elements())
+    else:
+        elems = ref.generators
+    for g in elems:
+        assert A.contains(g)
+        assert A.contains(pmul(g, swap)) == ref.contains(pmul(g, swap))
+
+
+def _search_groups(G, S):
+    gam = cayley_graph(G, S)
+    return b_group(G, S), automorphism_group(gam), automorphism_group(double_cover(gam))
+
+
+def test_first_path_chain_matches_schreier_sims():
+    for G in all_abelian_groups(10):
+        for mask in inverse_closed_masks(G):
+            for A in _search_groups(G, ConnectionSet(G, mask)):
+                _assert_matches_schreier_sims(A)
+
+
+def test_first_path_chain_tuple_degree():
+    # covers of Cay(C_n, {1, -1}) have 2n > 256 vertices: tuple perms. The
+    # cover of the 130-cycle is two 130-cycles, that of the 131-cycle a
+    # 262-cycle
+    for n, cover_order in ((130, 2 * 260**2), (131, 2 * 262)):
+        G = make_group([n])
+        b, base, cover = _search_groups(G, ConnectionSet(G, (1 << 1) | (1 << (n - 1))))
+        assert isinstance(cover.generators[0], tuple)
+        assert base.order == 2 * n
+        assert cover.order == cover_order
+        for A in (b, base, cover):
+            _assert_matches_schreier_sims(A)
+    # the rotation by one cover label is no automorphism of the 262-cycle
+    assert not cover.contains(as_perm(list(range(1, 262)) + [0]))
+
+
+def test_plus_pointwise_stabilizer_matches_enumeration():
+    # the cover automorphisms fixing every + vertex are the elements of B(S)
+    # acting trivially on +; twins make them nontrivial
+    nontrivial = 0
+    for G in all_abelian_groups(8):
+        n = G.order
+        for mask in inverse_closed_masks(G):
+            S = ConnectionSet(G, mask)
+            B = b_group(G, S)
+            if B.order > 20_000:
+                continue
+            plus_ident = bytes(range(n))
+            expected = sum(1 for p in B.elements() if p[:n] == plus_ident)
+            cover = double_cover(cayley_graph(G, S))
+            found = automorphism_group(cover, fixed_blocks=[[v] for v in range(n)])
+            assert found.order == expected
+            nontrivial += expected > 1
+    assert nontrivial > 0
