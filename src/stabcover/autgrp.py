@@ -240,21 +240,18 @@ def automorphism_group(
                 if colors[v]:
                     raise DomainError("fixed blocks overlap")
                 colors[v] = i
-    seeds = []
     ident = as_perm(range(graph.n))
-    nbrs = [_bits(row) for row in graph.rows]
-    for s in known_automorphisms or ():
-        s = as_perm(s, graph.n)
-        _assert_preserves(graph, s, nbrs)
-        _assert_respects_blocks(s, fixed_blocks)
-        if s != ident:
-            seeds.append(s)
+    seeds = [as_perm(s, graph.n) for s in known_automorphisms or ()]
+    seeds = [s for s in seeds if s != ident]
     search = _Search(graph, colors, canonical=False, seeds=seeds)
+    for s in seeds:
+        _assert_preserves(graph, s, search.nbrs)
+        _assert_respects_blocks(s, fixed_blocks)
     search.run()
-    # search generators come from leaf collisions with equal adjacency
-    # encodings, so they preserve adjacency by construction; only their
-    # block behavior still needs checking
-    for g in search.gens:
+    # generators found by the search come from leaf collisions with equal
+    # adjacency encodings, so they preserve adjacency by construction; only
+    # their block behavior still needs checking
+    for g in search.gens[len(seeds):]:
         _assert_respects_blocks(g, fixed_blocks)
     return PermutationGroup.from_base(graph.n, search.gens, search.first_path)
 
@@ -267,9 +264,7 @@ def _assert_respects_blocks(g, fixed_blocks):
             raise DomainError("generator does not respect a fixed block")
 
 
-def _assert_preserves(graph: LabeledGraph, g, nbrs=None):
-    if nbrs is None:
-        nbrs = [_bits(row) for row in graph.rows]
+def _assert_preserves(graph: LabeledGraph, g, nbrs):
     for v, nbr in enumerate(nbrs):
         img = 0
         for u in nbr:

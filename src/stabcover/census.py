@@ -29,16 +29,20 @@ from .errors import CapExceededError, DomainError, StabcoverError
 from .graphs import ConnectionSet, cayley_graph
 from .groups import (
     AbelianGroup,
-    automorphism_group_of_G,
     count_inverse_closed,
-    holomorph,
     inverse_closed_masks,
     involution_set,
     make_group,
     negation_orbits,
 )
 from .perms import DEFAULT_ENUM_CAP
-from .stability import DEFAULT_WORK_BUDGET, StabilityRecord, TriState, classify
+from .stability import (
+    DEFAULT_WORK_BUDGET,
+    StabilityRecord,
+    TriState,
+    classify,
+    group_context,
+)
 
 FIXED_SHARD_COUNT = 32
 DEFAULT_SET_CAP = 1 << 30
@@ -104,7 +108,7 @@ def stabilized_count(G: AbelianGroup, z: int) -> tuple[int, int | float]:
 class CensusReport:
     """Bucket tallies for one census run.
 
-    A record is determinate when none of its tri-state fields is
+    A record is determinate when neither its S4 nor its S5 field is
     indeterminate; only determinate records are tallied as stable or
     unstable, so the four outcome buckets always add up to `examined`.
     `classified` is the number of `classify` calls behind the tallies:
@@ -200,7 +204,7 @@ def _tally(counts: dict[str, int], rec: StabilityRecord, weight: int = 1) -> Non
         counts["s1"] += weight
     if rec.in_s2:
         counts["s2"] += weight
-    if rec.in_s3 == TriState.YES:
+    if rec.in_s3:
         counts["s3"] += weight
     if rec.in_s3prime:
         counts["s3prime"] += weight
@@ -208,7 +212,7 @@ def _tally(counts: dict[str, int], rec: StabilityRecord, weight: int = 1) -> Non
         counts["s4"] += weight
     if rec.in_s5 == TriState.YES:
         counts["s5"] += weight
-    if TriState.INDETERMINATE in (rec.in_s3, rec.in_s4, rec.in_s5):
+    if rec.indeterminate:
         counts["indeterminate"] += weight
     elif rec.stable:
         counts["stable"] += weight
@@ -234,18 +238,17 @@ def check_record(rec: StabilityRecord) -> None:
         (not (rec.connected and not rec.bipartite)
          or rec.cover_aut_order == 2 * rec.b_order,
          "connected non-bipartite cover group is twice B"),
-        (rec.in_s3 != TriState.YES or rec.in_s1, "s3 is contained in s1"),
+        (not rec.in_s3 or rec.in_s1, "s3 is contained in s1"),
         (rec.in_s4 != TriState.YES or rec.in_s1, "s4 is contained in s1"),
         (rec.in_s5 != TriState.YES or rec.in_s1, "s5 is contained in s1"),
-        (rec.in_s3 != TriState.YES or not rec.in_s2, "s3 excludes s2"),
+        (not rec.in_s3 or not rec.in_s2, "s3 excludes s2"),
     ]
     if not rec.exponent_two:
         checks.append(
-            (rec.in_s3 != TriState.YES or rec.in_s3prime,
+            (not rec.in_s3 or rec.in_s3prime,
              "s3 members carry a holomorph symmetry")
         )
-        determinate = TriState.INDETERMINATE not in (rec.in_s3, rec.in_s4, rec.in_s5)
-        if determinate and rec.in_s1 and not rec.in_s2 and rec.in_s3 == TriState.NO:
+        if not rec.indeterminate and rec.in_s1 and not rec.in_s2 and not rec.in_s3:
             checks.append(
                 (rec.in_s4 == TriState.YES or rec.in_s5 == TriState.YES,
                  "s1 minus s2 minus s3 lies in s4 or s5")
@@ -263,8 +266,7 @@ def _budget_stopped(rec: StabilityRecord, enum_cap: int) -> bool:
     Only the S4/S5 work budget stops a search with |B| within the cap,
     and its scan order follows the vertex labels.
     """
-    indeterminate = TriState.INDETERMINATE in (rec.in_s3, rec.in_s4, rec.in_s5)
-    return indeterminate and rec.b_order <= enum_cap
+    return rec.indeterminate and rec.b_order <= enum_cap
 
 
 def _classify_orbits(
@@ -272,7 +274,6 @@ def _classify_orbits(
     orbits: list[list[int]],
     enum_cap: int,
     work_budget: int,
-    hol_elements,
     by_mask: dict[int, StabilityRecord] | None = None,
 ) -> tuple[dict[str, int], int]:
     """Tally every member of the orbits from one record per orbit.
@@ -288,11 +289,7 @@ def _classify_orbits(
         nonlocal classified
         classified += 1
         rec = classify(
-            G,
-            ConnectionSet(G, mask),
-            enum_cap=enum_cap,
-            work_budget=work_budget,
-            hol_elements=hol_elements,
+            G, ConnectionSet(G, mask), enum_cap=enum_cap, work_budget=work_budget
         )
         check_record(rec)
         return rec
@@ -324,7 +321,7 @@ def _mask_at(orbit_masks: list[int], idx: int) -> int:
 def _exhaustive_shard(args) -> tuple[dict[str, int], int]:
     factors, orbits, enum_cap, work_budget = args
     G = make_group(factors)
-    return _classify_orbits(G, orbits, enum_cap, work_budget, holomorph(G))
+    return _classify_orbits(G, orbits, enum_cap, work_budget)
 
 
 def _shard_ranges(total: int) -> list[tuple[int, int]]:
@@ -369,9 +366,7 @@ def exhaustive_census(
     orbits = hol_orbits(G, set_cap)
     if workers == 1:
         by_mask = None if record_sink is None else {}
-        counts, classified = _classify_orbits(
-            G, orbits, enum_cap, work_budget, holomorph(G), by_mask
-        )
+        counts, classified = _classify_orbits(G, orbits, enum_cap, work_budget, by_mask)
         if record_sink is not None:
             for mask in inverse_closed_masks(G, set_cap):
                 rec = by_mask[mask]
@@ -405,7 +400,6 @@ def exhaustive_census(
 
 def _sample_range(
     G: AbelianGroup,
-    hol_elements,
     shard: int,
     lo: int,
     hi: int,
@@ -421,11 +415,7 @@ def _sample_range(
     for _ in range(lo, hi):
         mask = _mask_at(orbit_masks, rng.getrandbits(width))
         rec = classify(
-            G,
-            ConnectionSet(G, mask),
-            enum_cap=enum_cap,
-            work_budget=work_budget,
-            hol_elements=hol_elements,
+            G, ConnectionSet(G, mask), enum_cap=enum_cap, work_budget=work_budget
         )
         check_record(rec)
         _tally(counts, rec)
@@ -435,7 +425,7 @@ def _sample_range(
 def _sample_shard(args) -> dict[str, int]:
     factors, *job = args
     G = make_group(factors)
-    return _sample_range(G, holomorph(G), *job)
+    return _sample_range(G, *job)
 
 
 def monte_carlo_census(
@@ -462,8 +452,7 @@ def monte_carlo_census(
         for shard, (lo, hi) in enumerate(_shard_ranges(samples))
     ]
     if workers == 1:
-        hol = holomorph(G)
-        counts = _merge([_sample_range(G, hol, *job) for job in jobs])
+        counts = _merge([_sample_range(G, *job) for job in jobs])
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = _merge(list(pool.map(
@@ -536,7 +525,7 @@ def hol_orbits(G: AbelianGroup, set_cap: int = DEFAULT_SET_CAP) -> list[list[int
     other), so the classes are the group-automorphism orbits; closure
     under inversion is preserved.
     """
-    auts = automorphism_group_of_G(G)
+    auts = group_context(G).automorphisms
     orbits = []
     seen: set[int] = set()
     for mask in inverse_closed_masks(G, set_cap):
@@ -559,14 +548,12 @@ def unlabeled_census(
     if total > set_cap:
         raise CapExceededError("unlabeled census set count", total, set_cap)
     target = G.order if G.exponent <= 2 else 2 * G.order
-    hol = holomorph(G)
+    hol_order = G.order * len(group_context(G).automorphisms)
     classes: dict[bytes, list[int]] = {}
     good_masks: set[int] = set()
     for mask in inverse_closed_masks(G, set_cap):
         S = ConnectionSet(G, mask)
-        rec = classify(
-            G, S, enum_cap=enum_cap, work_budget=work_budget, hol_elements=hol
-        )
+        rec = classify(G, S, enum_cap=enum_cap, work_budget=work_budget)
         key = canonical_form(cayley_graph(G, S)).bytes
         classes.setdefault(key, []).append(mask)
         if rec.cover_aut_order == 2 * target:
@@ -581,13 +568,13 @@ def unlabeled_census(
     report = UnlabeledReport(
         group=G.spec(),
         total=total,
-        hol_order=len(hol),
+        hol_order=hol_order,
         unlabeled_count=len(classes),
         good_set_count=len(good_masks),
         good_class_count=len(good_class_masks),
         hol_orbit_count=len(orbits),
         good_hol_orbit_count=good_orbit_count,
-        lower_bound_holds=len(good_class_masks) * len(hol) >= len(good_masks),
+        lower_bound_holds=len(good_class_masks) * hol_order >= len(good_masks),
         good_classes_are_hol_orbits=good_class_masks == good_orbit_masks,
     )
     if len(good_classes) != len(good_class_masks):

@@ -132,12 +132,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
         _write(cfg.out, buf.getvalue())
     else:
         _write(cfg.out, json.dumps(rec.to_json_dict(), indent=2) + "\n")
-    has_indeterminate = "indeterminate" in (
-        rec.in_s3.value,
-        rec.in_s4.value,
-        rec.in_s5.value,
-    )
-    if cfg.strict and has_indeterminate:
+    if cfg.strict and rec.indeterminate:
         return EXIT_INDETERMINATE
     return EXIT_OK
 

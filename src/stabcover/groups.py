@@ -15,6 +15,7 @@ from functools import reduce
 from .errors import CapExceededError, DomainError
 
 DEFAULT_GROUP_CAP = 512
+HOLOMORPH_CAP = DEFAULT_GROUP_CAP * 64
 
 
 def _prime_factorization(n: int) -> dict[int, int]:
@@ -485,7 +486,7 @@ def inversion_automorphism(G: AbelianGroup) -> GroupAutomorphism:
     return GroupAutomorphism(G, tuple(G.neg(g) for g in G.generators()))
 
 
-def holomorph(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP * 64) -> list[HolomorphElement]:
+def holomorph(G: AbelianGroup, cap: int = HOLOMORPH_CAP) -> list[HolomorphElement]:
     """All elements of Hol(G) = R(G) x| Aut(G), as (translation, twist) pairs."""
     auts = automorphism_group_of_G(G)
     size = G.order * len(auts)

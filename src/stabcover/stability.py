@@ -13,6 +13,28 @@ stabilizing the + block; the classification hierarchy is:
   S5: some X <= B(S) whose translation-normalizer is the unique
       subgroup strictly between the translations and X.
 
+S3 is decided without enumerating B(S), by the identity
+
+  |N_B(R)| = |G| * |Stab_Hol(S)|,
+
+where R is the group of translations acting diagonally on the cover.
+An element phi of B(S) normalizing R induces, on each block, a
+permutation of G normalizing the regular translation action, so it acts
+as x+ -> tau(x) + a and x- -> tau'(x) + b with tau, tau' in Aut(G). The
+conjugate of the translation by g is a single element of R, acting as
+tau(g) on + and tau'(g) on -, so tau = tau'. Since x+ ~ y- exactly when
+y - x lies in S, phi preserves adjacency exactly when
+tau(S) + (b - a) = S. Conversely every such map lies in B(S) and
+normalizes R. So the normalizer has |G| choices of a for each holomorph
+element x -> tau(x) + (b - a) fixing S setwise. That stabilizer always
+holds 1 and the inversion, which coincide exactly when G has exponent
+two, so the normalizer exceeds the translations extended by inversion
+exactly when S is in S3': S3 is S1 and S3'.
+
+Every per-group table (Aut(G), the holomorph pairs of the S3' scan, the
+automorphism seeds and the translation lifts) lives in one
+`GroupContext`, built once per group by `group_context`.
+
 Also implements the sigma statistics on cosets of a subgroup with
 cyclic quotient, and the Psi coincidence census.
 """
@@ -21,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import math
 
@@ -37,12 +59,13 @@ from .graphs import (
     is_twin_free,
 )
 from .groups import (
+    HOLOMORPH_CAP,
     AbelianGroup,
-    HolomorphElement,
+    GroupAutomorphism,
     Subgroup,
+    automorphism_group_of_G,
     c_value,
     close_subgroup,
-    holomorph,
     inverse_closed_masks,
 )
 from .perms import DEFAULT_ENUM_CAP, PermutationGroup, as_perm, pad_table, pinv, pmul
@@ -57,10 +80,6 @@ class TriState(Enum):
 
     def __bool__(self):  # guard against accidental truthiness
         raise TypeError("TriState is not a boolean; compare explicitly")
-
-
-def _tri(flag: bool) -> TriState:
-    return TriState.YES if flag else TriState.NO
 
 
 # -- permutations realizing the always-present cover symmetries --------------
@@ -80,35 +99,66 @@ def cover_lift(perm):
     return as_perm(list(perm) + [n + perm[v] for v in range(n)])
 
 
+# -- per-group tables ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GroupContext:
+    """The tables every classification of sets in one group reads.
+
+    Each field is built on first use, so a caller needing only the seeds
+    (`b_group`) never lists Aut(G) or meets the holomorph cap.
+    """
+
+    G: AbelianGroup
+
+    @cached_property
+    def automorphisms(self) -> list[GroupAutomorphism]:
+        return automorphism_group_of_G(self.G)
+
+    @cached_property
+    def s3prime_pairs(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(twist table, translation) of each holomorph element x -> tau(x + g).
+
+        The identity and the inversion, which fix every inverse-closed
+        set, are left out. Raises CapExceededError when Hol(G) has more
+        than HOLOMORPH_CAP elements, as `groups.holomorph` does.
+        """
+        G = self.G
+        size = G.order * len(self.automorphisms)
+        if size > HOLOMORPH_CAP:
+            raise CapExceededError("holomorph enumeration", size, HOLOMORPH_CAP)
+        neg = tuple(G.neg(x) for x in G.elements())
+        return tuple(
+            (tau.perm, g)
+            for tau in self.automorphisms
+            for g in G.elements()
+            if g or not (tau.is_identity() or tau.perm == neg)
+        )
+
+    @cached_property
+    def base_seeds(self) -> tuple:
+        """Translations by the canonical generators, then the inversion."""
+        G = self.G
+        gens = tuple(base_translation_perm(G, g) for g in G.generators())
+        return gens + (base_inversion_perm(G),)
+
+    @cached_property
+    def cover_seeds(self) -> tuple:
+        """Cover lifts of `base_seeds`: translation generators, then inversion."""
+        return tuple(cover_lift(p) for p in self.base_seeds)
+
+    @cached_property
+    def translation_lifts(self) -> tuple:
+        """Cover lifts of all |G| translations, by translation element."""
+        G = self.G
+        return tuple(cover_lift(base_translation_perm(G, g)) for g in G.elements())
+
+
 @lru_cache(maxsize=64)
-def _base_seeds_cached(G: AbelianGroup) -> tuple:
-    gens = tuple(base_translation_perm(G, g) for g in G.generators())
-    return gens + (base_inversion_perm(G),)
-
-
-def base_seeds(G: AbelianGroup) -> list:
-    return list(_base_seeds_cached(G))
-
-
-@lru_cache(maxsize=64)
-def _block_cover_seeds_cached(G: AbelianGroup) -> tuple:
-    return tuple(cover_lift(p) for p in _base_seeds_cached(G))
-
-
-def block_cover_seeds(G: AbelianGroup) -> list:
-    return list(_block_cover_seeds_cached(G))
-
-
-@lru_cache(maxsize=64)
-def _cover_translations(G: AbelianGroup) -> tuple:
-    """(generator lifts, all translation lifts, their frozenset, inversion lift)."""
-    r_gens = tuple(cover_lift(base_translation_perm(G, g)) for g in G.generators())
-    r_list = tuple(cover_lift(base_translation_perm(G, g)) for g in range(G.order))
-    return r_gens, r_list, frozenset(r_list), cover_lift(base_inversion_perm(G))
-
-
-def r_cover_elements(G: AbelianGroup) -> list:
-    return list(_cover_translations(G)[1])
+def group_context(G: AbelianGroup) -> GroupContext:
+    """The one `GroupContext` of G in this process."""
+    return GroupContext(G)
 
 
 # -- B(S) --------------------------------------------------------------------
@@ -122,13 +172,14 @@ def b_group(G: AbelianGroup, S: ConnectionSet) -> PermutationGroup:
     the complement - block setwise, so this is exactly B(S).
     """
     n = G.order
+    seeds = group_context(G).cover_seeds
     cover = double_cover(cayley_graph(G, S))
     B = automorphism_group(
         cover,
         fixed_blocks=[list(range(n))],
-        known_automorphisms=block_cover_seeds(G),
+        known_automorphisms=seeds,
     )
-    for p in block_cover_seeds(G):
+    for p in seeds:
         if not B.contains(p):
             raise DomainError("translations or inversion missing from the block stabilizer")
     return B
@@ -151,7 +202,7 @@ class StabilityRecord:
     stable: bool
     in_s1: bool
     in_s2: bool
-    in_s3: TriState
+    in_s3: bool
     in_s3prime: bool
     in_s4: TriState
     in_s5: TriState
@@ -190,6 +241,11 @@ class StabilityRecord:
     def nontrivially_unstable(self) -> bool:
         return not self.stable and not self.trivially_unstable
 
+    @property
+    def indeterminate(self) -> bool:
+        """A capped S4/S5 scan left a family membership undecided."""
+        return TriState.INDETERMINATE in (self.in_s4, self.in_s5)
+
     def to_json_dict(self) -> dict:
         return {
             "group": self.group,
@@ -207,7 +263,7 @@ class StabilityRecord:
             "in_s3prime": self.in_s3prime,
             "exponent_two": self.exponent_two,
             "reasons": list(self.trivial_instability_reasons),
-            "in_s3": self.in_s3.value,
+            "in_s3": self.in_s3,
             "in_s4": self.in_s4.value,
             "in_s5": self.in_s5.value,
         }
@@ -231,7 +287,7 @@ class StabilityRecord:
             b(self.in_s3prime),
             b(self.exponent_two),
             ";".join(self.trivial_instability_reasons),
-            self.in_s3.value,
+            b(self.in_s3),
             self.in_s4.value,
             self.in_s5.value,
         ]
@@ -245,7 +301,6 @@ def classify(
     S: ConnectionSet,
     enum_cap: int = DEFAULT_ENUM_CAP,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    hol_elements: list[HolomorphElement] | None = None,
 ) -> StabilityRecord:
     """Classify one connection set; caps yield indeterminate fields, not errors."""
     n = G.order
@@ -266,14 +321,15 @@ def classify(
         except CapExceededError:
             b_elems = None
         if b_elems is None:
-            aut_order = automorphism_group(gam, known_automorphisms=base_seeds(G)).order
+            aut_order = automorphism_group(
+                gam, known_automorphisms=group_context(G).base_seeds
+            ).order
         else:
             # base automorphisms are exactly the diagonal elements of B
             aut_order = _diagonal_count(b_elems, n)
     else:
         # disconnected or bipartite graphs factor through one component
         B = None
-        b_elems = None
         aut_order, cover_aut_order, b_order = factored_orders(G, S, gam)
     stable = cover_aut_order == 2 * aut_order
 
@@ -287,16 +343,9 @@ def classify(
 
     in_s1 = connected and not bipartite and twin_free
     in_s2 = in_s1 and b_order == target
-
-    if not in_s1 or b_order == target:
-        in_s3 = TriState.NO
-    elif b_elems is None:
-        in_s3 = TriState.INDETERMINATE
-    else:
-        r_gens, r_list, r_set, _ = _cover_translations(G)
-        in_s3 = _tri(_r_normalizer_count(b_elems, r_gens, r_set, r_list) > target)
-
-    in_s3prime = s3prime_membership(G, S, hol_elements)
+    in_s3prime = s3prime_membership(G, S)
+    # |N_B(R)| = n |Stab_Hol(S)| (see the module docstring)
+    in_s3 = in_s1 and in_s3prime
 
     if B is None or not in_s1:
         in_s4, in_s5 = TriState.NO, TriState.NO
@@ -401,35 +450,9 @@ def _part_of_zero(comp: LabeledGraph, v0: int) -> list[int]:
     return [v for v in range(comp.n) if color[v] == 0]
 
 
-_HOL_PREP_CACHE: tuple = (None, None)
-
-
-def _prepared_hol(hol_elements) -> list[tuple]:
-    """(twist table, translation) pairs, skipping identity and inversion.
-
-    Keyed on the list object itself: census runs pass one holomorph list
-    to every classify call, so the identity/inversion scan happens once.
-    """
-    global _HOL_PREP_CACHE
-    if _HOL_PREP_CACHE[0] is not hol_elements:
-        prep = [
-            (a.twist.perm, a.translation)
-            for a in hol_elements
-            if not (a.is_identity() or a.is_inversion())
-        ]
-        _HOL_PREP_CACHE = (hol_elements, prep)
-    return _HOL_PREP_CACHE[1]
-
-
-def s3prime_membership(
-    G: AbelianGroup,
-    S: ConnectionSet | int,
-    hol_elements: list[HolomorphElement] | None = None,
-) -> bool:
+def s3prime_membership(G: AbelianGroup, S: ConnectionSet | int) -> bool:
     """True iff some holomorph element besides 1 and inversion fixes S setwise."""
     mask = S.mask if isinstance(S, ConnectionSet) else S
-    if hol_elements is None:
-        hol_elements = holomorph(G)
     members = []
     m = mask
     while m:
@@ -437,7 +460,7 @@ def s3prime_membership(
         members.append(low.bit_length() - 1)
         m ^= low
     add = G.add
-    for tp, g in _prepared_hol(hol_elements):
+    for tp, g in group_context(G).s3prime_pairs:
         for s in members:
             if not mask >> tp[add(s, g)] & 1:
                 break
@@ -511,34 +534,6 @@ def _diagonal_count(elems, n: int) -> int:
     return cnt
 
 
-def _r_normalizer_count(elems, r_gens, r_set: frozenset, r_list) -> int:
-    """Size of the translation-normalizer within an enumerated group.
-
-    Conjugation by a*d with a in the abelian translation group R equals
-    conjugation by d on R, so the verdict is tested once per coset R d.
-    """
-    cnt = 0
-    decided: set = set()
-    bytes_mode = bool(r_list) and isinstance(r_list[0], bytes)
-    if bytes_mode:
-        t_tabs = [pad_table(t) for t in r_gens]
-        r_tabs = [pad_table(a) for a in r_list]
-    for d in elems:
-        if d in decided:
-            continue
-        di = pinv(d)
-        if bytes_mode:
-            d_tab = pad_table(d)
-            ok = all(di.translate(t).translate(d_tab) in r_set for t in t_tabs)
-            decided.update(d.translate(at) for at in r_tabs)
-        else:
-            ok = all(pmul(pmul(di, t), d) in r_set for t in r_gens)
-            decided.update(pmul(d, a) for a in r_list)
-        if ok:
-            cnt += len(r_list)
-    return cnt
-
-
 def s4_s5_membership(
     G: AbelianGroup,
     S: ConnectionSet,
@@ -568,7 +563,10 @@ def s4_s5_membership(
         except CapExceededError:
             return TriState.INDETERMINATE, TriState.INDETERMINATE
     budget = _Budget(work_budget)
-    r_gens, r_list, r_set, iota_p = _cover_translations(G)
+    ctx = group_context(G)
+    *r_gens, iota_p = ctx.cover_seeds
+    r_list = ctx.translation_lifts
+    r_set = frozenset(r_list)
     nor_set = frozenset(list(r_set) + [pmul(t, iota_p) for t in r_list])
     # one closure per R-double-coset of B - R; every candidate X is one
     # of these closures, and the classes meeting X are exactly those

@@ -180,17 +180,14 @@ def check_hierarchy(
     for G in all_abelian_groups(max_order):
         if G.exponent <= 2:
             continue
-        hol = holomorph(G)
         for mask in inverse_closed_masks(G):
             cases += 1
-            rec = classify(
-                G, ConnectionSet(G, mask), enum_cap, work_budget, hol_elements=hol
-            )
+            rec = classify(G, ConnectionSet(G, mask), enum_cap, work_budget)
             try:
                 check_record(rec)
             except StabcoverError as e:
                 failures.append(f"{G.spec()} 0x{mask:x}: {e}")
-            if "indeterminate" in (rec.in_s3.value, rec.in_s4.value, rec.in_s5.value):
+            if rec.indeterminate:
                 indeterminate += 1
     if cases and indeterminate / cases >= 0.05:
         failures.append(f"indeterminate fraction {indeterminate}/{cases} is 5% or more")

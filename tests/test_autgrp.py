@@ -118,6 +118,9 @@ def test_known_automorphism_seeds():
     assert automorphism_group(cyc, known_automorphisms=[rot]).order == 2 * n
     with pytest.raises(DomainError):
         automorphism_group(cyc, known_automorphisms=[as_perm([1, 0, 2, 3, 4, 5])])
+    # an automorphism moving a fixed block is rejected as a seed too
+    with pytest.raises(DomainError):
+        automorphism_group(cyc, fixed_blocks=[[0, 1, 2]], known_automorphisms=[rot])
 
 
 def test_canonical_form_invariance():

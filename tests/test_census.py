@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from stabcover import census, groups, stability
 from stabcover.census import (
     BUCKETS,
     CensusReport,
@@ -22,11 +23,10 @@ from stabcover.graphs import ConnectionSet
 from stabcover.groups import (
     all_abelian_groups,
     count_inverse_closed,
-    holomorph,
     inverse_closed_masks,
     make_group,
 )
-from stabcover.stability import StabilityRecord, TriState, classify
+from stabcover.stability import StabilityRecord, TriState, classify, group_context
 
 # tallies confirmed by the per-set classifications tested against the
 # subgroup-lattice and automorphism brute-force oracles
@@ -130,10 +130,9 @@ EXACT_FIELDS = tuple(
 
 def _per_set_oracle(G, **caps):
     """Plain `classify` on every set: records by mask and their tally."""
-    hol = holomorph(G)
     records, counts = {}, {k: 0 for k in BUCKETS}
     for mask in inverse_closed_masks(G):
-        rec = classify(G, ConnectionSet(G, mask), hol_elements=hol, **caps)
+        rec = classify(G, ConnectionSet(G, mask), **caps)
         check_record(rec)
         _tally(counts, rec)
         records[mask] = rec
@@ -174,6 +173,27 @@ def test_orbit_census_budget_fallback():
         report, _ = _orbit_census_against_oracle(G, work_budget=1000)
         assert report.classified > len(hol_orbits(G))
         assert report.counts["indeterminate"] > 0
+
+
+def test_exhaustive_census_builds_aut_g_once(monkeypatch):
+    # the orbit list and the S3' scan share one Aut(G) through the context
+    real = groups.automorphism_group_of_G
+    calls = []
+
+    def counted(G, *args, **kwargs):
+        calls.append(G.spec())
+        return real(G, *args, **kwargs)
+
+    for mod in (groups, stability, census):
+        for name, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, name, counted)
+    group_context.cache_clear()
+    try:
+        exhaustive_census(make_group([2, 6]))
+    finally:
+        group_context.cache_clear()
+    assert calls == ["C2xC6"]
 
 
 def test_exhaustive_census_record_sink():
