@@ -10,10 +10,10 @@ least mask, and tallies its record once per orbit member: an
 automorphism tau of G carries Cay(G,S) isomorphically onto Cay(G,tau S),
 conjugates B(S) onto B(tau S) while normalizing the translations and
 commuting with inversion, so every field of the record is the same on
-the whole orbit. The one label-dependent stop is the S4/S5 work budget,
-so an orbit whose representative has an indeterminate field while |B(S)|
-is within the enumeration cap is classified member by member instead.
-`CensusReport.classified` counts the `classify` calls a census made.
+the whole orbit. The only cap that can leave a field indeterminate, the
+enumeration cap on |B(S)|, is an orbit invariant too, so no orbit needs a
+second look. `CensusReport.classified` counts the `classify` calls a
+census made.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from .groups import (
     negation_orbits,
 )
 from .perms import DEFAULT_ENUM_CAP
-from .stability import (
-    DEFAULT_WORK_BUDGET,
-    StabilityRecord,
-    TriState,
-    classify,
-    group_context,
-)
+from .stability import StabilityRecord, TriState, classify, group_context
 
 FIXED_SHARD_COUNT = 32
 DEFAULT_SET_CAP = 1 << 30
@@ -62,12 +56,6 @@ BUCKETS = (
     "nontrivially-unstable",
     "indeterminate",
 )
-
-
-def iterate_inverse_closed(G: AbelianGroup, cap: int = DEFAULT_SET_CAP):
-    """Every inverse-closed connection set of G exactly once, fixed order."""
-    for mask in inverse_closed_masks(G, cap):
-        yield ConnectionSet(G, mask)
 
 
 def stabilized_count(G: AbelianGroup, z: int) -> tuple[int, int | float]:
@@ -112,8 +100,8 @@ class CensusReport:
     indeterminate; only determinate records are tallied as stable or
     unstable, so the four outcome buckets always add up to `examined`.
     `classified` is the number of `classify` calls behind the tallies:
-    one per Aut(G)-orbit plus fallback members for an exhaustive census,
-    `examined` for a Monte-Carlo one. It is left out of `signature()`.
+    one per Aut(G)-orbit for an exhaustive census, `examined` for a
+    Monte-Carlo one. It is left out of `signature()`.
     """
 
     group: str
@@ -260,52 +248,25 @@ def check_record(rec: StabilityRecord) -> None:
             )
 
 
-def _budget_stopped(rec: StabilityRecord, enum_cap: int) -> bool:
-    """An indeterminate field that the enumeration cap does not explain.
-
-    Only the S4/S5 work budget stops a search with |B| within the cap,
-    and its scan order follows the vertex labels.
-    """
-    return rec.indeterminate and rec.b_order <= enum_cap
-
-
 def _classify_orbits(
     G: AbelianGroup,
     orbits: list[list[int]],
     enum_cap: int,
-    work_budget: int,
     by_mask: dict[int, StabilityRecord] | None = None,
 ) -> tuple[dict[str, int], int]:
     """Tally every member of the orbits from one record per orbit.
 
     Returns the counts and the number of `classify` calls. When `by_mask`
-    is given, it receives the record standing for each member: the
-    representative's, or the member's own after a budget stop.
+    is given, it receives the representative's record for each member.
     """
     counts = _empty_counts()
-    classified = 0
-
-    def run(mask: int) -> StabilityRecord:
-        nonlocal classified
-        classified += 1
-        rec = classify(
-            G, ConnectionSet(G, mask), enum_cap=enum_cap, work_budget=work_budget
-        )
-        check_record(rec)
-        return rec
-
     for orbit in orbits:
-        rep = run(orbit[0])
-        if _budget_stopped(rep, enum_cap):
-            recs = [rep] + [run(mask) for mask in orbit[1:]]
-            for rec in recs:
-                _tally(counts, rec)
-        else:
-            recs = [rep] * len(orbit)
-            _tally(counts, rep, len(orbit))
+        rec = classify(G, ConnectionSet(G, orbit[0]), enum_cap=enum_cap)
+        check_record(rec)
+        _tally(counts, rec, len(orbit))
         if by_mask is not None:
-            by_mask.update(zip(orbit, recs))
-    return counts, classified
+            by_mask.update(dict.fromkeys(orbit, rec))
+    return counts, len(orbits)
 
 
 def _mask_at(orbit_masks: list[int], idx: int) -> int:
@@ -319,9 +280,9 @@ def _mask_at(orbit_masks: list[int], idx: int) -> int:
 
 
 def _exhaustive_shard(args) -> tuple[dict[str, int], int]:
-    factors, orbits, enum_cap, work_budget = args
+    factors, orbits, enum_cap = args
     G = make_group(factors)
-    return _classify_orbits(G, orbits, enum_cap, work_budget)
+    return _classify_orbits(G, orbits, enum_cap)
 
 
 def _shard_ranges(total: int) -> list[tuple[int, int]]:
@@ -344,7 +305,6 @@ def _merge(parts: list[dict[str, int]]) -> dict[str, int]:
 def exhaustive_census(
     G: AbelianGroup,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    work_budget: int = DEFAULT_WORK_BUDGET,
     workers: int = 1,
     set_cap: int = DEFAULT_SET_CAP,
     record_sink=None,
@@ -366,7 +326,7 @@ def exhaustive_census(
     orbits = hol_orbits(G, set_cap)
     if workers == 1:
         by_mask = None if record_sink is None else {}
-        counts, classified = _classify_orbits(G, orbits, enum_cap, work_budget, by_mask)
+        counts, classified = _classify_orbits(G, orbits, enum_cap, by_mask)
         if record_sink is not None:
             for mask in inverse_closed_masks(G, set_cap):
                 rec = by_mask[mask]
@@ -375,7 +335,7 @@ def exhaustive_census(
                 record_sink(rec)
     else:
         jobs = [
-            (G.invariant_factors, orbits[lo:hi], enum_cap, work_budget)
+            (G.invariant_factors, orbits[lo:hi], enum_cap)
             for lo, hi in _shard_ranges(len(orbits))
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -405,7 +365,6 @@ def _sample_range(
     hi: int,
     seed: int,
     enum_cap: int,
-    work_budget: int,
 ) -> dict[str, int]:
     orbits = negation_orbits(G)
     orbit_masks = [sum(1 << x for x in orb) for orb in orbits]
@@ -414,9 +373,7 @@ def _sample_range(
     counts = _empty_counts()
     for _ in range(lo, hi):
         mask = _mask_at(orbit_masks, rng.getrandbits(width))
-        rec = classify(
-            G, ConnectionSet(G, mask), enum_cap=enum_cap, work_budget=work_budget
-        )
+        rec = classify(G, ConnectionSet(G, mask), enum_cap=enum_cap)
         check_record(rec)
         _tally(counts, rec)
     return counts
@@ -433,7 +390,6 @@ def monte_carlo_census(
     samples: int,
     seed: int,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    work_budget: int = DEFAULT_WORK_BUDGET,
     workers: int = 1,
 ) -> CensusReport:
     """Classify uniform samples over inverse-closed subsets.
@@ -448,7 +404,7 @@ def monte_carlo_census(
     if workers < 1:
         raise DomainError("worker count must be at least 1")
     jobs = [
-        (shard, lo, hi, seed, enum_cap, work_budget)
+        (shard, lo, hi, seed, enum_cap)
         for shard, (lo, hi) in enumerate(_shard_ranges(samples))
     ]
     if workers == 1:
@@ -540,7 +496,6 @@ def hol_orbits(G: AbelianGroup, set_cap: int = DEFAULT_SET_CAP) -> list[list[int
 def unlabeled_census(
     G: AbelianGroup,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    work_budget: int = DEFAULT_WORK_BUDGET,
     set_cap: int = DEFAULT_SET_CAP,
 ) -> UnlabeledReport:
     """Group Cayley graphs by canonical form and compare with holomorph orbits."""
@@ -553,7 +508,7 @@ def unlabeled_census(
     good_masks: set[int] = set()
     for mask in inverse_closed_masks(G, set_cap):
         S = ConnectionSet(G, mask)
-        rec = classify(G, S, enum_cap=enum_cap, work_budget=work_budget)
+        rec = classify(G, S, enum_cap=enum_cap)
         key = canonical_form(cayley_graph(G, S)).bytes
         classes.setdefault(key, []).append(mask)
         if rec.cover_aut_order == 2 * target:

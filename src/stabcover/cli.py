@@ -30,7 +30,7 @@ from .errors import CapExceededError, DomainError, StabcoverError
 from .graphs import connection_set
 from .groups import AbelianGroup, parse_group_spec
 from .perms import DEFAULT_ENUM_CAP
-from .stability import DEFAULT_WORK_BUDGET, classify
+from .stability import classify
 from .verify import run_all_checks
 
 WORKERS_ENV = "STABCOVER_WORKERS"
@@ -49,7 +49,6 @@ class RunConfig:
     group: str | None
     delta: float | None
     enum_cap: int
-    work_budget: int
     set_cap: int
     seed: int | None
     workers: int
@@ -121,7 +120,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     G = parse_group_spec(cfg.group)
     elements = parse_set_literal(G, args.set)
     S = connection_set(G, elements, symmetrize=args.symmetrize)
-    rec = classify(G, S, cfg.enum_cap, cfg.work_budget)
+    rec = classify(G, S, cfg.enum_cap)
     if cfg.fmt == "csv":
         import io
 
@@ -147,7 +146,6 @@ def cmd_census(cfg: RunConfig, args) -> int:
             samples=args.samples,
             seed=cfg.seed,
             enum_cap=cfg.enum_cap,
-            work_budget=cfg.work_budget,
             workers=cfg.workers,
         )
     else:
@@ -160,7 +158,6 @@ def cmd_census(cfg: RunConfig, args) -> int:
         report = exhaustive_census(
             G,
             enum_cap=cfg.enum_cap,
-            work_budget=cfg.work_budget,
             workers=cfg.workers,
             set_cap=cfg.set_cap,
             record_sink=sink,
@@ -174,7 +171,6 @@ def cmd_census(cfg: RunConfig, args) -> int:
         unl = unlabeled_census(
             G,
             enum_cap=cfg.enum_cap,
-            work_budget=cfg.work_budget,
             set_cap=cfg.set_cap,
         )
         pieces.append(unl.to_json_dict())
@@ -273,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             p.add_argument("group", help="group spec, e.g. C5 or C2xC10")
         p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-        p.add_argument("--work-budget", type=int, default=DEFAULT_WORK_BUDGET)
         p.add_argument("--set-cap", type=int, default=DEFAULT_SET_CAP)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--strict", action="store_true",
@@ -326,7 +321,6 @@ def _make_config(args) -> RunConfig:
         group=getattr(args, "group", None),
         delta=getattr(args, "delta", None),
         enum_cap=args.enum_cap,
-        work_budget=args.work_budget,
         set_cap=args.set_cap,
         seed=getattr(args, "seed", None),
         workers=workers,

@@ -2,8 +2,8 @@
 
 Adjacency is stored as one bit-vector per vertex; a loop is the diagonal
 bit. Includes Cayley graph construction, the standard double cover
-(direct product with a single edge), structural predicates, bi-coset
-graphs, and text/graph6 export.
+(direct product with a single edge), structural predicates and bi-coset
+graphs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapExceededError, DomainError
+from .errors import DomainError
 from .groups import AbelianGroup, is_inverse_closed
 from .perms import DEFAULT_ENUM_CAP, PermutationGroup, identity_perm, pinv, right_mul
 
@@ -359,39 +359,3 @@ def _translation_double_coset_in(G, g, k_sub, h_sub, y_sub) -> bool:
         n + v for v in r
     )
     return rg in y_sub
-
-
-# -- export ------------------------------------------------------------------
-
-
-def to_adjacency_text(g: LabeledGraph) -> str:
-    """One line per vertex: `v: n1 n2 ...`."""
-    lines = []
-    for v in range(g.n):
-        lines.append(f"{v}: " + " ".join(str(u) for u in _bits(g.rows[v])))
-    return "\n".join(lines) + "\n"
-
-
-def to_graph6(g: LabeledGraph) -> str:
-    """Standard graph6 encoding. Loops are outside the format and refuse."""
-    if any(g.has_loop(v) for v in range(g.n)):
-        raise DomainError("graph6 cannot encode loops")
-    n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    elif n <= 258047:
-        head = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    else:
-        raise CapExceededError("graph6 vertex count", n, 258047)
-    bits = []
-    for j in range(n):
-        for i in range(j):
-            bits.append((g.rows[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr(63 + (bits[k] << 5 | bits[k + 1] << 4 | bits[k + 2] << 3
-                  | bits[k + 3] << 2 | bits[k + 4] << 1 | bits[k + 5]))
-        for k in range(0, len(bits), 6)
-    )
-    return head + body

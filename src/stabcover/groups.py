@@ -481,11 +481,6 @@ class HolomorphElement:
         return HolomorphElement(G, g, self.twist.compose(other.twist))
 
 
-def inversion_automorphism(G: AbelianGroup) -> GroupAutomorphism:
-    """The map x -> -x as a GroupAutomorphism."""
-    return GroupAutomorphism(G, tuple(G.neg(g) for g in G.generators()))
-
-
 def holomorph(G: AbelianGroup, cap: int = HOLOMORPH_CAP) -> list[HolomorphElement]:
     """All elements of Hol(G) = R(G) x| Aut(G), as (translation, twist) pairs."""
     auts = automorphism_group_of_G(G)

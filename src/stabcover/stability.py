@@ -68,9 +68,15 @@ from .groups import (
     close_subgroup,
     inverse_closed_masks,
 )
-from .perms import DEFAULT_ENUM_CAP, PermutationGroup, as_perm, pad_table, pinv, pmul
-
-DEFAULT_WORK_BUDGET = 5_000_000
+from .perms import (
+    DEFAULT_ENUM_CAP,
+    PermutationGroup,
+    as_perm,
+    pad_table,
+    pinv,
+    pmul,
+    right_mul,
+)
 
 
 class TriState(Enum):
@@ -300,7 +306,6 @@ def classify(
     G: AbelianGroup,
     S: ConnectionSet,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> StabilityRecord:
     """Classify one connection set; caps yield indeterminate fields, not errors."""
     n = G.order
@@ -350,7 +355,7 @@ def classify(
     if B is None or not in_s1:
         in_s4, in_s5 = TriState.NO, TriState.NO
     else:
-        in_s4, in_s5 = s4_s5_membership(G, S, B, enum_cap, work_budget, elems=b_elems)
+        in_s4, in_s5 = s4_s5_membership(G, S, B, enum_cap, elems=b_elems)
 
     return StabilityRecord(
         set=S,
@@ -472,49 +477,6 @@ def s3prime_membership(G: AbelianGroup, S: ConnectionSet | int) -> bool:
 # -- S4 / S5 -----------------------------------------------------------------
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self, k: int) -> bool:
-        self.left -= k
-        return self.left >= 0
-
-
-def _closure(gens, degree: int, budget: _Budget) -> frozenset | None:
-    """Elements of the group generated, or None if the budget ran out."""
-    ident = as_perm(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    cost = len(gens)
-    if isinstance(ident, bytes):
-        tabs = [pad_table(g) for g in gens]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                if not budget.spend(cost):
-                    return None
-                for t in tabs:
-                    y = x.translate(t)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            if not budget.spend(cost):
-                return None
-            for g in gens:
-                y = pmul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def _diagonal_count(elems, n: int) -> int:
     """Elements acting identically on both cover blocks."""
     cnt = 0
@@ -539,7 +501,6 @@ def s4_s5_membership(
     S: ConnectionSet,
     B: PermutationGroup,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    work_budget: int = DEFAULT_WORK_BUDGET,
     elems=None,
 ) -> tuple[TriState, TriState]:
     """Scan subgroups between the translations and B(S) for S4/S5 witnesses.
@@ -547,12 +508,18 @@ def s4_s5_membership(
     Every witness X is generated over the translations R by a single
     element: for S4, R is maximal in X, so adjoining any element of X - R
     gives X; for S5, the unique-intermediate property forces the same.
-    Hence adjoining each element of B (up to R-double-coset equivalence,
-    which preserves both the generated subgroup and its verdict) covers
-    all candidates, making the scan exact when it completes.
+    Adjoining c or any element of its R-double coset ("class") R c R gives
+    the same subgroup, so the candidates are X_i = <R, c_i>, one per class
+    of B - R.
+
+    Each X_i contains R, so it is R plus a union of classes and is fixed by
+    the bitmask of the classes it meets. Since R c_p R c_i R is the union
+    over r in R of R (c_p r c_i) R, that mask is the least set of classes
+    holding i and, with each class p, the class of every product
+    c_p r c_i not in R. The scan lists B once and no candidate's elements,
+    so it is exact whenever |B| is within the enumeration cap.
     """
     n = G.order
-    degree = 2 * n
     if B.order == (n if G.exponent <= 2 else 2 * n):
         # B is the translations extended by inversion; the only candidate
         # X is B itself, whose translation-normalizer is all of X
@@ -562,25 +529,24 @@ def s4_s5_membership(
             elems = B.elements(enum_cap)
         except CapExceededError:
             return TriState.INDETERMINATE, TriState.INDETERMINATE
-    budget = _Budget(work_budget)
     ctx = group_context(G)
     *r_gens, iota_p = ctx.cover_seeds
     r_list = ctx.translation_lifts
     r_set = frozenset(r_list)
-    nor_set = frozenset(list(r_set) + [pmul(t, iota_p) for t in r_list])
-    # one closure per R-double-coset of B - R; every candidate X is one
-    # of these closures, and the classes meeting X are exactly those
-    # whose representative lies in X
-    incomplete = False
-    seen = set(r_set)
-    classes: list[tuple] = []
+    # cls maps each element of B - R to the index of its class; class i
+    # keeps its representative's right multiplication and the coset c_i R
+    cls: dict = {}
+    rights = []
+    cosets = []
+    norm_mask = 0
     bytes_mode = isinstance(iota_p, bytes)
     if bytes_mode:
         r_tabs = [pad_table(b2) for b2 in r_list]
         t_tabs = [pad_table(t) for t in r_gens]
     for c in elems:
-        if c in seen:
+        if c in cls or c in r_set:
             continue
+        i = len(cosets)
         ci = pinv(c)
         # normalizing R is a class invariant: conjugating t by a*c*b with
         # a, b in the abelian R gives b^-1 (c^-1 t c) b, in R iff c^-1 t c is
@@ -589,46 +555,51 @@ def s4_s5_membership(
             normalizes = all(ci.translate(t).translate(c_tab) in r_set for t in t_tabs)
             for a in r_list:
                 ac = a.translate(c_tab)
-                seen.update(ac.translate(bt) for bt in r_tabs)
+                cls.update(dict.fromkeys([ac.translate(bt) for bt in r_tabs], i))
+            cosets.append([c.translate(bt) for bt in r_tabs])
         else:
             normalizes = all(pmul(pmul(ci, t), c) in r_set for t in r_gens)
             for a in r_list:
                 ac = pmul(a, c)
-                seen.update(pmul(ac, b2) for b2 in r_list)
-        X = _closure(list(r_gens) + [c], degree, budget)
-        if X is None:
-            incomplete = True
-            break
-        classes.append((c, X, normalizes))
+                cls.update(dict.fromkeys([pmul(ac, b2) for b2 in r_list], i))
+            cosets.append([pmul(c, b2) for b2 in r_list])
+        rights.append(right_mul(c))
+        if normalizes:
+            norm_mask |= 1 << i
+    # R . iota is one class, the normalizer's; with exponent two iota is in R
+    nor_mask = 1 << cls[iota_p] if iota_p in cls else 0
+
+    masks = []
+    for i, right in enumerate(rights):
+        m = 1 << i
+        todo = [i]
+        while todo:
+            for q in map(cls.get, map(right, cosets[todo.pop()])):
+                if q is not None and not m >> q & 1:
+                    m |= 1 << q
+                    todo.append(q)
+        masks.append(m)
+
     found4 = found5 = False
-    if not incomplete:
-        for X in dict.fromkeys(cl for _, cl, _ in classes):
-            if not budget.spend(len(classes)):
-                incomplete = True
-                break
-            reps_in = [(cl, nm) for rep, cl, nm in classes if rep in X]
-            # the normalizer of R in X is R plus the double cosets of the
-            # normalizing class representatives lying in X
-            nor_is_r = all(not nm for _, nm in reps_in)
-            nor_is_nor = iota_p in X and all(
-                cl == nor_set for cl, nm in reps_in if nm
-            )
-            all_x = all(cl == X for cl, _ in reps_in)
-            all_in = all(cl == X or cl == nor_set for cl, _ in reps_in)
-            found4 = found4 or (all_x and nor_is_r)
-            # unique intermediate subgroup: any Y with R < Y < X is a
-            # union of one-element closures, all of which must then equal
-            # the normalizer, which itself has none strictly above R
-            found5 = found5 or (
-                nor_is_nor
-                and nor_set != r_set
-                and len(X) > len(nor_set)
-                and all_in
-            )
-            if found4 and found5:
-                break
-    s4 = TriState.YES if found4 else (TriState.INDETERMINATE if incomplete else TriState.NO)
-    s5 = TriState.YES if found5 else (TriState.INDETERMINATE if incomplete else TriState.NO)
+    for mx in dict.fromkeys(masks):
+        reps_in = [j for j in range(len(masks)) if mx >> j & 1]
+        # the normalizer of R in X is R plus the normalizing classes in X
+        nor_x = mx & norm_mask
+        found4 = found4 or (not nor_x and all(masks[j] == mx for j in reps_in))
+        # S5 needs the normalizer R . iota strictly between R and X, and
+        # as the unique intermediate subgroup: any Y with R < Y < X is a
+        # union of one-element closures, all of which must then equal the
+        # normalizer, which itself has none strictly above R
+        found5 = found5 or bool(
+            mx & nor_mask
+            and mx & ~nor_mask
+            and all(masks[j] == nor_mask for j in reps_in if nor_x >> j & 1)
+            and all(masks[j] in (mx, nor_mask) for j in reps_in)
+        )
+        if found4 and found5:
+            break
+    s4 = TriState.YES if found4 else TriState.NO
+    s5 = TriState.YES if found5 else TriState.NO
     return s4, s5
 
 

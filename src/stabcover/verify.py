@@ -31,7 +31,7 @@ from .groups import (
     holomorph,
     inverse_closed_masks,
 )
-from .stability import DEFAULT_WORK_BUDGET, b_group, classify
+from .stability import b_group, classify
 from .perms import DEFAULT_ENUM_CAP
 
 
@@ -165,7 +165,6 @@ def check_bicoset_model(
 def check_hierarchy(
     max_order: int = 10,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> CheckResult:
     """Per-record invariants of the classification hierarchy.
 
@@ -182,7 +181,7 @@ def check_hierarchy(
             continue
         for mask in inverse_closed_masks(G):
             cases += 1
-            rec = classify(G, ConnectionSet(G, mask), enum_cap, work_budget)
+            rec = classify(G, ConnectionSet(G, mask), enum_cap)
             try:
                 check_record(rec)
             except StabcoverError as e:

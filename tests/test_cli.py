@@ -173,3 +173,11 @@ def test_check_lemmas_small(capsys):
 def test_bad_group_spec(capsys):
     code, _, err = run_cli(capsys, "classify", "Q8", "1,2")
     assert code == EXIT_PRECONDITION
+
+
+def test_work_budget_option_is_gone(capsys):
+    # the S4/S5 scan has no work budget, so the old option is an argument error
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "C5", "--work-budget", "10"])
+    assert exc.value.code == EXIT_PRECONDITION
+    assert "--work-budget" in capsys.readouterr().err

@@ -18,8 +18,6 @@ from stabcover.graphs import (
     is_twin_free,
     _right_cosets,
     make_bicoset_spec,
-    to_adjacency_text,
-    to_graph6,
     twin_classes,
     verify_bicoset_isomorphism,
 )
@@ -296,37 +294,3 @@ def test_verify_bicoset_isomorphism_pentagon():
     C5 = make_group([5])
     S = ConnectionSet(C5, 0b10010)
     assert verify_bicoset_isomorphism(C5, S, b_group(C5, S))
-
-
-def test_to_adjacency_text():
-    g = LabeledGraph(3, (0b010, 0b101, 0b010))
-    assert to_adjacency_text(g) == "0: 1\n1: 0 2\n2: 1\n"
-
-
-def _oracle_graph6(g):
-    # independent re-implementation of the format for n <= 62
-    out = [chr(g.n + 63)]
-    bits = [g.has_edge(i, j) for j in range(g.n) for i in range(j)]
-    while len(bits) % 6:
-        bits.append(False)
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = val * 2 + int(b)
-        out.append(chr(val + 63))
-    return "".join(out)
-
-
-def test_graph6_known_and_random():
-    k3 = LabeledGraph(3, (0b110, 0b101, 0b011))
-    assert to_graph6(k3) == "Bw"
-    rng = random.Random(9)
-    for _ in range(30):
-        g = _random_graph(rng, rng.randint(0, 12))
-        assert to_graph6(g) == _oracle_graph6(g)
-
-
-def test_graph6_refuses_loops():
-    g = LabeledGraph(1, (0b1,))
-    with pytest.raises(DomainError):
-        to_graph6(g)

@@ -17,7 +17,6 @@ from stabcover.groups import (
     fixed_points,
     holomorph,
     inverse_closed_masks,
-    inversion_automorphism,
     involution_set,
     is_inverse_closed,
     make_group,
@@ -171,12 +170,6 @@ def test_holomorph_size_and_action():
         assert len(hol) == G.order * len(automorphism_group_of_G(G))
         perms = {h.perm() for h in hol}
         assert len(perms) == len(hol)
-
-
-def test_inversion_automorphism():
-    G = make_group([7])
-    inv = inversion_automorphism(G)
-    assert all(inv.perm[x] == G.neg(x) for x in G.elements())
 
 
 def test_fixed_points():
