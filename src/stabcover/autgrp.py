@@ -3,6 +3,13 @@
 Backtracking individualization-refinement over equitable partitions.
 Cells are vertex bit-vectors; refinement splits cells by the count of
 neighbours inside each splitter cell until the partition is equitable.
+It follows Hopcroft's rule: a processed cell's counts were uniform, so the
+counts into its largest part follow from those into its other parts, and
+a cell split after processing requeues every part but one largest. Counts
+into a multi-vertex splitter are bit-sliced, added row by row into
+counter planes. The resulting cells are the coarsest equitable refinement
+of the input, in an order read from cells and counts alone, so labels
+never steer the search (see `_refine`).
 Automorphisms are read off leaf collisions with the first leaf; the
 canonical form is the lexicographically least leaf encoding.
 
@@ -53,50 +60,97 @@ def _bits(mask: int) -> list[int]:
 def _refine(rows, cells: list[int], splitters: list[int] | None = None) -> list[int]:
     """Split cells by neighbour counts into splitter cells until equitable.
 
-    Every new part is queued as a further splitter, so the result is stable
-    against each of its own cells. Passing explicit splitters restores
-    equitability after individualization without rescanning everything.
+    Each cell that splits is replaced in place by its parts, in increasing
+    order of their neighbour count into the splitter. Splitters wait on a
+    stack and `pending` holds the cells on it. Hopcroft's rule picks what
+    to push: a cell split while pending leaves the stack and all its parts
+    are pushed; a cell split after it was processed had uniform counts on
+    every cell, so the counts into its first largest part are those counts
+    minus the counts into its other parts, and only the others are pushed.
+    So the counts into every cell that is not pending follow from counts
+    the partition is already stable against and counts into pending cells,
+    and the partition is equitable once the stack is empty.
+
+    A split only separates vertices whose counts into a union of cells
+    differ, which every equitable refinement of the input separates too,
+    so the cells are the coarsest equitable refinement of the input,
+    whatever order the splitters are taken in. That order, and with it the
+    cell order, is read from the ordered cells and the counts alone, never
+    from vertex labels, so relabeling the input relabels the output.
+
+    A multi-vertex splitter's counts are bit-sliced: the rows of its
+    vertices are summed into counter planes by a ripple-carry adder, and
+    cells are split plane by plane, most significant first; a one-vertex
+    splitter has its row as the one plane. Cells meeting no row are
+    skipped. Explicit splitters restore equitability after individualizing
+    v in an equitable partition: the counts into v's old cell were uniform,
+    so pushing [1 << v] alone suffices.
     """
-    queue = list(cells) if splitters is None else list(splitters)
-    while queue:
-        s = queue.pop()
+    cells = list(cells)
+    stack = list(cells) if splitters is None else list(splitters)
+    pending = set(stack)
+    while stack:
+        s = stack.pop()
+        if s not in pending:
+            continue  # split after it was pushed: its parts are pending
+        pending.discard(s)
         if s & (s - 1) == 0:
-            # one-vertex splitter: each cell splits into the neighbours
-            # and non-neighbours of that vertex, two mask operations
-            rs = rows[s.bit_length() - 1]
-            new_cells = []
-            for cell in cells:
-                a = cell & rs
-                if a == 0 or a == cell:
-                    new_cells.append(cell)
-                    continue
-                b = cell ^ a
-                new_cells.append(b)
-                new_cells.append(a)
-                queue.append(b)
-                queue.append(a)
-            cells = new_cells
-            continue
-        new_cells = []
-        for cell in cells:
-            if cell & (cell - 1) == 0:
-                new_cells.append(cell)
-                continue
-            groups: dict[int, int] = {}
-            m = cell
+            # one-vertex splitter: the one count plane is that vertex's row
+            planes = [rows[s.bit_length() - 1]]
+            touched = planes[0]
+        else:
+            # bit-sliced neighbour counts: bit v of planes[k] is bit k of
+            # |N(v) & s|, summed row by row with a ripple-carry adder
+            planes = []
+            touched = 0
+            m = s
             while m:
                 low = m & -m
-                v = low.bit_length() - 1
+                carry = rows[low.bit_length() - 1]
                 m ^= low
-                k = (rows[v] & s).bit_count()
-                groups[k] = groups.get(k, 0) | low
-            if len(groups) > 1:
-                parts = [groups[k] for k in sorted(groups)]
-                new_cells.extend(parts)
-                queue.extend(parts)
+                touched |= carry
+                for k, plane in enumerate(planes):
+                    planes[k] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+            planes.reverse()
+        splits = []
+        for i, cell in enumerate(cells):
+            if not cell & touched or cell & (cell - 1) == 0:
+                continue  # all counts zero, or a singleton
+            # most significant plane first, zero bits before one bits: the
+            # parts come out in increasing count order
+            parts = [cell]
+            for plane in planes:
+                one = cell & plane
+                if not one or one == cell:
+                    continue  # uniform on the cell, so on every part
+                nxt = []
+                for part in parts:
+                    one = part & plane
+                    if one and one != part:
+                        nxt.append(part ^ one)
+                        nxt.append(one)
+                    else:
+                        nxt.append(part)
+                parts = nxt
+            if len(parts) == 1:
+                continue
+            splits.append((i, parts))
+            if cell in pending:
+                pending.discard(cell)
+                push = parts
             else:
-                new_cells.append(cell)
-        cells = new_cells
+                sizes = [p.bit_count() for p in parts]
+                skip = sizes.index(max(sizes))
+                push = parts[:skip] + parts[skip + 1:]
+            stack.extend(push)
+            pending.update(push)
+        for i, parts in reversed(splits):
+            cells[i:i + 1] = parts
     return cells
 
 

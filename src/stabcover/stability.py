@@ -170,16 +170,20 @@ def group_context(G: AbelianGroup) -> GroupContext:
 # -- B(S) --------------------------------------------------------------------
 
 
-def b_group(G: AbelianGroup, S: ConnectionSet) -> PermutationGroup:
+def b_group(
+    G: AbelianGroup, S: ConnectionSet, cover: LabeledGraph | None = None
+) -> PermutationGroup:
     """Setwise stabilizer of the + block in the cover's automorphism group.
 
     Computed as the color-respecting automorphism group of the cover with
     the two blocks colored apart: stabilizing the + block setwise forces
-    the complement - block setwise, so this is exactly B(S).
+    the complement - block setwise, so this is exactly B(S). A caller that
+    has already built the double cover of Cay(G, S) passes it as `cover`.
     """
     n = G.order
     seeds = group_context(G).cover_seeds
-    cover = double_cover(cayley_graph(G, S))
+    if cover is None:
+        cover = double_cover(cayley_graph(G, S))
     B = automorphism_group(
         cover,
         fixed_blocks=[list(range(n))],
@@ -317,7 +321,7 @@ def classify(
     target = n if exponent_two else 2 * n
 
     if connected and not bipartite:
-        B = b_group(G, S)
+        B = b_group(G, S, double_cover(gam))
         b_order = B.order
         # the cover is connected, its full group splits off the block swap
         cover_aut_order = 2 * b_order

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from stabcover.autgrp import DEFAULT_VERTEX_CAP, automorphism_group, canonical_form
+from stabcover.autgrp import (
+    DEFAULT_VERTEX_CAP,
+    _refine,
+    _Search,
+    automorphism_group,
+    canonical_form,
+)
 from stabcover.errors import CapExceededError, DomainError
 from stabcover.graphs import ConnectionSet, LabeledGraph, cayley_graph, double_cover
 from stabcover.groups import all_abelian_groups, inverse_closed_masks, make_group
@@ -243,3 +249,144 @@ def test_plus_pointwise_stabilizer_matches_enumeration():
             assert found.order == expected
             nontrivial += expected > 1
     assert nontrivial > 0
+
+
+# -- refinement against the splitting oracle -----------------------------------
+
+
+def _reference_refine(rows, cells, splitters=None):
+    """Refinement that queues every new part and regroups by a count dict.
+
+    The refinement before Hopcroft's rule and bit-sliced counts, kept as
+    the oracle for the cells `_refine` must reach.
+    """
+    queue = list(cells) if splitters is None else list(splitters)
+    while queue:
+        s = queue.pop()
+        if s & (s - 1) == 0:
+            rs = rows[s.bit_length() - 1]
+            new_cells = []
+            for cell in cells:
+                a = cell & rs
+                if a == 0 or a == cell:
+                    new_cells.append(cell)
+                    continue
+                b = cell ^ a
+                new_cells.append(b)
+                new_cells.append(a)
+                queue.append(b)
+                queue.append(a)
+            cells = new_cells
+            continue
+        new_cells = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            m = cell
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                k = (rows[v] & s).bit_count()
+                groups[k] = groups.get(k, 0) | low
+            if len(groups) > 1:
+                parts = [groups[k] for k in sorted(groups)]
+                new_cells.extend(parts)
+                queue.extend(parts)
+            else:
+                new_cells.append(cell)
+        cells = new_cells
+    return cells
+
+
+def _members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _relabel_mask(mask, perm):
+    return sum(1 << perm[v] for v in _members(mask))
+
+
+def _check_refine(g, cells, splitters, rng):
+    """`_refine` against the oracle on one input, and under a relabeling."""
+    rows = g.rows
+    got = _refine(rows, list(cells), splitters)
+    assert sorted(got) == sorted(_reference_refine(rows, list(cells), splitters))
+    members = [_members(x) for x in got]
+    for y in got:
+        counts = [(row & y).bit_count() for row in rows]
+        for vs in members:
+            assert len({counts[v] for v in vs}) == 1
+    # the first splitter taken (the last one given) orders the parts of
+    # every input cell by increasing count
+    first = (cells if splitters is None else splitters)[-1]
+    for cell in cells:
+        seq = [(rows[_members(x)[0]] & first).bit_count() for x in got if x & cell]
+        assert seq == sorted(seq)
+    perm = rng.sample(range(g.n), g.n)
+    h = g.relabel(as_perm(perm))
+    moved = _refine(
+        h.rows,
+        [_relabel_mask(c, perm) for c in cells],
+        None if splitters is None else [_relabel_mask(s, perm) for s in splitters],
+    )
+    assert moved == [_relabel_mask(c, perm) for c in got]
+
+
+def _check_refine_tree(g, colors, rng, individualize=None):
+    """The initial refinement, then individualizing vertices one at a time.
+
+    Individualizes every vertex of every non-singleton cell, or the first
+    `individualize` vertices of the first largest cell, as `_Search._node`
+    does.
+    """
+    initial = _Search(g, colors, canonical=False).initial
+    _check_refine(g, initial, None, rng)
+    top = _refine(g.rows, initial)
+    targets = [t for t, cell in enumerate(top) if cell & (cell - 1)]
+    if individualize is not None and targets:
+        sizes = [cell.bit_count() for cell in top]
+        targets = [sizes.index(max(sizes))]
+    for t in targets:
+        cell = top[t]
+        for v in _members(cell)[:individualize]:
+            child = top[:t] + [1 << v, cell & ~(1 << v)] + top[t + 1:]
+            _check_refine(g, child, [1 << v], rng)
+    return len(targets)
+
+
+def test_refine_matches_oracle_on_cayley_graphs_and_covers():
+    rng = random.Random(5)
+    individualized = 0
+    for G in all_abelian_groups(8):
+        n = G.order
+        for mask in inverse_closed_masks(G):
+            gam = cayley_graph(G, ConnectionSet(G, mask))
+            individualized += _check_refine_tree(gam, [0] * n, rng)
+            # the cover with its blocks colored apart, as `b_group` searches it
+            individualized += _check_refine_tree(
+                double_cover(gam), [1] * n + [0] * n, rng
+            )
+    assert individualized > 0
+
+
+def test_refine_matches_oracle_on_random_graphs_with_loops():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 24)
+        g = _random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.9]), loops=True)
+        _check_refine_tree(g, [rng.randint(0, 1) for _ in range(n)], rng)
+    # more than 256 vertices: a circulant with loops on every sixth vertex,
+    # so the top-level refinement keeps cells to individualize in
+    n = 300
+    steps = rng.sample(range(1, n // 2), 4)
+    rows = [0] * n
+    for v in range(n):
+        for d in steps:
+            rows[v] |= (1 << (v + d) % n) | (1 << (v - d) % n)
+    for v in range(0, n, 6):
+        rows[v] |= 1 << v
+    g = LabeledGraph(n, tuple(rows))
+    assert _check_refine_tree(g, [0] * n, rng, individualize=3) == 1

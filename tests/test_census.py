@@ -287,6 +287,20 @@ def test_unlabeled_census_c5():
     assert d["unlabeled_count"] == 6
 
 
+@pytest.mark.parametrize(
+    "facs, unlabeled, hol_orbits_n, good_classes",
+    [([2, 4], 20, 36, 0), ([10], 40, 40, 10), ([12], 96, 96, 20)],
+    ids=["C2xC4", "C10", "C12"],
+)
+def test_unlabeled_census_class_counts(facs, unlabeled, hol_orbits_n, good_classes):
+    # canonical forms depend on the search's cell order, class counts do not
+    rep = unlabeled_census(make_group(facs))
+    assert rep.unlabeled_count == unlabeled
+    assert rep.hol_orbit_count == hol_orbits_n
+    assert rep.good_class_count == rep.good_hol_orbit_count == good_classes
+    assert rep.good_classes_are_hol_orbits
+
+
 def test_unlabeled_census_exponent_two_group():
     # no good sets at exponent two, the comparisons still hold vacuously
     rep = unlabeled_census(make_group([2, 2]))

@@ -1,9 +1,11 @@
 """Classification pipeline against independent brute-force oracles."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from stabcover import stability
 from stabcover.autgrp import automorphism_group
 from stabcover.errors import DomainError
 from stabcover.graphs import (
@@ -22,7 +24,7 @@ from stabcover.groups import (
     make_group,
     subgroups,
 )
-from stabcover.perms import identity_perm, pinv, pmul
+from stabcover.perms import identity_perm, pinv, pmul, right_mul
 from stabcover.stability import (
     TriState,
     b_group,
@@ -264,7 +266,32 @@ def _element_closure_scan(G, B):
     return tuple(TriState.YES if f else TriState.NO for f in (found4, found5))
 
 
-def test_s4_s5_matches_element_closure_scan():
+def _tuple_context(G):
+    """Stand-in for `group_context(G)` with the cover tables as tuples."""
+    ctx = group_context(G)
+    return SimpleNamespace(
+        cover_seeds=tuple(map(tuple, ctx.cover_seeds)),
+        translation_lifts=tuple(map(tuple, ctx.translation_lifts)),
+    )
+
+
+def _class_count(G, B):
+    """Number of R-double cosets in B - R, by brute force."""
+    r_list = list(_cover_translations(G))
+    seen = set(r_list)
+    count = 0
+    for c in B.elements():
+        if c not in seen:
+            count += 1
+            seen.update(pmul(pmul(a, c), b) for a in r_list for b in r_list)
+    return count
+
+
+def test_s4_s5_matches_element_closure_scan(monkeypatch):
+    # both branches run on every set: bytes, and tuple elements with tuple
+    # tables, which production reaches only above 256 cover vertices. Each
+    # must take one class per R-double coset: `right_mul` is called once
+    # per class
     verdicts = Counter()
     for G in all_abelian_groups(10):
         for mask in inverse_closed_masks(G):
@@ -275,8 +302,22 @@ def test_s4_s5_matches_element_closure_scan():
             B = b_group(G, S)
             if B.order > 20_000:
                 continue
-            got = s4_s5_membership(G, S, B)
-            assert got == _element_closure_scan(G, B), (G.spec(), hex(mask))
+            want = _element_closure_scan(G, B)
+            # B = R extended by inversion is answered before any class
+            s2 = B.order == (G.order if G.exponent <= 2 else 2 * G.order)
+            classes = 0 if s2 else _class_count(G, B)
+            elems = B.elements()
+            for context, es in (
+                (group_context, elems),
+                (_tuple_context, [tuple(p) for p in elems]),
+            ):
+                reps = []
+                with monkeypatch.context() as m:
+                    m.setattr(stability, "group_context", context)
+                    m.setattr(stability, "right_mul", lambda q: reps.append(q) or right_mul(q))
+                    got = s4_s5_membership(G, S, B, elems=es)
+                assert got == want, (G.spec(), hex(mask), type(es[0]))
+                assert len(reps) == classes, (G.spec(), hex(mask), type(es[0]))
             verdicts[tuple(t.value for t in got)] += 1
     assert verdicts == {
         ("no", "no"): 222, ("no", "yes"): 21, ("yes", "no"): 14, ("yes", "yes"): 2
