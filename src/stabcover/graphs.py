@@ -13,7 +13,14 @@ from functools import cached_property
 
 from .errors import DomainError
 from .groups import AbelianGroup, is_inverse_closed
-from .perms import DEFAULT_ENUM_CAP, PermutationGroup, identity_perm, pinv, right_mul
+from .perms import (
+    DEFAULT_ENUM_CAP,
+    PermutationGroup,
+    left_mul,
+    mul_table,
+    pinv,
+    right_mul,
+)
 
 
 @dataclass(frozen=True)
@@ -187,10 +194,10 @@ class BiCosetSpec:
     per spec and shared by the validation, `bicoset_graph` and
     `verify_bicoset_isomorphism`. KD = D is checked as "every right
     K-coset lies inside D or is disjoint from it", which is what D being
-    a union of right K-cosets means. DH = D is checked as closure of D
-    under right multiplication by a small generating set of H: each such
-    product permutes the finite set D, so closure under generators is
-    closure under the whole subgroup.
+    a union of right K-cosets means. DH = D is checked by left H-cosets:
+    walking D, the left coset xH of each x not yet covered must lie
+    inside D. Every d in D lies in one of these cosets, so this is dh in
+    D for every d in D and h in H, at |D| products.
     """
 
     elements: tuple
@@ -205,11 +212,18 @@ class BiCosetSpec:
         d = self.d_elements
         if not d <= elems:
             raise DomainError("D is not contained in X")
+        del elems  # free X's set before the coset walk below
         if not all(d.issuperset(c) or d.isdisjoint(c) for _, c in self.k_cosets):
             raise DomainError("D is not a union of (K, H) double cosets")
-        for h in _small_generators(self.h_elements):
-            if not d.issuperset(map(right_mul(h), d)):
+        h_tabs = list(map(mul_table, self.h_elements))
+        uncovered = set(d)
+        for x in d:
+            if x not in uncovered:
+                continue
+            coset = list(map(left_mul(x), h_tabs))
+            if not d.issuperset(coset):
                 raise DomainError("D is not a union of (K, H) double cosets")
+            uncovered.difference_update(coset)
 
     @cached_property
     def h_cosets(self) -> list[tuple]:
@@ -218,29 +232,6 @@ class BiCosetSpec:
     @cached_property
     def k_cosets(self) -> list[tuple]:
         return _right_cosets(self.elements, self.k_elements)
-
-
-def _small_generators(sub: frozenset) -> list:
-    """A generating set of logarithmic size for a subgroup given as a set."""
-    gens: list = []
-    closure: set = set()
-    for x in sub:
-        if not closure:
-            closure = {identity_perm(len(x))}
-        if x in closure:
-            continue
-        gens.append(x)
-        muls = [right_mul(g) for g in gens]
-        frontier = list(closure)
-        while frontier:
-            nxt = []
-            for mul in muls:
-                for z in map(mul, frontier):
-                    if z not in closure:
-                        closure.add(z)
-                        nxt.append(z)
-            frontier = nxt
-    return gens
 
 
 def make_bicoset_spec(x_elements, h_elements, k_elements, d_elements) -> BiCosetSpec:

@@ -88,6 +88,22 @@ def right_mul(q):
     return lambda p: tuple(map(image, p))
 
 
+def mul_table(q):
+    """q prepared as the argument of `left_mul`: padded to 256 when bytes."""
+    return pad_table(q) if isinstance(q, bytes) else q
+
+
+def left_mul(p):
+    """The map mul_table(q) -> pmul(p, q), for one fixed p on the left.
+
+    For loops that multiply one p by many q whose tables are built once:
+    `map(left_mul(p), tables)` is one `bytes.translate` per product.
+    """
+    if isinstance(p, bytes):
+        return p.translate
+    return lambda q: tuple(map(q.__getitem__, p))
+
+
 @dataclass
 class _Level:
     point: int

@@ -32,7 +32,8 @@ two, so the normalizer exceeds the translations extended by inversion
 exactly when S is in S3': S3 is S1 and S3'.
 
 Every per-group table (Aut(G), the holomorph pairs of the S3' scan, the
-automorphism seeds and the translation lifts) lives in one
+automorphism seeds, the translation lifts and the fix0 tables that
+reduce an element of B(S) to the stabilizer of 0+) lives in one
 `GroupContext`, built once per group by `group_context`.
 
 Also implements the sigma statistics on cosets of a subgroup with
@@ -72,7 +73,8 @@ from .perms import (
     DEFAULT_ENUM_CAP,
     PermutationGroup,
     as_perm,
-    pad_table,
+    left_mul,
+    mul_table,
     pinv,
     pmul,
     right_mul,
@@ -112,7 +114,9 @@ def cover_lift(perm):
 class GroupContext:
     """The tables every classification of sets in one group reads.
 
-    Each field is built on first use, so a caller needing only the seeds
+    Aut(G), the holomorph pairs of the S3' scan, the automorphism seeds,
+    the translation lifts and the fix0 tables of the S4/S5 scan. Each
+    field is built on first use, so a caller needing only the seeds
     (`b_group`) never lists Aut(G) or meets the holomorph cap.
     """
 
@@ -159,6 +163,17 @@ class GroupContext:
         """Cover lifts of all |G| translations, by translation element."""
         G = self.G
         return tuple(cover_lift(base_translation_perm(G, g)) for g in G.elements())
+
+    @cached_property
+    def fix0_tables(self) -> tuple:
+        """`mul_table` of the lift of the translation by -v, by + vertex v.
+
+        For x fixing the + block, fix0(x) = left_mul(x)(fix0_tables[x[0]])
+        is x times the translation by -x(0+): the one element of the
+        coset xR that fixes 0+.
+        """
+        G, lifts = self.G, self.translation_lifts
+        return tuple(mul_table(lifts[G.neg(v)]) for v in G.elements())
 
 
 @lru_cache(maxsize=64)
@@ -334,8 +349,9 @@ def classify(
                 gam, known_automorphisms=group_context(G).base_seeds
             ).order
         else:
-            # base automorphisms are exactly the diagonal elements of B
-            aut_order = _diagonal_count(b_elems, n)
+            # base automorphisms are exactly the diagonal elements of B;
+            # they hold R, regular on +, so n times those fixing 0+
+            aut_order = n * _diagonal_count([x for x in b_elems if not x[0]], n)
     else:
         # disconnected or bipartite graphs factor through one component
         B = None
@@ -520,8 +536,25 @@ def s4_s5_membership(
     the bitmask of the classes it meets. Since R c_p R c_i R is the union
     over r in R of R (c_p r c_i) R, that mask is the least set of classes
     holding i and, with each class p, the class of every product
-    c_p r c_i not in R. The scan lists B once and no candidate's elements,
-    so it is exact whenever |B| is within the enumeration cap.
+    c_p r c_i not in R.
+
+    The scan runs on the point stabilizer B0 = {x in B : x fixes 0+}. R is
+    regular on the + block, which B fixes, so B = R B0; write fix0(x) for
+    x times the translation by -x(0+), the one element of xR in B0
+    (`GroupContext.fix0_tables`). Three identities carry the scan:
+
+      classes: R c R meets B0 in {fix0(a c) : a in R}, and x lies in the
+        class of fix0(x). So the representatives come from B0 - {1}, and
+        class i marks the n elements fix0(a c_i) of B0;
+      closure: c_p in B0 fixes 0+, so fix0(c_p r c_i) = c_p fix0(r c_i),
+        and the classes met by c_p R c_i are those of c_p times the marked
+        elements of class i, products that already lie in B0;
+      Aut: the diagonal elements of B contain R, so |Aut(Cay(G, S))| is n
+        times the diagonal elements of B0 (used by `classify`).
+
+    B0 is read off the list of B, so the enumeration cap still applies to
+    |B|: every verdict, `indeterminate` included, is that of a scan over
+    all of B, and exact whenever |B| is within the cap.
     """
     n = G.order
     if B.order == (n if G.exponent <= 2 else 2 * n):
@@ -537,48 +570,38 @@ def s4_s5_membership(
     *r_gens, iota_p = ctx.cover_seeds
     r_list = ctx.translation_lifts
     r_set = frozenset(r_list)
-    # cls maps each element of B - R to the index of its class; class i
-    # keeps its representative's right multiplication and the coset c_i R
+    fix0 = ctx.fix0_tables
+    # cls maps each element of B0 - {1} to the index of its class; class i
+    # keeps left multiplication by its representative and the tables of
+    # its marked elements
     cls: dict = {}
-    rights = []
-    cosets = []
+    lefts = []
+    tables = []
     norm_mask = 0
-    bytes_mode = isinstance(iota_p, bytes)
-    if bytes_mode:
-        r_tabs = [pad_table(b2) for b2 in r_list]
-        t_tabs = [pad_table(t) for t in r_gens]
     for c in elems:
-        if c in cls or c in r_set:
+        if c[0] or c in cls or c in r_set:
             continue
-        i = len(cosets)
+        i = len(tables)
         ci = pinv(c)
         # normalizing R is a class invariant: conjugating t by a*c*b with
         # a, b in the abelian R gives b^-1 (c^-1 t c) b, in R iff c^-1 t c is
-        if bytes_mode:
-            c_tab = pad_table(c)
-            normalizes = all(ci.translate(t).translate(c_tab) in r_set for t in t_tabs)
-            for a in r_list:
-                ac = a.translate(c_tab)
-                cls.update(dict.fromkeys([ac.translate(bt) for bt in r_tabs], i))
-            cosets.append([c.translate(bt) for bt in r_tabs])
-        else:
-            normalizes = all(pmul(pmul(ci, t), c) in r_set for t in r_gens)
-            for a in r_list:
-                ac = pmul(a, c)
-                cls.update(dict.fromkeys([pmul(ac, b2) for b2 in r_list], i))
-            cosets.append([pmul(c, b2) for b2 in r_list])
-        rights.append(right_mul(c))
-        if normalizes:
+        if all(pmul(pmul(ci, t), c) in r_set for t in r_gens):
             norm_mask |= 1 << i
+        marked = dict.fromkeys(
+            [left_mul(ac)(fix0[ac[0]]) for ac in map(right_mul(c), r_list)], i
+        )
+        cls.update(marked)
+        lefts.append(left_mul(c))
+        tables.append(list(map(mul_table, marked)))
     # R . iota is one class, the normalizer's; with exponent two iota is in R
     nor_mask = 1 << cls[iota_p] if iota_p in cls else 0
 
     masks = []
-    for i, right in enumerate(rights):
+    for i, tabs in enumerate(tables):
         m = 1 << i
         todo = [i]
         while todo:
-            for q in map(cls.get, map(right, cosets[todo.pop()])):
+            for q in map(cls.get, map(lefts[todo.pop()], tabs)):
                 if q is not None and not m >> q & 1:
                     m |= 1 << q
                     todo.append(q)

@@ -128,10 +128,10 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
             gam = cayley_graph(G, S)
             conn, bip = is_connected(gam), is_bipartite(gam)
             cover = double_cover(gam)
-            B = b_group(G, S, cover)
             tag = f"{G.spec()} 0x{mask:x}"
             if conn and not bip:
                 cases += 1
+                B = b_group(G, S, cover)
                 full = automorphism_group(cover)
                 if not is_connected(cover):
                     failures.append(f"{tag}: cover disconnected")

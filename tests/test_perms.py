@@ -13,6 +13,8 @@ from stabcover.perms import (
     PermutationGroup,
     as_perm,
     identity_perm,
+    left_mul,
+    mul_table,
     pinv,
     pmul,
     right_mul,
@@ -109,6 +111,8 @@ def test_right_mul_matches_pmul(degree, rng):
     q = as_perm(rng.sample(range(degree), degree))
     assert isinstance(p, bytes) == (degree <= 256)
     assert right_mul(q)(p) == pmul(p, q)
+    # the same product with p fixed on the left, over q's table
+    assert left_mul(p)(mul_table(q)) == pmul(p, q)
 
 
 def test_elements_tuple_degree():

@@ -24,7 +24,7 @@ from stabcover.groups import (
     make_group,
     subgroups,
 )
-from stabcover.perms import identity_perm, pinv, pmul, right_mul
+from stabcover.perms import identity_perm, left_mul, pinv, pmul
 from stabcover.stability import (
     TriState,
     b_group,
@@ -272,6 +272,7 @@ def _tuple_context(G):
     return SimpleNamespace(
         cover_seeds=tuple(map(tuple, ctx.cover_seeds)),
         translation_lifts=tuple(map(tuple, ctx.translation_lifts)),
+        fix0_tables=tuple(map(tuple, ctx.fix0_tables)),
     )
 
 
@@ -290,10 +291,13 @@ def _class_count(G, B):
 def test_s4_s5_matches_element_closure_scan(monkeypatch):
     # both branches run on every set: bytes, and tuple elements with tuple
     # tables, which production reaches only above 256 cover vertices. Each
-    # must take one class per R-double coset: `right_mul` is called once
-    # per class
+    # must take one class per R-double coset: `pinv` is called once per
+    # class representative
     verdicts = Counter()
     for G in all_abelian_groups(10):
+        n = G.order
+        r_set = _cover_translations(G)
+        fix0_tables = group_context(G).fix0_tables
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
             gam = cayley_graph(G, S)
@@ -304,9 +308,18 @@ def test_s4_s5_matches_element_closure_scan(monkeypatch):
                 continue
             want = _element_closure_scan(G, B)
             # B = R extended by inversion is answered before any class
-            s2 = B.order == (G.order if G.exponent <= 2 else 2 * G.order)
+            s2 = B.order == (n if G.exponent <= 2 else 2 * n)
             classes = 0 if s2 else _class_count(G, B)
             elems = B.elements()
+            # fix0(x) is the element of xR fixing 0+, and the diagonal
+            # elements, which hold R, are n times those fixing 0+
+            for x in elems:
+                f = left_mul(x)(fix0_tables[x[0]])
+                assert f[0] == 0 and pmul(pinv(x), f) in r_set
+            stab0 = [x for x in elems if x[0] == 0]
+            assert len(stab0) * n == len(elems)
+            diagonal = stability._diagonal_count
+            assert diagonal(elems, n) == n * diagonal(stab0, n)
             for context, es in (
                 (group_context, elems),
                 (_tuple_context, [tuple(p) for p in elems]),
@@ -314,7 +327,7 @@ def test_s4_s5_matches_element_closure_scan(monkeypatch):
                 reps = []
                 with monkeypatch.context() as m:
                     m.setattr(stability, "group_context", context)
-                    m.setattr(stability, "right_mul", lambda q: reps.append(q) or right_mul(q))
+                    m.setattr(stability, "pinv", lambda p: reps.append(p) or pinv(p))
                     got = s4_s5_membership(G, S, B, elems=es)
                 assert got == want, (G.spec(), hex(mask), type(es[0]))
                 assert len(reps) == classes, (G.spec(), hex(mask), type(es[0]))
