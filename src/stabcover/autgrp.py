@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, DomainError
 from .graphs import LabeledGraph
-from .perms import PermutationGroup, as_perm, pinv, pmul
+from .groups import bit_indices
+from .perms import PermutationGroup, as_perm, identity_perm, pinv, pmul
 
 DEFAULT_VERTEX_CAP = 2000
 
@@ -46,15 +47,6 @@ class CanonicalForm:
 
     bytes: bytes
     relabeling: tuple
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _refine(rows, cells: list[int], splitters: list[int] | None = None) -> list[int]:
@@ -167,7 +159,7 @@ class _Search:
     def __init__(self, graph: LabeledGraph, colors, canonical: bool, seeds=()):
         self.n = graph.n
         self.rows = graph.rows
-        self.nbrs = [_bits(row) for row in graph.rows]
+        self.nbrs = [bit_indices(row) for row in graph.rows]
         self.canonical = canonical
         # initial cells: color, then loop flag, then degree, all invariant
         keyed: dict[tuple[int, int, int], int] = {}
@@ -196,7 +188,7 @@ class _Search:
         for pos, cell in enumerate(cells):
             images[cell.bit_length() - 1] = pos
         # singleton cells list discrete vertices, so images is a bijection
-        p = bytes(images) if self.n <= 256 else tuple(images)
+        p = as_perm(images)
         enc = self._encode(p)
         jump = None
         if self.first_leaf is None:
@@ -204,7 +196,7 @@ class _Search:
             self.first_path = list(prefix)
         elif enc == self.first_leaf[1]:
             a = pmul(p, pinv(self.first_leaf[0]))
-            if a != as_perm(range(self.n)) and a not in self._gen_set:
+            if a != identity_perm(self.n) and a not in self._gen_set:
                 self.gens.append(a)
                 self._gen_set.add(a)
             if not self.canonical:
@@ -238,7 +230,7 @@ class _Search:
         cell = cells[target]
         depth = len(prefix)
         done = 0  # union of orbits already explored
-        for v in _bits(cell):
+        for v in bit_indices(cell):
             if (done >> v) & 1:
                 continue
             rest = cell & ~(1 << v)

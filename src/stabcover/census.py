@@ -33,6 +33,7 @@ from .groups import (
     inverse_closed_masks,
     involution_set,
     make_group,
+    mask_union,
     negation_orbits,
 )
 from .perms import DEFAULT_ENUM_CAP
@@ -269,16 +270,6 @@ def _classify_orbits(
     return counts, len(orbits)
 
 
-def _mask_at(orbit_masks: list[int], idx: int) -> int:
-    mask = 0
-    bits = idx
-    while bits:
-        low = bits & -bits
-        mask |= orbit_masks[low.bit_length() - 1]
-        bits ^= low
-    return mask
-
-
 def _exhaustive_shard(args) -> tuple[dict[str, int], int]:
     factors, orbits, enum_cap = args
     G = make_group(factors)
@@ -306,7 +297,6 @@ def exhaustive_census(
     G: AbelianGroup,
     enum_cap: int = DEFAULT_ENUM_CAP,
     workers: int = 1,
-    set_cap: int = DEFAULT_SET_CAP,
     record_sink=None,
 ) -> CensusReport:
     """Classify every inverse-closed subset of G and tally the buckets.
@@ -317,18 +307,18 @@ def exhaustive_census(
     """
     start = time.monotonic()
     total = count_inverse_closed(G)
-    if total > set_cap:
-        raise CapExceededError("census set count", total, set_cap)
+    if total > DEFAULT_SET_CAP:
+        raise CapExceededError("census set count", total, DEFAULT_SET_CAP)
     if workers < 1:
         raise DomainError("worker count must be at least 1")
     if workers > 1 and record_sink is not None:
         raise DomainError("per-set record sinks require a single worker")
-    orbits = hol_orbits(G, set_cap)
+    orbits = hol_orbits(G)
     if workers == 1:
         by_mask = None if record_sink is None else {}
         counts, classified = _classify_orbits(G, orbits, enum_cap, by_mask)
         if record_sink is not None:
-            for mask in inverse_closed_masks(G, set_cap):
+            for mask in inverse_closed_masks(G):
                 rec = by_mask[mask]
                 if rec.set.mask != mask:
                     rec = replace(rec, set=ConnectionSet(G, mask))
@@ -372,7 +362,7 @@ def _sample_range(
     rng = random.Random(seed ^ shard)
     counts = _empty_counts()
     for _ in range(lo, hi):
-        mask = _mask_at(orbit_masks, rng.getrandbits(width))
+        mask = mask_union(orbit_masks, rng.getrandbits(width))
         rec = classify(G, ConnectionSet(G, mask), enum_cap=enum_cap)
         check_record(rec)
         _tally(counts, rec)
@@ -473,7 +463,7 @@ class UnlabeledReport:
         }
 
 
-def hol_orbits(G: AbelianGroup, set_cap: int = DEFAULT_SET_CAP) -> list[list[int]]:
+def hol_orbits(G: AbelianGroup) -> list[list[int]]:
     """Conjugacy classes of connection sets under the holomorph, as mask lists.
 
     A holomorph element conjugates the set of translations {R(s)} by
@@ -484,7 +474,7 @@ def hol_orbits(G: AbelianGroup, set_cap: int = DEFAULT_SET_CAP) -> list[list[int
     auts = group_context(G).automorphisms
     orbits = []
     seen: set[int] = set()
-    for mask in inverse_closed_masks(G, set_cap):
+    for mask in inverse_closed_masks(G):
         if mask in seen:
             continue
         orbit = sorted({tau.apply_mask(mask) for tau in auts})
@@ -496,24 +486,23 @@ def hol_orbits(G: AbelianGroup, set_cap: int = DEFAULT_SET_CAP) -> list[list[int
 def unlabeled_census(
     G: AbelianGroup,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    set_cap: int = DEFAULT_SET_CAP,
 ) -> UnlabeledReport:
     """Group Cayley graphs by canonical form and compare with holomorph orbits."""
     total = count_inverse_closed(G)
-    if total > set_cap:
-        raise CapExceededError("unlabeled census set count", total, set_cap)
+    if total > DEFAULT_SET_CAP:
+        raise CapExceededError("unlabeled census set count", total, DEFAULT_SET_CAP)
     target = G.order if G.exponent <= 2 else 2 * G.order
     hol_order = G.order * len(group_context(G).automorphisms)
     classes: dict[bytes, list[int]] = {}
     good_masks: set[int] = set()
-    for mask in inverse_closed_masks(G, set_cap):
+    for mask in inverse_closed_masks(G):
         S = ConnectionSet(G, mask)
         rec = classify(G, S, enum_cap=enum_cap)
         key = canonical_form(cayley_graph(G, S)).bytes
         classes.setdefault(key, []).append(mask)
         if rec.cover_aut_order == 2 * target:
             good_masks.add(mask)
-    orbits = hol_orbits(G, set_cap)
+    orbits = hol_orbits(G)
     good_classes = [ms for ms in classes.values() if set(ms) <= good_masks]
     good_class_masks = {frozenset(ms) for ms in classes.values() if set(ms) & good_masks}
     good_orbit_masks = {

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from . import bounds as bounds_mod
-from .census import (
-    DEFAULT_SET_CAP,
-    exhaustive_census,
-    monte_carlo_census,
-    unlabeled_census,
-)
+from .census import exhaustive_census, monte_carlo_census, unlabeled_census
 from .errors import CapExceededError, DomainError, StabcoverError
 from .graphs import connection_set
 from .groups import AbelianGroup, parse_group_spec
@@ -49,7 +44,6 @@ class RunConfig:
     group: str | None
     delta: float | None
     enum_cap: int
-    set_cap: int
     seed: int | None
     workers: int
     out: str | None
@@ -159,7 +153,6 @@ def cmd_census(cfg: RunConfig, args) -> int:
             G,
             enum_cap=cfg.enum_cap,
             workers=cfg.workers,
-            set_cap=cfg.set_cap,
             record_sink=sink,
         )
         if args.records:
@@ -168,11 +161,7 @@ def cmd_census(cfg: RunConfig, args) -> int:
                     f.write(json.dumps(rec.to_json_dict()) + "\n")
     pieces = [report.to_json_dict()]
     if args.unlabeled:
-        unl = unlabeled_census(
-            G,
-            enum_cap=cfg.enum_cap,
-            set_cap=cfg.set_cap,
-        )
+        unl = unlabeled_census(G, enum_cap=cfg.enum_cap)
         pieces.append(unl.to_json_dict())
     if cfg.fmt == "csv":
         import io
@@ -265,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
-        if group:
+    # each subcommand accepts only the options it reads
+    def common(p, classifies=True):
+        if classifies:
             p.add_argument("group", help="group spec, e.g. C5 or C2xC10")
-        p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-        p.add_argument("--set-cap", type=int, default=DEFAULT_SET_CAP)
+            p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
+            p.add_argument("--strict", action="store_true",
+                           help="exit 3 when capped searches leave indeterminate fields")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when capped searches leave indeterminate fields")
 
     p = sub.add_parser("classify", help="classify one connection set")
     common(p)
@@ -298,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="json")
 
     p = sub.add_parser("check-lemmas", help="run the exact verification suite")
-    common(p, group=False)
+    common(p, classifies=False)
     p.add_argument("--order-limit", type=int, default=12,
                    help="check all abelian groups up to this order")
 
     p = sub.add_parser("bounds", help="evaluate the proportion bounds as CSV")
-    common(p, group=False)
+    common(p, classifies=False)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--grid", action="store_true", help="emit the default (r, delta) grid")
@@ -320,13 +309,12 @@ def _make_config(args) -> RunConfig:
         command=args.command,
         group=getattr(args, "group", None),
         delta=getattr(args, "delta", None),
-        enum_cap=args.enum_cap,
-        set_cap=args.set_cap,
+        enum_cap=getattr(args, "enum_cap", DEFAULT_ENUM_CAP),
         seed=getattr(args, "seed", None),
         workers=workers,
         out=args.out,
         fmt=getattr(args, "fmt", "json"),
-        strict=args.strict,
+        strict=getattr(args, "strict", False),
     )
 
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
-from .groups import AbelianGroup, is_inverse_closed
+from .groups import AbelianGroup, bit_indices, is_inverse_closed
 from .perms import (
     DEFAULT_ENUM_CAP,
     PermutationGroup,
+    as_perm,
     left_mul,
     mul_table,
     pinv,
@@ -38,7 +39,7 @@ class LabeledGraph:
             if row & ~mask:
                 raise DomainError(f"row {v} has bits outside the vertex range")
         for v in range(self.n):
-            for u in _bits(self.rows[v]):
+            for u in bit_indices(self.rows[v]):
                 if not (self.rows[u] >> v) & 1:
                     raise DomainError(f"adjacency not symmetric at ({v}, {u})")
 
@@ -53,26 +54,17 @@ class LabeledGraph:
         return self.rows[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return _bits(self.rows[v])
+        return bit_indices(self.rows[v])
 
     def relabel(self, perm) -> "LabeledGraph":
         """Graph with vertex v renamed to perm[v]."""
         new_rows = [0] * self.n
         for v, row in enumerate(self.rows):
             img = 0
-            for u in _bits(row):
+            for u in bit_indices(row):
                 img |= 1 << perm[u]
             new_rows[perm[v]] = img
         return LabeledGraph(self.n, tuple(new_rows))
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ class ConnectionSet:
             raise DomainError("connection set is not inverse-closed")
 
     def members(self) -> list[int]:
-        return _bits(self.mask)
+        return bit_indices(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -140,17 +132,21 @@ def is_connected(g: LabeledGraph) -> bool:
     frontier = 1
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
+        for v in bit_indices(frontier):
             nxt |= g.rows[v]
         frontier = nxt & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1
 
 
-def is_bipartite(g: LabeledGraph) -> bool:
-    """Two-colorability; any loop is an odd closed walk, so loops refuse."""
+def two_coloring(g: LabeledGraph) -> list[int] | None:
+    """A proper 2-coloring (color 0 on the least vertex of each component).
+
+    None when the graph is not bipartite; any loop is an odd closed walk,
+    so loops refuse.
+    """
     if any(g.has_loop(v) for v in range(g.n)):
-        return False
+        return None
     color = [-1] * g.n
     for start in range(g.n):
         if color[start] != -1:
@@ -159,13 +155,18 @@ def is_bipartite(g: LabeledGraph) -> bool:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in _bits(g.rows[v]):
+            for u in bit_indices(g.rows[v]):
                 if color[u] == -1:
                     color[u] = 1 - color[v]
                     stack.append(u)
                 elif color[u] == color[v]:
-                    return False
-    return True
+                    return None
+    return color
+
+
+def is_bipartite(g: LabeledGraph) -> bool:
+    """Two-colorability (see `two_coloring`)."""
+    return two_coloring(g) is not None
 
 
 def twin_classes(g: LabeledGraph) -> list[list[int]]:
@@ -345,8 +346,5 @@ def _translation_double_coset_in(G, g, k_sub, h_sub, y_sub) -> bool:
     (K, H) double cosets, so one representative decides membership.
     """
     n = G.order
-    r = tuple(G.add(v, g) for v in range(n))
-    rg = bytes(r + tuple(n + v for v in r)) if 2 * n <= 256 else r + tuple(
-        n + v for v in r
-    )
-    return rg in y_sub
+    r = [G.add(v, g) for v in range(n)]
+    return as_perm(r + [n + v for v in r]) in y_sub

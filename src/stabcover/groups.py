@@ -132,16 +132,6 @@ class AbelianGroup:
     def scalar_mul(self, k: int, i: int) -> int:
         return self.index(tuple(k * c for c in self._coords[i]))
 
-    def element_order(self, i: int) -> int:
-        if i == 0:
-            return 1
-        order = 1
-        x = i
-        while x != 0:
-            x = self.add(x, i)
-            order += 1
-        return order
-
     def generators(self) -> tuple[int, ...]:
         """One canonical generator per invariant factor (the unit vectors)."""
         k = self.rank
@@ -289,13 +279,27 @@ def inverse_closed_masks(G: AbelianGroup, cap: int = 1 << 30):
         raise CapExceededError("inverse-closed enumeration", total, cap)
     orbit_masks = [sum(1 << x for x in orb) for orb in orbits]
     for idx in range(total):
-        mask = 0
-        bits = idx
-        while bits:
-            low = bits & -bits
-            mask |= orbit_masks[low.bit_length() - 1]
-            bits ^= low
-        yield mask
+        yield mask_union(orbit_masks, idx)
+
+
+def mask_union(masks: list[int], selector: int) -> int:
+    """Union of masks[k] over the set bits k of selector."""
+    out = 0
+    while selector:
+        low = selector & -selector
+        out |= masks[low.bit_length() - 1]
+        selector ^= low
+    return out
+
+
+def bit_indices(mask: int) -> list[int]:
+    """The set bits of mask, in increasing order: a subset's members."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -309,20 +313,10 @@ class Subgroup:
         return self.mask.bit_count()
 
     def members(self) -> list[int]:
-        return _mask_to_list(self.mask)
+        return bit_indices(self.mask)
 
     def contains(self, i: int) -> bool:
         return bool(self.mask >> i & 1)
-
-
-def _mask_to_list(mask: int) -> list[int]:
-    out = []
-    m = mask
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
 
 
 def close_subgroup(G: AbelianGroup, gens: list[int] | tuple[int, ...]) -> int:
@@ -389,21 +383,8 @@ class GroupAutomorphism:
             out = G.add(out, G.scalar_mul(c, img))
         return out
 
-    def apply(self, i: int) -> int:
-        return self.perm[i]
-
     def is_identity(self) -> bool:
         return self.images == self.parent.generators()
-
-    def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        """Automorphism applying self first, then other."""
-        return GroupAutomorphism(self.parent, tuple(other.perm[i] for i in self.images))
-
-    def inverse(self) -> "GroupAutomorphism":
-        inv = [0] * self.parent.order
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return GroupAutomorphism(self.parent, tuple(inv[g] for g in self.parent.generators()))
 
     def apply_mask(self, mask: int) -> int:
         out = 0
@@ -449,9 +430,6 @@ class HolomorphElement:
         G = self.parent
         return self.twist.perm[G.add(x, self.translation)]
 
-    def perm(self) -> tuple[int, ...]:
-        return tuple(self.apply(x) for x in self.parent.elements())
-
     def apply_mask(self, mask: int) -> int:
         out = 0
         m = mask
@@ -460,25 +438,6 @@ class HolomorphElement:
             out |= 1 << self.apply(low.bit_length() - 1)
             m ^= low
         return out
-
-    def is_identity(self) -> bool:
-        return self.translation == 0 and self.twist.is_identity()
-
-    def is_inversion(self) -> bool:
-        return self.translation == 0 and all(
-            self.twist.perm[x] == self.parent.neg(x) for x in self.parent.elements()
-        )
-
-    def compose(self, other: "HolomorphElement") -> "HolomorphElement":
-        """Holomorph element applying self first, then other.
-
-        other(self(x)) = t2(t1(x + g1) + g2) = (t2 t1)(x + g1 + t1^{-1}(g2)),
-        so the normalized pair is (g1 + t1^{-1}(g2), t2 o t1).
-        """
-        G = self.parent
-        t1_inv = self.twist.inverse()
-        g = G.add(self.translation, t1_inv.perm[other.translation])
-        return HolomorphElement(G, g, self.twist.compose(other.twist))
 
 
 def holomorph(G: AbelianGroup, cap: int = HOLOMORPH_CAP) -> list[HolomorphElement]:

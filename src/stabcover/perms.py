@@ -1,8 +1,12 @@
 """Permutations on indexed points and permutation groups.
 
-Permutations are stored as image arrays. For degree <= 255 the internal
-representation is `bytes`, so products compile down to `bytes.translate`;
-the public API accepts and returns tuples as well.
+Permutations are stored as image arrays: `bytes` up to degree 256, so
+products compile down to `bytes.translate`, and tuples above that. Only
+`as_perm` and `identity_perm` choose the representation, and only the
+product primitives `pmul`, `pinv`, `right_mul`, `mul_table` and
+`left_mul` read it (`pad_table` is their helper). Every other piece of
+code, `PermutationGroup` included, multiplies through these primitives
+and runs unchanged on either representation.
 
 Groups carry a lazily-built stabilizer chain (a base with a strong
 generating set) giving order, membership, and bounded element enumeration.
@@ -45,8 +49,7 @@ _ID_CACHE: dict[int, Perm] = {}
 def identity_perm(n: int):
     p = _ID_CACHE.get(n)
     if p is None:
-        p = bytes(range(n)) if n <= 256 else tuple(range(n))
-        _ID_CACHE[n] = p
+        p = _ID_CACHE[n] = as_perm(range(n))
     return p
 
 
@@ -108,10 +111,9 @@ def left_mul(p):
 class _Level:
     point: int
     gens: list[Perm]
-    gen_tabs: list  # padded translate tables parallel to gens (bytes degree)
+    gen_tabs: list  # mul_table of each of gens
     orbit: dict[int, Perm]  # image -> transversal u with point^u = image
-    orbit_inv: dict[int, Perm]  # image -> u^-1, cached for sifting
-    orbit_inv_tab: dict  # image -> padded table of u^-1 (bytes degree)
+    orbit_inv_tab: dict  # image -> mul_table of u^-1, for sifting
 
 
 class PermutationGroup:
@@ -126,7 +128,6 @@ class PermutationGroup:
                 self.generators.append(g)
         self._chain: list[_Level] | None = None
         self._order: int | None = None
-        self._small = degree <= 256
         self._base: list[int] | None = None
 
     @classmethod
@@ -161,25 +162,15 @@ class PermutationGroup:
     def _sift(self, g: Perm, start: int = 0) -> tuple[Perm, int]:
         chain = self._chain
         assert chain is not None
-        if self._small:
-            for i in range(start, len(chain)):
-                lvl = chain[i]
-                img = g[lvl.point]
-                if img == lvl.point:
-                    continue
-                t = lvl.orbit_inv_tab.get(img)
-                if t is None:
-                    return g, i
-                g = g.translate(t)
-            return g, len(chain)
         for i in range(start, len(chain)):
             lvl = chain[i]
             img = g[lvl.point]
             if img == lvl.point:
                 continue
-            if img not in lvl.orbit:
+            t = lvl.orbit_inv_tab.get(img)
+            if t is None:
                 return g, i
-            g = pmul(g, lvl.orbit_inv[img])
+            g = left_mul(g)(t)
         return g, len(chain)
 
     def _levels_from_base(self) -> None:
@@ -191,33 +182,26 @@ class PermutationGroup:
         """
         chain = self._chain
         assert chain is not None
-        small = self._small
         ident = identity_perm(self.degree)
-        ident_tab = pad_table(ident) if small else ident
+        ident_tab = mul_table(ident)
         # (generator, its table, its inverse) for the generators fixing
         # the base points passed so far
-        gens = [(s, pad_table(s) if small else s, pinv(s)) for s in self.generators]
+        gens = [(s, mul_table(s), pinv(s)) for s in self.generators]
         for point in self._base:
             if not gens:
                 break
             orbit = {point: ident}
-            orbit_inv = {point: ident}
             orbit_inv_tab = {point: ident_tab}
             pts = [point]
             for pt in pts:
-                u, ui_tab = orbit[pt], orbit_inv_tab[pt]
+                u_mul, ui_tab = left_mul(orbit[pt]), orbit_inv_tab[pt]
                 for s, st, si in gens:
                     img = s[pt]
                     if img in orbit:
                         continue
                     # the transversal element u s has inverse s^-1 u^-1
-                    if small:
-                        orbit[img] = u.translate(st)
-                        vi = orbit_inv[img] = si.translate(ui_tab)
-                        orbit_inv_tab[img] = pad_table(vi)
-                    else:
-                        orbit[img] = pmul(u, s)
-                        orbit_inv[img] = orbit_inv_tab[img] = pmul(si, ui_tab)
+                    orbit[img] = u_mul(st)
+                    orbit_inv_tab[img] = mul_table(left_mul(si)(ui_tab))
                     pts.append(img)
             if len(orbit) > 1:
                 chain.append(
@@ -226,7 +210,6 @@ class PermutationGroup:
                         [s for s, _, _ in gens],
                         [st for _, st, _ in gens],
                         orbit,
-                        orbit_inv,
                         orbit_inv_tab,
                     )
                 )
@@ -247,11 +230,8 @@ class PermutationGroup:
         assert chain is not None
         if j == len(chain):
             point = min(p for p in range(self.degree) if h[p] != p)
-            ident_tab = pad_table(ident) if self._small else ident
-            chain.append(
-                _Level(point, [], [], {point: ident}, {point: ident}, {point: ident_tab})
-            )
-        h_tab = pad_table(h) if self._small else h
+            chain.append(_Level(point, [], [], {point: ident}, {point: mul_table(ident)}))
+        h_tab = mul_table(h)
         for m in range(level, j + 1):
             chain[m].gens.append(h)
             chain[m].gen_tabs.append(h_tab)
@@ -263,29 +243,22 @@ class PermutationGroup:
         chain = self._chain
         assert chain is not None
         lvl = chain[m]
-        small = self._small
         ident = identity_perm(self.degree)
         pts = list(lvl.orbit)
         i = 0
         while i < len(pts):
             pt = pts[i]
             i += 1
-            u = lvl.orbit[pt]
+            u_mul = left_mul(lvl.orbit[pt])
             for s, st in zip(lvl.gens, lvl.gen_tabs):
                 img = s[pt]
-                v = u.translate(st) if small else pmul(u, s)
+                v = u_mul(st)
                 if img not in lvl.orbit:
                     lvl.orbit[img] = v
-                    vi = pinv(v)
-                    lvl.orbit_inv[img] = vi
-                    lvl.orbit_inv_tab[img] = pad_table(vi) if small else vi
+                    lvl.orbit_inv_tab[img] = mul_table(pinv(v))
                     pts.append(img)
                 else:
-                    schreier = (
-                        v.translate(lvl.orbit_inv_tab[img])
-                        if small
-                        else pmul(v, lvl.orbit_inv[img])
-                    )
+                    schreier = left_mul(v)(lvl.orbit_inv_tab[img])
                     if schreier != ident:
                         self._incorporate(schreier, m + 1)
 

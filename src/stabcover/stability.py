@@ -58,6 +58,7 @@ from .graphs import (
     is_bipartite,
     is_connected,
     is_twin_free,
+    two_coloring,
 )
 from .groups import (
     HOLOMORPH_CAP,
@@ -65,6 +66,7 @@ from .groups import (
     GroupAutomorphism,
     Subgroup,
     automorphism_group_of_G,
+    bit_indices,
     c_value,
     close_subgroup,
     inverse_closed_masks,
@@ -415,13 +417,7 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
         m copies stay separate.
     """
     n = G.order
-    h_mask = close_subgroup(G, S.members())
-    members = []
-    mm = h_mask
-    while mm:
-        low = mm & -mm
-        members.append(low.bit_length() - 1)
-        mm ^= low
+    members = bit_indices(close_subgroup(G, S.members()))
     k = len(members)
     m = n // k
     pos = {g: i for i, g in enumerate(members)}
@@ -438,7 +434,8 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
     seeds.append(as_perm([pos[G.neg(g)] for g in members]))
     a_h = automorphism_group(comp, known_automorphisms=seeds).order
     fm = math.factorial(m)
-    if not is_bipartite(comp):
+    coloring = two_coloring(comp)
+    if coloring is None:
         comp_cover = double_cover(comp)
         cover_seeds = [cover_lift(s) for s in seeds]
         b_h = automorphism_group(
@@ -447,7 +444,7 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
             known_automorphisms=cover_seeds,
         ).order
         return a_h**m * fm, (2 * b_h) ** m * fm, b_h**m * fm
-    q0 = _part_of_zero(comp, pos[0])
+    q0 = [v for v in range(k) if coloring[v] == coloring[pos[0]]]
     part_seeds = [s for s in seeds if {s[v] for v in q0} == set(q0)]
     a_plus = automorphism_group(
         comp, fixed_blocks=[q0], known_automorphisms=part_seeds
@@ -461,29 +458,10 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
     return aut_order, cover_aut_order, b_order
 
 
-def _part_of_zero(comp: LabeledGraph, v0: int) -> list[int]:
-    """The bipartition class of v0 in a connected loop-free bipartite graph."""
-    color = [-1] * comp.n
-    color[v0] = 0
-    stack = [v0]
-    while stack:
-        v = stack.pop()
-        for u in comp.neighbors(v):
-            if color[u] == -1:
-                color[u] = 1 - color[v]
-                stack.append(u)
-    return [v for v in range(comp.n) if color[v] == 0]
-
-
 def s3prime_membership(G: AbelianGroup, S: ConnectionSet | int) -> bool:
     """True iff some holomorph element besides 1 and inversion fixes S setwise."""
     mask = S.mask if isinstance(S, ConnectionSet) else S
-    members = []
-    m = mask
-    while m:
-        low = m & -m
-        members.append(low.bit_length() - 1)
-        m ^= low
+    members = bit_indices(mask)
     add = G.add
     for tp, g in group_context(G).s3prime_pairs:
         for s in members:
@@ -498,22 +476,13 @@ def s3prime_membership(G: AbelianGroup, S: ConnectionSet | int) -> bool:
 
 
 def _diagonal_count(elems, n: int) -> int:
-    """Elements acting identically on both cover blocks."""
-    cnt = 0
-    if elems and isinstance(elems[0], bytes):
-        # p is diagonal iff shifting its + half by n reproduces its - half
-        shift = bytes(min(i + n, 255) for i in range(256))
-        for p in elems:
-            if p[:n].translate(shift) == p[n:]:
-                cnt += 1
-        return cnt
-    for p in elems:
-        for v in range(n):
-            if p[n + v] != p[v] + n:
-                break
-        else:
-            cnt += 1
-    return cnt
+    """Elements acting identically on both cover blocks.
+
+    An element p fixing the blocks is diagonal, p(v-) = p(v+) + n, exactly
+    when it commutes with the block swap sigma: p sigma = sigma p.
+    """
+    swap = mul_table(as_perm([*range(n, 2 * n), *range(n)]))
+    return sum(left_mul(p)(swap) == p[n:] + p[:n] for p in elems)
 
 
 def s4_s5_membership(

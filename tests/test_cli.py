@@ -181,3 +181,28 @@ def test_work_budget_option_is_gone(capsys):
         main(["census", "C5", "--work-budget", "10"])
     assert exc.value.code == EXIT_PRECONDITION
     assert "--work-budget" in capsys.readouterr().err
+
+
+def test_census_refuses_too_many_sets(capsys):
+    # C64 has 2^33 inverse-closed subsets, above the fixed 2^30 set cap
+    code, _, err = run_cli(capsys, "census", "C64")
+    assert code == EXIT_PRECONDITION
+    assert "census set count" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check-lemmas --order-limit 3 --enum-cap 5",
+        "check-lemmas --order-limit 3 --strict",
+        "bounds --grid --enum-cap 5",
+        "bounds --grid --strict",
+        "classify C5 1,4 --set-cap 5",
+        "census C5 --set-cap 5",
+    ],
+)
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == EXIT_PRECONDITION
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from stabcover.graphs import (
     _right_cosets,
     make_bicoset_spec,
     twin_classes,
+    two_coloring,
     verify_bicoset_isomorphism,
 )
 from stabcover.groups import make_group
@@ -129,6 +130,10 @@ def test_predicates_against_oracles():
         g = _random_graph(rng, n, rng.choice([0.15, 0.3, 0.6]))
         assert is_connected(g) == _oracle_connected(g)
         assert is_bipartite(g) == _oracle_bipartite(g)
+        coloring = two_coloring(g)
+        assert (coloring is not None) == _oracle_bipartite(g)
+        if coloring is not None:
+            assert all(coloring[u] != coloring[v] for v in range(n) for u in g.neighbors(v))
 
 
 def test_twin_classes():

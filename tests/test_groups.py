@@ -49,13 +49,6 @@ def test_basic_arithmetic():
     assert G.coords(G.add(G.index((1, 3)), G.index((1, 2)))) == (0, 1)
 
 
-def test_element_orders():
-    G = make_group([12])
-    assert [G.element_order(i) for i in range(12)] == [
-        1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12,
-    ]
-
-
 def test_generators_generate():
     for G in all_abelian_groups(12):
         assert close_subgroup(G, G.generators()) == (1 << G.order) - 1
@@ -145,9 +138,6 @@ def test_automorphism_group_matches_brute_force():
         auts = automorphism_group_of_G(G)
         assert len({a.perm for a in auts}) == len(auts)
         assert len(auts) == _brute_automorphism_count(G)
-        for a in auts:
-            b = a.inverse()
-            assert a.compose(b).is_identity()
 
 
 def test_automorphism_group_known_orders():
@@ -168,16 +158,19 @@ def test_holomorph_size_and_action():
     for G in all_abelian_groups(8):
         hol = holomorph(G)
         assert len(hol) == G.order * len(automorphism_group_of_G(G))
-        perms = {h.perm() for h in hol}
+        perms = {tuple(map(h.apply, G.elements())) for h in hol}
         assert len(perms) == len(hol)
 
 
 def test_fixed_points():
     G = make_group([6])
     hol = holomorph(G)
-    ident = next(h for h in hol if h.is_identity())
+    untranslated = [h for h in hol if h.translation == 0]
+    ident = next(h for h in untranslated if h.twist.is_identity())
     assert fixed_points(G, ident) == (1 << 6) - 1
-    inv = next(h for h in hol if h.is_inversion())
+    inv = next(
+        h for h in untranslated if all(h.apply(x) == G.neg(x) for x in G.elements())
+    )
     assert fixed_points(G, inv) == 0b001001  # 0 and 3
 
 

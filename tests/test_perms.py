@@ -3,11 +3,14 @@
 import itertools
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stabcover
 from stabcover.errors import CapExceededError, DomainError
 from stabcover.perms import (
     PermutationGroup,
@@ -123,3 +126,45 @@ def test_elements_tuple_degree():
     elems = PermutationGroup(n, [cyc]).elements()
     assert len(elems) == n == len(set(elems))
     assert set(elems) == _brute_closure(n, [cyc])
+
+
+def test_schreier_sims_tuple_degree_matches_bytes():
+    # the same groups on 6 points and spread over 300: one chain code
+    # path, two representations, the same orders, members and elements
+    spots = [0, 57, 120, 199, 256, 299]
+    rest = [x for x in range(300) if x not in spots]
+
+    def lift(p):
+        images = list(range(300))
+        for i, j in enumerate(p):
+            images[spots[i]] = spots[j]
+        return as_perm(images)
+
+    rng = random.Random(4321)
+    for _ in range(10):
+        gens = [as_perm(rng.sample(range(6), 6)) for _ in range(rng.randint(1, 3))]
+        small = PermutationGroup(6, gens)
+        big = PermutationGroup(300, [lift(g) for g in gens])
+        assert isinstance(big.generators[0], tuple)
+        assert big.order == small.order
+        assert {lift(p) for p in small.elements()} == set(big.elements())
+        for _ in range(10):
+            p = as_perm(rng.sample(range(6), 6))
+            assert big.contains(lift(p)) == small.contains(p)
+        moved = list(range(300))
+        moved[rest[0]], moved[rest[1]] = rest[1], rest[0]
+        assert not big.contains(moved)
+
+
+def test_representation_is_chosen_only_in_perms():
+    # only `perms` tells bytes from tuples; every other module multiplies
+    # through its primitives
+    pattern = re.compile(r"isinstance\([^)]*\bbytes\b|[<>]=?\s*25[56]\b")
+    offenders = []
+    for path in sorted(Path(stabcover.__file__).parent.glob("*.py")):
+        if path.name == "perms.py":
+            continue
+        for no, line in enumerate(path.read_text().splitlines(), 1):
+            if pattern.search(line):
+                offenders.append(f"{path.name}:{no}: {line.strip()}")
+    assert offenders == []

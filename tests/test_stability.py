@@ -337,6 +337,28 @@ def test_s4_s5_matches_element_closure_scan(monkeypatch):
     }
 
 
+def _brute_diagonal_count(elems, n):
+    return sum(all(p[n + v] == p[v] + n for v in range(n)) for p in elems)
+
+
+def test_diagonal_count_on_both_representations():
+    # p is diagonal iff it commutes with the block swap; checked on bytes
+    # elements and on tuple copies of them, against p[n+v] = p[v]+n
+    checked = 0
+    for G in all_abelian_groups(8):
+        n = G.order
+        for mask in inverse_closed_masks(G):
+            B = b_group(G, ConnectionSet(G, mask))
+            if B.order > 20_000:
+                continue
+            elems = B.elements()
+            want = _brute_diagonal_count(elems, n)
+            assert stability._diagonal_count(elems, n) == want
+            assert stability._diagonal_count([tuple(p) for p in elems], n) == want
+            checked += 1
+    assert checked == 366  # of 426 sets; the other 60 have |B| > 20 000
+
+
 @pytest.mark.parametrize(
     "n, elements, b_order, verdict",
     [
@@ -351,8 +373,10 @@ def test_s4_s5_tuple_degree(n, elements, b_order, verdict):
     S = connection_set(G, elements)
     B = b_group(G, S)
     assert B.order == b_order
-    assert isinstance(B.elements()[0], tuple)
+    elems = B.elements()
+    assert isinstance(elems[0], tuple)
     assert s4_s5_membership(G, S, B) == _element_closure_scan(G, B) == verdict
+    assert stability._diagonal_count(elems, n) == _brute_diagonal_count(elems, n)
 
 
 def test_classify_indeterminate_on_tiny_enum_cap():
