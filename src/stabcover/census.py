@@ -28,6 +28,7 @@ from .autgrp import canonical_form
 from .errors import CapExceededError, DomainError, StabcoverError
 from .graphs import ConnectionSet, cayley_graph
 from .groups import (
+    DEFAULT_SET_CAP,
     AbelianGroup,
     count_inverse_closed,
     inverse_closed_masks,
@@ -40,7 +41,6 @@ from .perms import DEFAULT_ENUM_CAP
 from .stability import StabilityRecord, TriState, classify, group_context
 
 FIXED_SHARD_COUNT = 32
-DEFAULT_SET_CAP = 1 << 30
 
 BUCKETS = (
     "disconnected",

@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .errors import CapExceededError, DomainError
 
 DEFAULT_GROUP_CAP = 512
 HOLOMORPH_CAP = DEFAULT_GROUP_CAP * 64
+# most inverse-closed sets a census or an enumeration walks through
+DEFAULT_SET_CAP = 1 << 30
 
 
 def _prime_factorization(n: int) -> dict[int, int]:
@@ -267,7 +268,7 @@ def negation_orbits(G: AbelianGroup) -> list[tuple[int, ...]]:
     return orbits
 
 
-def inverse_closed_masks(G: AbelianGroup, cap: int = 1 << 30):
+def inverse_closed_masks(G: AbelianGroup, cap: int = DEFAULT_SET_CAP):
     """All inverse-closed subsets as bitmasks, exactly once, in a fixed order.
 
     Subsets correspond to independent binary choices over negation orbits;

@@ -337,7 +337,9 @@ def classify(
     exponent_two = G.exponent <= 2
     target = n if exponent_two else 2 * n
 
-    if connected and not bipartite:
+    # B(S) is built only for S1; every other set, twins included, has its
+    # three orders from `factored_orders` and is in neither S4 nor S5
+    if connected and not bipartite and twin_free:
         B = b_group(G, S, double_cover(gam))
         b_order = B.order
         # the cover is connected, its full group splits off the block swap
@@ -355,7 +357,8 @@ def classify(
             # they hold R, regular on +, so n times those fixing 0+
             aut_order = n * _diagonal_count([x for x in b_elems if not x[0]], n)
     else:
-        # disconnected or bipartite graphs factor through one component
+        # disconnected, bipartite or twin graphs factor through the twin
+        # quotient of one component
         B = None
         aut_order, cover_aut_order, b_order = factored_orders(G, S, gam)
     stable = cover_aut_order == 2 * aut_order
@@ -374,7 +377,7 @@ def classify(
     # |N_B(R)| = n |Stab_Hol(S)| (see the module docstring)
     in_s3 = in_s1 and in_s3prime
 
-    if B is None or not in_s1:
+    if B is None:
         in_s4, in_s5 = TriState.NO, TriState.NO
     else:
         in_s4, in_s5 = s4_s5_membership(G, S, B, enum_cap, elems=b_elems)
@@ -400,7 +403,7 @@ def classify(
 
 
 def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tuple[int, int, int]:
-    """(|Aut|, |Aut of cover|, |B|) for a disconnected or bipartite Cayley graph.
+    """(|Aut|, |Aut of cover|, |B|) for a Cayley graph outside S1.
 
     The components of Cay(G, S) are the cosets of H = <S>, all isomorphic
     to the component Gamma_H at the identity, so every order factors
@@ -415,39 +418,75 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
         in Q1. With a part-swapping automorphism all 2m copies mix and
         each copy map has a_H/2 choices; without one, the two families of
         m copies stay separate.
+
+    a_H, a_+ (the automorphisms of Gamma_H fixing Q0) and b_H come from
+    the twin quotient of Gamma_H (the twin reduction of S. Wilson,
+    JCTB 2008). Vertices g, h are twins when their rows, loop bit
+    included, are equal: g + S = h + S, that is h - g lies in the subgroup
+    T = {t in H : S + t = S}. For S nonempty this T holds every t with
+    S + t = S, since s + t in S for s in S puts t in H. So the twin classes
+    of Gamma_H are the cosets of T, q = |H|/|T| of them. Inside the class g + T, g ~ g + t exactly when t lies in S; if
+    some t in T does, then 0 = t - t lies in S - t = S and T = 0 + T lies
+    in S, so each class is a clique with loops (0 in S) or has no edge at
+    all; between two classes every pair or none is adjacent.
+    Write Gamma_H/T for the graph on the cosets and f = (|T|!)^q. Then
+
+      a_H = f |Aut(Gamma_H/T)|: an automorphism maps twins to twins, so
+        it permutes the classes by an automorphism of Gamma_H/T; the kernel
+        is the product of Sym(class), and every automorphism of Gamma_H/T
+        lifts by any bijections between the equal-sized classes;
+      a_+ = f |Aut(Gamma_H/T) fixing Q0/T|: for S nonempty twins share a
+        neighbour, so Q0 is a union of classes and the kernel fixes it;
+      b_H = f^2 |B(Gamma_H/T)| when Gamma_H is not bipartite (so S is not
+        empty): twins in the cover are the base twin classes taken on each
+        block, the cover of Gamma_H/T is the cover of Gamma_H with those 2q
+        classes contracted, and the kernel, two products of Sym(class),
+        fixes both blocks.
+
+    Gamma_H/T is bipartite exactly when Gamma_H is, as a 2-coloring of
+    either is constant on classes and a loop exists in both or in neither.
+    The translations and the inversion of H project to seeds on it.
     """
     n = G.order
     members = bit_indices(close_subgroup(G, S.members()))
-    k = len(members)
-    m = n // k
-    pos = {g: i for i, g in enumerate(members)}
-    rows = []
+    m = n // len(members)
+    twins = [t for t in members if G.translate_mask(S.mask, t) == S.mask]
+    # pos maps each member of H to the index of its twin class; the class
+    # of g is represented by its least member
+    reps: list[int] = []
+    pos: dict[int, int] = {}
     for g in members:
+        if g not in pos:
+            for t in twins:
+                pos[G.add(g, t)] = len(reps)
+            reps.append(g)
+    q = len(reps)
+    f = math.factorial(len(twins)) ** q
+    rows = []
+    for g in reps:
         row = 0
         full = gam.rows[g]
         for h in members:
             if full >> h & 1:
                 row |= 1 << pos[h]
         rows.append(row)
-    comp = LabeledGraph(k, rows)
-    seeds = [as_perm([pos[G.add(g, t)] for g in members]) for t in members]
-    seeds.append(as_perm([pos[G.neg(g)] for g in members]))
-    a_h = automorphism_group(comp, known_automorphisms=seeds).order
+    quot = LabeledGraph(q, rows)
+    seeds = [as_perm([pos[G.add(g, t)] for g in reps]) for t in reps]
+    seeds.append(as_perm([pos[G.neg(g)] for g in reps]))
+    a_h = f * automorphism_group(quot, known_automorphisms=seeds).order
     fm = math.factorial(m)
-    coloring = two_coloring(comp)
+    coloring = two_coloring(quot)
     if coloring is None:
-        comp_cover = double_cover(comp)
-        cover_seeds = [cover_lift(s) for s in seeds]
-        b_h = automorphism_group(
-            comp_cover,
-            fixed_blocks=[list(range(k))],
-            known_automorphisms=cover_seeds,
+        b_h = f * f * automorphism_group(
+            double_cover(quot),
+            fixed_blocks=[list(range(q))],
+            known_automorphisms=[cover_lift(s) for s in seeds],
         ).order
         return a_h**m * fm, (2 * b_h) ** m * fm, b_h**m * fm
-    q0 = [v for v in range(k) if coloring[v] == coloring[pos[0]]]
+    q0 = [v for v in range(q) if coloring[v] == coloring[pos[0]]]
     part_seeds = [s for s in seeds if {s[v] for v in q0} == set(q0)]
-    a_plus = automorphism_group(
-        comp, fixed_blocks=[q0], known_automorphisms=part_seeds
+    a_plus = f * automorphism_group(
+        quot, fixed_blocks=[q0], known_automorphisms=part_seeds
     ).order
     aut_order = a_h**m * fm
     cover_aut_order = a_h ** (2 * m) * math.factorial(2 * m)

@@ -24,7 +24,6 @@ from .graphs import (
     verify_bicoset_isomorphism,
 )
 from .groups import (
-    AbelianGroup,
     all_abelian_groups,
     count_inverse_closed,
     fixed_points,

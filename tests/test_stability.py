@@ -84,21 +84,56 @@ def test_classify_bipartite_square():
     assert "twins" in rec.trivial_instability_reasons
 
 
+FACTORED_GROUPS = [
+    (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2),
+    (9,), (3, 3), (10,), (12,), (2, 6),
+]
+
+
 def test_factored_orders_against_search():
-    # disconnected or bipartite graphs: closed forms vs unconstrained search
-    for facs in [(4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)]:
+    # every set outside S1 (disconnected, bipartite, or connected and
+    # non-bipartite with twins): twin-quotient orders vs unconstrained search
+    twin_sets = 0
+    for facs in FACTORED_GROUPS:
         G = make_group(facs)
-        n = G.order
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
             gam = cayley_graph(G, S)
-            if is_connected(gam) and not is_bipartite(gam):
+            if is_connected(gam) and not is_bipartite(gam) and is_twin_free(gam):
                 continue
             aut, cover_aut, b = factored_orders(G, S, gam)
-            assert aut == automorphism_group(gam).order
+            assert aut == automorphism_group(gam).order, (G.spec(), hex(mask))
             full = automorphism_group(double_cover(gam))
-            assert cover_aut == full.order
-            assert b == b_group(G, S).order
+            assert cover_aut == full.order, (G.spec(), hex(mask))
+            assert b == b_group(G, S).order, (G.spec(), hex(mask))
+            twin_sets += is_connected(gam) and not is_bipartite(gam)
+    assert twin_sets == 94
+
+
+def test_classify_builds_b_group_only_for_s1(monkeypatch):
+    # B(S) itself is needed only by the S4/S5 scan, which only S1 sets
+    # reach; every other set has its three orders from `factored_orders`
+    built = []
+
+    def s1_only_b_group(G, S, cover=None):
+        gam = cayley_graph(G, S)
+        assert is_connected(gam) and not is_bipartite(gam) and is_twin_free(gam), (
+            G.spec(), hex(S.mask)
+        )
+        built.append(S)
+        return b_group(G, S, cover)
+
+    monkeypatch.setattr(stability, "b_group", s1_only_b_group)
+    kinds = Counter()
+    for G in all_abelian_groups(8):
+        for mask in inverse_closed_masks(G):
+            rec = classify(G, ConnectionSet(G, mask))
+            if rec.in_s1:
+                kinds["s1"] += 1
+            elif rec.connected and not rec.bipartite:
+                kinds["twins"] += 1
+    assert len(built) == kinds["s1"] > 0
+    assert kinds["twins"] > 0
 
 
 # -- lattice oracle for the normalizer families -------------------------------
