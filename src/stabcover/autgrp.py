@@ -159,7 +159,7 @@ class _Search:
     def __init__(self, graph: LabeledGraph, colors, canonical: bool, seeds=()):
         self.n = graph.n
         self.rows = graph.rows
-        self.nbrs = [bit_indices(row) for row in graph.rows]
+        self.nbrs = graph.nbrs
         self.canonical = canonical
         # initial cells: color, then loop flag, then degree, all invariant
         keyed: dict[tuple[int, int, int], int] = {}
@@ -289,10 +289,10 @@ def automorphism_group(
     ident = as_perm(range(graph.n))
     seeds = [as_perm(s, graph.n) for s in known_automorphisms or ()]
     seeds = [s for s in seeds if s != ident]
-    search = _Search(graph, colors, canonical=False, seeds=seeds)
     for s in seeds:
-        _assert_preserves(graph, s, search.nbrs)
+        assert_preserves(graph, s)
         _assert_respects_blocks(s, fixed_blocks)
+    search = _Search(graph, colors, canonical=False, seeds=seeds)
     search.run()
     # generators found by the search come from leaf collisions with equal
     # adjacency encodings, so they preserve adjacency by construction; only
@@ -310,8 +310,9 @@ def _assert_respects_blocks(g, fixed_blocks):
             raise DomainError("generator does not respect a fixed block")
 
 
-def _assert_preserves(graph: LabeledGraph, g, nbrs):
-    for v, nbr in enumerate(nbrs):
+def assert_preserves(graph: LabeledGraph, g):
+    """Raise DomainError unless the permutation g is an automorphism of graph."""
+    for v, nbr in enumerate(graph.nbrs):
         img = 0
         for u in nbr:
             img |= 1 << g[u]

@@ -38,13 +38,16 @@ class LabeledGraph:
         for v, row in enumerate(self.rows):
             if row & ~mask:
                 raise DomainError(f"row {v} has bits outside the vertex range")
-        for v in range(self.n):
-            for u in bit_indices(self.rows[v]):
-                if not (self.rows[u] >> v) & 1:
+        rows = self.rows
+        for v, nbr in enumerate(self.nbrs):
+            for u in nbr:
+                if not (rows[u] >> v) & 1:
                     raise DomainError(f"adjacency not symmetric at ({v}, {u})")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
+    @cached_property
+    def nbrs(self) -> tuple[list[int], ...]:
+        """Neighbours of each vertex in increasing order, built once."""
+        return tuple(map(bit_indices, self.rows))
 
     def has_loop(self, v: int) -> bool:
         return bool((self.rows[v] >> v) & 1)
@@ -52,9 +55,6 @@ class LabeledGraph:
     def degree(self, v: int) -> int:
         """Neighbour count; a loop contributes once."""
         return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return bit_indices(self.rows[v])
 
     def relabel(self, perm) -> "LabeledGraph":
         """Graph with vertex v renamed to perm[v]."""
@@ -106,23 +106,42 @@ def connection_set(G: AbelianGroup, elements, symmetrize: bool = False) -> Conne
     return ConnectionSet(G, mask)
 
 
+def _symmetric_graph(n: int, rows: tuple[int, ...]) -> LabeledGraph:
+    """A `LabeledGraph` whose caller has proved its rows symmetric.
+
+    Skips the validation in `LabeledGraph.__post_init__`, whose symmetry
+    check costs one probe per edge. Only `cayley_graph` and
+    `double_cover`, whose docstrings carry the proofs, call it; a
+    source-scan test keeps it so.
+    """
+    g = object.__new__(LabeledGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
+
+
 def cayley_graph(G: AbelianGroup, S: ConnectionSet) -> LabeledGraph:
-    """Vertices are group elements; i ~ j iff element(j) - element(i) is in S."""
+    """Vertices are group elements; i ~ j iff element(j) - element(i) is in S.
+
+    Row i is S + i, a subset of G. The rows are symmetric because S is
+    inverse-closed (`ConnectionSet` checks it): j - i in S iff i - j in S.
+    """
     if S.group is not G and S.group != G:
         raise DomainError("connection set belongs to a different group")
     rows = tuple(G.translate_mask(S.mask, i) for i in range(G.order))
-    return LabeledGraph(G.order, rows)
+    return _symmetric_graph(G.order, rows)
 
 
 def double_cover(g: LabeledGraph) -> LabeledGraph:
     """Direct product with a single edge: vertices v+ (index v) and v- (index n+v).
 
     u+ ~ v- iff u ~ v in the base graph; no edges inside a block. A loop at v
-    becomes the edge v+ ~ v-.
+    becomes the edge v+ ~ v-. The rows are symmetric because g's are:
+    v- is in the row of u+ iff v ~ u iff u ~ v iff u+ is in the row of v-.
     """
     n = g.n
-    rows = [g.rows[v] << n for v in range(n)] + [g.rows[v] for v in range(n)]
-    return LabeledGraph(2 * n, tuple(rows))
+    rows = [row << n for row in g.rows] + list(g.rows)
+    return _symmetric_graph(2 * n, tuple(rows))
 
 
 def is_connected(g: LabeledGraph) -> bool:

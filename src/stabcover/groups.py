@@ -77,6 +77,7 @@ class AbelianGroup:
     _coords: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
     _neg: tuple[int, ...] = field(repr=False, compare=False, default=())
     _sum: list | None = field(repr=False, compare=False, default=None)
+    _low_masks: dict = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         facs = self.invariant_factors
@@ -146,14 +147,39 @@ class AbelianGroup:
         return range(self.order)
 
     def translate_mask(self, mask: int, t: int) -> int:
-        """Image of a subset under x -> x + t."""
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << self.add(low.bit_length() - 1, t)
-            m ^= low
-        return out
+        """Image of a subset under x -> x + t.
+
+        Index x has coordinate c_i at stride s_i, the product of the
+        factors after d_i. Adding t_i to coordinate i rotates the blocks
+        of s_i bits inside each run of d_i s_i bits by t_i places: the bits
+        with c_i < d_i - t_i move up by t_i s_i, the others down by
+        (d_i - t_i) s_i. So the image is one masked rotation per nonzero
+        coordinate of t.
+        """
+        facs = self.invariant_factors
+        stride = self.order
+        for d, c in zip(facs, self._coords[t]):
+            stride //= d
+            if c:
+                low = self._low_mask(d, stride, d - c)
+                mask = (mask & low) << (c * stride) | (mask & ~low) >> ((d - c) * stride)
+        return mask
+
+    def _low_mask(self, d: int, stride: int, k: int) -> int:
+        """Indices whose coordinate at (factor d, stride) is below k.
+
+        Within each run of d * stride indices these are the k * stride
+        lowest; the runs repeat at that period, so the mask is the block
+        (1 << k * stride) - 1 times the repunit with one bit per run.
+        Built on first use and kept.
+        """
+        key = (d, stride, k)
+        mask = self._low_masks.get(key)
+        if mask is None:
+            period = d * stride
+            repunit = ((1 << self.order) - 1) // ((1 << period) - 1)
+            mask = self._low_masks[key] = ((1 << (k * stride)) - 1) * repunit
+        return mask
 
     def neg_mask(self, mask: int) -> int:
         out = 0

@@ -270,6 +270,12 @@ class PermutationGroup:
         assert self._order is not None
         return self._order
 
+    @property
+    def base(self) -> list[int]:
+        """The points of the chain's levels: a base, each of whose points has
+        a nontrivial orbit under the stabilizer of the points before it."""
+        return [lvl.point for lvl in self._build()]
+
     def contains(self, p) -> bool:
         p = as_perm(p, self.degree)
         self._build()

@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 
 import math
 
-from .autgrp import automorphism_group
+from .autgrp import assert_preserves, automorphism_group
 from .errors import CapExceededError, DomainError
 from .graphs import (
     ConnectionSet,
@@ -58,7 +58,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     is_twin_free,
-    two_coloring,
 )
 from .groups import (
     HOLOMORPH_CAP,
@@ -117,9 +116,11 @@ class GroupContext:
     """The tables every classification of sets in one group reads.
 
     Aut(G), the holomorph pairs of the S3' scan, the automorphism seeds,
-    the translation lifts and the fix0 tables of the S4/S5 scan. Each
-    field is built on first use, so a caller needing only the seeds
-    (`b_group`) never lists Aut(G) or meets the holomorph cap.
+    the translation lifts and the fix0 tables of the S4/S5 scan. The scan
+    lists the point stabilizer B0 of 0+ that `b0_group` searches, not B(S),
+    though its enumeration cap is still on |B(S)| = |G| |B0|. Each field is
+    built on first use, so a caller needing only the seeds (`b0_group`,
+    `b_group`) never lists Aut(G) or meets the holomorph cap.
     """
 
     G: AbelianGroup
@@ -187,24 +188,54 @@ def group_context(G: AbelianGroup) -> GroupContext:
 # -- B(S) --------------------------------------------------------------------
 
 
+def b0_group(
+    G: AbelianGroup, S: ConnectionSet, cover: LabeledGraph | None = None
+) -> PermutationGroup:
+    """B0, the stabilizer of the vertex 0+ in B(S).
+
+    Computed as the color-respecting automorphism group of the cover with
+    three colors: {0+}, the rest of the + block, and the - block. A map
+    fixing 0+ and the rest of + fixes the + block setwise, so this is
+    exactly the stabilizer of 0+ in B(S). The inversion fixes 0+ and seeds
+    the search; the translations do not fix 0+, so they are only checked
+    to be automorphisms of the cover. They form R, which fixes the +
+    block and is regular on it, so B(S) = R B0 with R and B0 meeting in
+    the identity, and |B(S)| = |G| |B0|. A caller that has already built
+    the double cover of Cay(G, S) passes it as `cover`.
+    """
+    n = G.order
+    *r_gens, iota = group_context(G).cover_seeds
+    if cover is None:
+        cover = double_cover(cayley_graph(G, S))
+    for t in r_gens:
+        assert_preserves(cover, t)
+    B0 = automorphism_group(
+        cover,
+        fixed_blocks=[[0], list(range(1, n))],
+        known_automorphisms=[iota],
+    )
+    if not B0.contains(iota):
+        raise DomainError("inversion missing from the point stabilizer")
+    return B0
+
+
 def b_group(
     G: AbelianGroup, S: ConnectionSet, cover: LabeledGraph | None = None
 ) -> PermutationGroup:
     """Setwise stabilizer of the + block in the cover's automorphism group.
 
-    Computed as the color-respecting automorphism group of the cover with
-    the two blocks colored apart: stabilizing the + block setwise forces
-    the complement - block setwise, so this is exactly B(S). A caller that
-    has already built the double cover of Cay(G, S) passes it as `cover`.
+    B(S) = R B0 (see `b0_group`). The translation generators and the
+    generators of B0 are strong relative to the base 0+ followed by B0's
+    base: they generate B(S), whose orbit of 0+ is the + block; those
+    fixing 0+ are B0's generators, since no nontrivial translation fixes
+    it, and they are strong for B0's base. So the chain is read off that
+    base with no Schreier-Sims. A caller that has already built the double
+    cover of Cay(G, S) passes it as `cover`.
     """
-    n = G.order
     seeds = group_context(G).cover_seeds
-    if cover is None:
-        cover = double_cover(cayley_graph(G, S))
-    B = automorphism_group(
-        cover,
-        fixed_blocks=[list(range(n))],
-        known_automorphisms=seeds,
+    B0 = b0_group(G, S, cover)
+    B = PermutationGroup.from_base(
+        2 * G.order, [*seeds[:-1], *B0.generators], [0, *B0.base]
     )
     for p in seeds:
         if not B.contains(p):
@@ -340,26 +371,24 @@ def classify(
     # B(S) is built only for S1; every other set, twins included, has its
     # three orders from `factored_orders` and is in neither S4 nor S5
     if connected and not bipartite and twin_free:
-        B = b_group(G, S, double_cover(gam))
-        b_order = B.order
+        B0 = b0_group(G, S, double_cover(gam))
+        b_order = n * B0.order
         # the cover is connected, its full group splits off the block swap
         cover_aut_order = 2 * b_order
-        try:
-            b_elems = B.elements(enum_cap)
-        except CapExceededError:
-            b_elems = None
-        if b_elems is None:
+        # the enumeration cap is on |B| = n |B0|
+        b0_elems = B0.elements(enum_cap) if b_order <= enum_cap else None
+        if b0_elems is None:
             aut_order = automorphism_group(
                 gam, known_automorphisms=group_context(G).base_seeds
             ).order
         else:
             # base automorphisms are exactly the diagonal elements of B;
             # they hold R, regular on +, so n times those fixing 0+
-            aut_order = n * _diagonal_count([x for x in b_elems if not x[0]], n)
+            aut_order = n * _diagonal_count(b0_elems, n)
     else:
         # disconnected, bipartite or twin graphs factor through the twin
         # quotient of one component
-        B = None
+        B0 = b0_elems = None
         aut_order, cover_aut_order, b_order = factored_orders(G, S, gam)
     stable = cover_aut_order == 2 * aut_order
 
@@ -377,10 +406,10 @@ def classify(
     # |N_B(R)| = n |Stab_Hol(S)| (see the module docstring)
     in_s3 = in_s1 and in_s3prime
 
-    if B is None:
+    if B0 is None:
         in_s4, in_s5 = TriState.NO, TriState.NO
     else:
-        in_s4, in_s5 = s4_s5_membership(G, S, B, enum_cap, elems=b_elems)
+        in_s4, in_s5 = s4_s5_membership(G, S, B0, enum_cap, elems=b0_elems)
 
     return StabilityRecord(
         set=S,
@@ -415,17 +444,22 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
         part to + part).
       Gamma_H bipartite with parts Q0, Q1: each component's cover is two
         fresh copies of Gamma_H, one meeting the + block in Q0, the other
-        in Q1. With a part-swapping automorphism all 2m copies mix and
-        each copy map has a_H/2 choices; without one, the two families of
-        m copies stay separate.
+        in Q1. For S nonempty the translation by any s in S is an
+        automorphism of Gamma_H sending 0 to its neighbour s, so it swaps
+        the two parts, which every automorphism of the connected
+        bipartite Gamma_H keeps or swaps. So the automorphisms fixing Q0
+        are a subgroup of index two, a_+ = a_H/2 of them; all 2m copies
+        mix and each copy map has a_H/2 choices. For S empty Gamma_H is
+        one vertex, a_H = 1, nothing swaps the parts, and the two
+        families of m copies stay separate: B is Sym(m) x Sym(m).
 
-    a_H, a_+ (the automorphisms of Gamma_H fixing Q0) and b_H come from
-    the twin quotient of Gamma_H (the twin reduction of S. Wilson,
-    JCTB 2008). Vertices g, h are twins when their rows, loop bit
-    included, are equal: g + S = h + S, that is h - g lies in the subgroup
-    T = {t in H : S + t = S}. For S nonempty this T holds every t with
-    S + t = S, since s + t in S for s in S puts t in H. So the twin classes
-    of Gamma_H are the cosets of T, q = |H|/|T| of them. Inside the class g + T, g ~ g + t exactly when t lies in S; if
+    a_H and b_H come from the twin quotient of Gamma_H (the twin
+    reduction of S. Wilson, JCTB 2008). Vertices g, h are twins when their
+    rows, loop bit included, are equal: g + S = h + S, that is h - g lies
+    in the subgroup T = {t in H : S + t = S}. For S nonempty this T holds
+    every t with S + t = S, since s + t in S for s in S puts t in H. So the
+    twin classes of Gamma_H are the cosets of T, q = |H|/|T| of them.
+    Inside the class g + T, g ~ g + t exactly when t lies in S; if
     some t in T does, then 0 = t - t lies in S - t = S and T = 0 + T lies
     in S, so each class is a clique with loops (0 in S) or has no edge at
     all; between two classes every pair or none is adjacent.
@@ -435,8 +469,6 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
         it permutes the classes by an automorphism of Gamma_H/T; the kernel
         is the product of Sym(class), and every automorphism of Gamma_H/T
         lifts by any bijections between the equal-sized classes;
-      a_+ = f |Aut(Gamma_H/T) fixing Q0/T|: for S nonempty twins share a
-        neighbour, so Q0 is a union of classes and the kernel fixes it;
       b_H = f^2 |B(Gamma_H/T)| when Gamma_H is not bipartite (so S is not
         empty): twins in the cover are the base twin classes taken on each
         block, the cover of Gamma_H/T is the cover of Gamma_H with those 2q
@@ -475,25 +507,19 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
     seeds.append(as_perm([pos[G.neg(g)] for g in reps]))
     a_h = f * automorphism_group(quot, known_automorphisms=seeds).order
     fm = math.factorial(m)
-    coloring = two_coloring(quot)
-    if coloring is None:
+    if not is_bipartite(quot):
         b_h = f * f * automorphism_group(
             double_cover(quot),
             fixed_blocks=[list(range(q))],
             known_automorphisms=[cover_lift(s) for s in seeds],
         ).order
         return a_h**m * fm, (2 * b_h) ** m * fm, b_h**m * fm
-    q0 = [v for v in range(q) if coloring[v] == coloring[pos[0]]]
-    part_seeds = [s for s in seeds if {s[v] for v in q0} == set(q0)]
-    a_plus = f * automorphism_group(
-        quot, fixed_blocks=[q0], known_automorphisms=part_seeds
-    ).order
     aut_order = a_h**m * fm
     cover_aut_order = a_h ** (2 * m) * math.factorial(2 * m)
-    if a_plus < a_h:
-        b_order = a_plus ** (2 * m) * math.factorial(2 * m)
+    if S.mask:
+        b_order = (a_h // 2) ** (2 * m) * math.factorial(2 * m)
     else:
-        b_order = a_h ** (2 * m) * fm**2
+        b_order = fm**2
     return aut_order, cover_aut_order, b_order
 
 
@@ -527,11 +553,14 @@ def _diagonal_count(elems, n: int) -> int:
 def s4_s5_membership(
     G: AbelianGroup,
     S: ConnectionSet,
-    B: PermutationGroup,
+    B0: PermutationGroup,
     enum_cap: int = DEFAULT_ENUM_CAP,
     elems=None,
 ) -> tuple[TriState, TriState]:
     """Scan subgroups between the translations and B(S) for S4/S5 witnesses.
+
+    B0 is the stabilizer of 0+ in B(S) from `b0_group`, and elems, when
+    given, its list of elements.
 
     Every witness X is generated over the translations R by a single
     element: for S4, R is maximal in X, so adjoining any element of X - R
@@ -560,20 +589,20 @@ def s4_s5_membership(
       Aut: the diagonal elements of B contain R, so |Aut(Cay(G, S))| is n
         times the diagonal elements of B0 (used by `classify`).
 
-    B0 is read off the list of B, so the enumeration cap still applies to
-    |B|: every verdict, `indeterminate` included, is that of a scan over
-    all of B, and exact whenever |B| is within the cap.
+    B0 is searched and listed directly, never filtered out of a list of B,
+    but the enumeration cap still applies to |B| = n |B0|: every verdict,
+    `indeterminate` included, is that of a scan over all of B, and exact
+    whenever |B| is within the cap.
     """
     n = G.order
-    if B.order == (n if G.exponent <= 2 else 2 * n):
+    if B0.order == (1 if G.exponent <= 2 else 2):
         # B is the translations extended by inversion; the only candidate
         # X is B itself, whose translation-normalizer is all of X
         return TriState.NO, TriState.NO
     if elems is None:
-        try:
-            elems = B.elements(enum_cap)
-        except CapExceededError:
+        if n * B0.order > enum_cap:
             return TriState.INDETERMINATE, TriState.INDETERMINATE
+        elems = B0.elements(enum_cap)
     ctx = group_context(G)
     *r_gens, iota_p = ctx.cover_seeds
     r_list = ctx.translation_lifts
@@ -587,7 +616,7 @@ def s4_s5_membership(
     tables = []
     norm_mask = 0
     for c in elems:
-        if c[0] or c in cls or c in r_set:
+        if c in cls or c in r_set:
             continue
         i = len(tables)
         ci = pinv(c)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from helpers import has_edge
 from stabcover.autgrp import (
     DEFAULT_VERTEX_CAP,
     _refine,
@@ -36,7 +37,7 @@ def _brute_automorphisms(g):
     out = []
     for images in itertools.permutations(range(g.n)):
         if all(
-            g.has_edge(u, v) == g.has_edge(images[u], images[v])
+            has_edge(g, u, v) == has_edge(g, images[u], images[v])
             for u in range(g.n)
             for v in range(u, g.n)
         ):
@@ -145,7 +146,7 @@ def _brute_isomorphic(g, h):
         return False
     return any(
         all(
-            g.has_edge(u, v) == h.has_edge(p[u], p[v])
+            has_edge(g, u, v) == has_edge(h, p[u], p[v])
             for u in range(g.n)
             for v in range(u, g.n)
         )

@@ -1,6 +1,7 @@
 """Group arithmetic, subset machinery, and automorphisms against brute force."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,24 @@ def test_basic_arithmetic():
 def test_generators_generate():
     for G in all_abelian_groups(12):
         assert close_subgroup(G, G.generators()) == (1 << G.order) - 1
+
+
+def test_translate_mask_matches_elementwise_images():
+    # one masked rotation per coordinate against the image of each member
+    # under G.add: every group of order <= 32 with every translation, and
+    # C2xC1024, whose order 2048 is past the addition table, with a sample
+    rng = random.Random(11)
+    for G in all_abelian_groups(32) + [make_group([2, 1024])]:
+        n = G.order
+        ts = range(n) if n <= 32 else [1, n - 1, *rng.sample(range(n), 8)]
+        masks = [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(4))]
+        for t in ts:
+            for mask in masks:
+                want = 0
+                for x in range(n):
+                    if mask >> x & 1:
+                        want |= 1 << G.add(x, t)
+                assert G.translate_mask(mask, t) == want, (G.spec(), t, hex(mask))
 
 
 def test_involutions_and_c_value():

@@ -31,3 +31,32 @@ def test_no_unused_imports():
         for entry in _unused_imports(ast.parse(path.read_text())):
             offenders.append(f"{path.name}:{entry}")
     assert offenders == []
+
+
+def _referrers(tree: ast.Module, name: str) -> set[str]:
+    """Functions whose bodies name `name` (the innermost one for nested)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_cayley_graph_and_double_cover_skip_the_symmetry_check():
+    # `graphs._symmetric_graph` builds a LabeledGraph without its O(edges)
+    # symmetry check; only the two constructors that prove symmetry in
+    # their docstrings may name it
+    probe = ast.parse("def f():\n    g.h._s(1)\nk = _s\ndef _s(): pass\n")
+    assert _referrers(probe, "_s") == {"f", "<module>"}
+    callers = set()
+    for path in sorted(Path(stabcover.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers |= {f"{path.name}:{f}" for f in _referrers(tree, "_symmetric_graph")}
+    assert callers == {"graphs.py:cayley_graph", "graphs.py:double_cover"}

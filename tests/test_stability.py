@@ -24,9 +24,10 @@ from stabcover.groups import (
     make_group,
     subgroups,
 )
-from stabcover.perms import identity_perm, left_mul, pinv, pmul
+from stabcover.perms import PermutationGroup, identity_perm, left_mul, pinv, pmul
 from stabcover.stability import (
     TriState,
+    b0_group,
     b_group,
     base_inversion_perm,
     base_translation_perm,
@@ -51,6 +52,33 @@ def test_b_group_pentagon():
     for t in group_context(C5).translation_lifts:
         assert B.contains(t)
     assert B.contains(cover_lift(base_inversion_perm(C5)))
+
+
+def test_b_group_from_point_stabilizer():
+    # B(S) = R B0, read off the base 0+ then B0's base, against generic
+    # Schreier-Sims on the generators of a search of the whole + block
+    # stabilizer, the way B(S) was built before B0 was searched
+    checked = 0
+    for G in all_abelian_groups(8):
+        n = G.order
+        seeds = group_context(G).cover_seeds
+        for mask in inverse_closed_masks(G):
+            S = ConnectionSet(G, mask)
+            cover = double_cover(cayley_graph(G, S))
+            B0 = b0_group(G, S, cover)
+            B = b_group(G, S, cover)
+            if B.order > 20_000:
+                continue
+            old = automorphism_group(
+                cover, fixed_blocks=[list(range(n))], known_automorphisms=seeds
+            )
+            ref = PermutationGroup(2 * n, old.generators)
+            assert set(B.elements()) == set(ref.elements()), (G.spec(), hex(mask))
+            b0_elems = B0.elements()
+            assert all(x[0] == 0 for x in b0_elems)
+            assert B.order == n * B0.order == n * len(set(b0_elems))
+            checked += 1
+    assert checked == 366  # of 426 sets; the other 60 have |B| > 20 000
 
 
 def test_classify_pentagon():
@@ -111,19 +139,21 @@ def test_factored_orders_against_search():
 
 
 def test_classify_builds_b_group_only_for_s1(monkeypatch):
-    # B(S) itself is needed only by the S4/S5 scan, which only S1 sets
-    # reach; every other set has its three orders from `factored_orders`
+    # B(S), searched as its point stabilizer B0, is needed only by the
+    # S4/S5 scan, which only S1 sets reach; every other set has its three
+    # orders from `factored_orders`
     built = []
 
-    def s1_only_b_group(G, S, cover=None):
+    def s1_only_b0_group(G, S, cover=None):
         gam = cayley_graph(G, S)
         assert is_connected(gam) and not is_bipartite(gam) and is_twin_free(gam), (
             G.spec(), hex(S.mask)
         )
         built.append(S)
-        return b_group(G, S, cover)
+        return b0_group(G, S, cover)
 
-    monkeypatch.setattr(stability, "b_group", s1_only_b_group)
+    monkeypatch.setattr(stability, "b_group", None)
+    monkeypatch.setattr(stability, "b0_group", s1_only_b0_group)
     kinds = Counter()
     for G in all_abelian_groups(8):
         for mask in inverse_closed_masks(G):
@@ -258,8 +288,13 @@ def test_normalizer_order_identity():
 def test_s4_s5_indeterminate_on_tiny_enum_cap():
     C5 = make_group([5])
     S = ConnectionSet(C5, 0b11110)
-    B = b_group(C5, S)
-    assert s4_s5_membership(C5, S, B, enum_cap=10) == (
+    # the cap is on |B| = 120, not on |B0| = 24
+    B0 = b0_group(C5, S)
+    assert B0.order == 24
+    assert s4_s5_membership(C5, S, B0, enum_cap=10) == (
+        TriState.INDETERMINATE, TriState.INDETERMINATE
+    )
+    assert s4_s5_membership(C5, S, B0, enum_cap=119) == (
         TriState.INDETERMINATE, TriState.INDETERMINATE
     )
 
@@ -355,15 +390,19 @@ def test_s4_s5_matches_element_closure_scan(monkeypatch):
             assert len(stab0) * n == len(elems)
             diagonal = stability._diagonal_count
             assert diagonal(elems, n) == n * diagonal(stab0, n)
+            # the scan lists the searched B0, which is that stabilizer
+            B0 = b0_group(G, S)
+            b0_elems = B0.elements()
+            assert set(b0_elems) == set(stab0)
             for context, es in (
-                (group_context, elems),
-                (_tuple_context, [tuple(p) for p in elems]),
+                (group_context, b0_elems),
+                (_tuple_context, [tuple(p) for p in b0_elems]),
             ):
                 reps = []
                 with monkeypatch.context() as m:
                     m.setattr(stability, "group_context", context)
                     m.setattr(stability, "pinv", lambda p: reps.append(p) or pinv(p))
-                    got = s4_s5_membership(G, S, B, elems=es)
+                    got = s4_s5_membership(G, S, B0, elems=es)
                 assert got == want, (G.spec(), hex(mask), type(es[0]))
                 assert len(reps) == classes, (G.spec(), hex(mask), type(es[0]))
             verdicts[tuple(t.value for t in got)] += 1
@@ -410,7 +449,8 @@ def test_s4_s5_tuple_degree(n, elements, b_order, verdict):
     assert B.order == b_order
     elems = B.elements()
     assert isinstance(elems[0], tuple)
-    assert s4_s5_membership(G, S, B) == _element_closure_scan(G, B) == verdict
+    B0 = b0_group(G, S)
+    assert s4_s5_membership(G, S, B0) == _element_closure_scan(G, B) == verdict
     assert stability._diagonal_count(elems, n) == _brute_diagonal_count(elems, n)
 
 
