@@ -68,8 +68,10 @@ def normalize_invariant_factors(factors: list[int] | tuple[int, ...]) -> tuple[i
 class AbelianGroup:
     """An abelian group ``C_{d1} x ... x C_{dk}`` with ``d_i | d_{i+1}``.
 
-    Instances are immutable; all lookup tables are built on construction.
-    Use :func:`make_group` rather than the constructor so arbitrary factor
+    Instances are immutable. The coordinate and negation tables are built
+    on construction; the addition table and the masks of `translate_mask`
+    on first use (the addition table only up to order 1024). Use
+    :func:`make_group` rather than the constructor so arbitrary factor
     lists get normalized first.
     """
 

@@ -152,6 +152,7 @@ def test_classify_builds_b_group_only_for_s1(monkeypatch):
         built.append(S)
         return b0_group(G, S, cover)
 
+    # classify reaches B(S) only through b0_group
     monkeypatch.setattr(stability, "b_group", None)
     monkeypatch.setattr(stability, "b0_group", s1_only_b0_group)
     kinds = Counter()
@@ -463,6 +464,9 @@ def test_classify_indeterminate_on_tiny_enum_cap():
     assert rec.indeterminate
     # orders are still exact: they come from the stabilizer chain
     assert rec.b_order == 120
+    # the cap is on |B| = 120, not on the |B0| = 24 elements listed
+    assert classify(C5, ConnectionSet(C5, 0b11110), enum_cap=119).indeterminate
+    assert not classify(C5, ConnectionSet(C5, 0b11110), enum_cap=120).indeterminate
 
 
 # -- coset statistics ----------------------------------------------------------
