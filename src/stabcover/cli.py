@@ -135,6 +135,8 @@ def cmd_census(cfg: RunConfig, args) -> int:
     if args.samples is not None:
         if cfg.seed is None:
             raise DomainError("Monte-Carlo mode needs --seed for reproducibility")
+        if args.records:
+            raise DomainError("per-set record output needs the exhaustive census, not --samples")
         report = monte_carlo_census(
             G,
             samples=args.samples,

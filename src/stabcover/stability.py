@@ -31,10 +31,17 @@ holds 1 and the inversion, which coincide exactly when G has exponent
 two, so the normalizer exceeds the translations extended by inversion
 exactly when S is in S3': S3 is S1 and S3'.
 
-Every per-group table (Aut(G), the holomorph pairs of the S3' scan, the
-automorphism seeds, the translation lifts and the fix0 tables that
-reduce an element of B(S) to the stabilizer of 0+) lives in one
-`GroupContext`, built once per group by `group_context`.
+S3' is read off the rows S + h of Gamma = Cay(G, S), listing no
+holomorph: x -> tau(x) + g fixes S exactly when tau(S) = S - g, a row.
+For tau = 1 or -1, tau(S) = S, so the element is neither 1 nor the
+inversion exactly when g is nonzero and S - g = S: Gamma has twins. So
+S is in S3' exactly when Gamma has twins or tau(S) is a row of Gamma
+for some tau in Aut(G) other than 1 and -1.
+
+Every per-group table (Aut(G) without 1 and -1, the automorphism seeds,
+the translation lifts and the fix0 tables that reduce an element of B(S)
+to the stabilizer of 0+) lives in one `GroupContext`, built once per
+group by `group_context`.
 
 Also implements the sigma statistics on cosets of a subgroup with
 cyclic quotient, and the Psi coincidence census.
@@ -49,7 +56,7 @@ from functools import cached_property, lru_cache
 import math
 
 from .autgrp import assert_preserves, automorphism_group
-from .errors import CapExceededError, DomainError
+from .errors import DomainError
 from .graphs import (
     ConnectionSet,
     LabeledGraph,
@@ -60,7 +67,6 @@ from .graphs import (
     is_twin_free,
 )
 from .groups import (
-    HOLOMORPH_CAP,
     AbelianGroup,
     GroupAutomorphism,
     Subgroup,
@@ -115,12 +121,12 @@ def cover_lift(perm):
 class GroupContext:
     """The tables every classification of sets in one group reads.
 
-    Aut(G), the holomorph pairs of the S3' scan, the automorphism seeds,
-    the translation lifts and the fix0 tables of the S4/S5 scan. The scan
+    Aut(G) without 1 and -1 for the S3' test, the automorphism seeds, the
+    translation lifts and the fix0 tables of the S4/S5 scan. The scan
     lists the point stabilizer B0 of 0+ that `b0_group` searches, not B(S),
     though its enumeration cap is still on |B(S)| = |G| |B0|. Each field is
     built on first use, so a caller needing only the seeds (`b0_group`,
-    `b_group`) never lists Aut(G) or meets the holomorph cap.
+    `b_group`) never lists Aut(G).
     """
 
     G: AbelianGroup
@@ -130,23 +136,12 @@ class GroupContext:
         return automorphism_group_of_G(self.G)
 
     @cached_property
-    def s3prime_pairs(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(twist table, translation) of each holomorph element x -> tau(x + g).
-
-        The identity and the inversion, which fix every inverse-closed
-        set, are left out. Raises CapExceededError when Hol(G) has more
-        than HOLOMORPH_CAP elements, as `groups.holomorph` does.
-        """
-        G = self.G
-        size = G.order * len(self.automorphisms)
-        if size > HOLOMORPH_CAP:
-            raise CapExceededError("holomorph enumeration", size, HOLOMORPH_CAP)
-        neg = tuple(G.neg(x) for x in G.elements())
+    def s3prime_twists(self) -> tuple[GroupAutomorphism, ...]:
+        """Aut(G) without the identity and the inversion (one map at exponent two)."""
+        neg = tuple(self.G.neg(x) for x in self.G.elements())
         return tuple(
-            (tau.perm, g)
-            for tau in self.automorphisms
-            for g in G.elements()
-            if g or not (tau.is_identity() or tau.perm == neg)
+            tau for tau in self.automorphisms
+            if not (tau.is_identity() or tau.perm == neg)
         )
 
     @cached_property
@@ -375,7 +370,7 @@ def classify(
         b_order = n * B0.order
         # the cover is connected, its full group splits off the block swap
         cover_aut_order = 2 * b_order
-        # the enumeration cap is on |B| = n |B0|
+        # the enumeration cap is on |B| = n |B0|, decided here only
         b0_elems = B0.elements(enum_cap) if b_order <= enum_cap else None
         if b0_elems is None:
             aut_order = automorphism_group(
@@ -402,14 +397,14 @@ def classify(
 
     in_s1 = connected and not bipartite and twin_free
     in_s2 = in_s1 and b_order == target
-    in_s3prime = s3prime_membership(G, S)
+    in_s3prime = s3prime_membership(G, gam)
     # |N_B(R)| = n |Stab_Hol(S)| (see the module docstring)
     in_s3 = in_s1 and in_s3prime
 
     if B0 is None:
         in_s4, in_s5 = TriState.NO, TriState.NO
     else:
-        in_s4, in_s5 = s4_s5_membership(G, S, B0, enum_cap, elems=b0_elems)
+        in_s4, in_s5 = s4_s5_membership(G, S, B0, b0_elems)
 
     return StabilityRecord(
         set=S,
@@ -523,18 +518,17 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
     return aut_order, cover_aut_order, b_order
 
 
-def s3prime_membership(G: AbelianGroup, S: ConnectionSet | int) -> bool:
-    """True iff some holomorph element besides 1 and inversion fixes S setwise."""
-    mask = S.mask if isinstance(S, ConnectionSet) else S
-    members = bit_indices(mask)
-    add = G.add
-    for tp, g in group_context(G).s3prime_pairs:
-        for s in members:
-            if not mask >> tp[add(s, g)] & 1:
-                break
-        else:
-            return True
-    return False
+def s3prime_membership(G: AbelianGroup, gam: LabeledGraph) -> bool:
+    """True iff some holomorph element besides 1 and inversion fixes S setwise.
+
+    gam is Cay(G, S), whose row 0 is S; the rows rule is proved in the
+    module docstring.
+    """
+    rows = set(gam.rows)
+    if len(rows) < G.order:
+        return True
+    mask = gam.rows[0]
+    return any(tau.apply_mask(mask) in rows for tau in group_context(G).s3prime_twists)
 
 
 # -- S4 / S5 -----------------------------------------------------------------
@@ -554,13 +548,13 @@ def s4_s5_membership(
     G: AbelianGroup,
     S: ConnectionSet,
     B0: PermutationGroup,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    elems=None,
+    elems,
 ) -> tuple[TriState, TriState]:
     """Scan subgroups between the translations and B(S) for S4/S5 witnesses.
 
-    B0 is the stabilizer of 0+ in B(S) from `b0_group`, and elems, when
-    given, its list of elements.
+    B0 is the stabilizer of 0+ in B(S) from `b0_group`, and elems its list
+    of elements, or None when `classify` found |B(S)| over the enumeration
+    cap; the verdict is then indeterminate.
 
     Every witness X is generated over the translations R by a single
     element: for S4, R is maximal in X, so adjoining any element of X - R
@@ -590,19 +584,16 @@ def s4_s5_membership(
         times the diagonal elements of B0 (used by `classify`).
 
     B0 is searched and listed directly, never filtered out of a list of B,
-    but the enumeration cap still applies to |B| = n |B0|: every verdict,
+    but `classify` still compares the cap with |B| = n |B0|: every verdict,
     `indeterminate` included, is that of a scan over all of B, and exact
     whenever |B| is within the cap.
     """
-    n = G.order
     if B0.order == (1 if G.exponent <= 2 else 2):
         # B is the translations extended by inversion; the only candidate
         # X is B itself, whose translation-normalizer is all of X
         return TriState.NO, TriState.NO
     if elems is None:
-        if n * B0.order > enum_cap:
-            return TriState.INDETERMINATE, TriState.INDETERMINATE
-        elems = B0.elements(enum_cap)
+        return TriState.INDETERMINATE, TriState.INDETERMINATE
     ctx = group_context(G)
     *r_gens, iota_p = ctx.cover_seeds
     r_list = ctx.translation_lifts

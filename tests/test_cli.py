@@ -46,6 +46,18 @@ def test_classify_stable(capsys):
     assert rec["stable"] is True and rec["in_s2"] is True
 
 
+def test_classify_clebsch_graph_in_c2_to_the_fourth(capsys):
+    # |Hol(C2^4)| = 322 560; S3' is read off the Cayley rows instead. Most
+    # of the time here is the brute listing of Aut(C2^4)
+    code, out, _ = run_cli(
+        capsys, "classify", "C2xC2xC2xC2", "(1,0,0,0),(0,1,0,0),(0,0,1,0),(0,0,0,1),(1,1,1,1)"
+    )
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["in_s3prime"] is True
+    assert rec["aut_order"] == 1920
+
+
 def test_classify_trivially_unstable_csv(capsys):
     code, out, _ = run_cli(capsys, "classify", "C4", "1,3", "--format", "csv")
     assert code == EXIT_OK
@@ -94,6 +106,16 @@ def test_census_monte_carlo_requires_seed(capsys):
     code, _, err = run_cli(capsys, "census", "C7", "--samples", "10")
     assert code == EXIT_PRECONDITION
     assert "seed" in err
+
+
+def test_census_monte_carlo_refuses_records(capsys, tmp_path):
+    path = tmp_path / "records.jsonl"
+    code, _, err = run_cli(
+        capsys, "census", "C7", "--samples", "10", "--seed", "1", "--records", str(path)
+    )
+    assert code == EXIT_PRECONDITION
+    assert "--samples" in err
+    assert not path.exists()
 
 
 def test_census_monte_carlo(capsys):

@@ -286,18 +286,25 @@ def test_normalizer_order_identity():
     assert checked == 462  # of 554 sets; 203 of the 462 lie outside S1
 
 
-def test_s4_s5_indeterminate_on_tiny_enum_cap():
-    C5 = make_group([5])
-    S = ConnectionSet(C5, 0b11110)
-    # the cap is on |B| = 120, not on |B0| = 24
-    B0 = b0_group(C5, S)
-    assert B0.order == 24
-    assert s4_s5_membership(C5, S, B0, enum_cap=10) == (
-        TriState.INDETERMINATE, TriState.INDETERMINATE
-    )
-    assert s4_s5_membership(C5, S, B0, enum_cap=119) == (
-        TriState.INDETERMINATE, TriState.INDETERMINATE
-    )
+def test_s3prime_from_rows_against_holomorph():
+    # S3' read off the rows of Cay(G, S) against a scan of every element of
+    # Hol(G) except the identity and the inversion
+    checked = Counter()
+    for G in all_abelian_groups(12):
+        neg = tuple(G.neg(x) for x in G.elements())
+        hol = [
+            a for a in holomorph(G)
+            if a.translation or not (a.twist.is_identity() or a.twist.perm == neg)
+        ]
+        for mask in inverse_closed_masks(G):
+            want = any(a.apply_mask(mask) == mask for a in hol)
+            gam = cayley_graph(G, ConnectionSet(G, mask))
+            assert stability.s3prime_membership(G, gam) == want, (G.spec(), hex(mask))
+            checked[want, is_twin_free(gam)] += 1
+    # every set with twins is in S3'; both verdicts occur on twin-free sets
+    assert sum(checked.values()) == 1002
+    assert checked[False, False] == 0
+    assert checked[True, True] and checked[False, True]
 
 
 # -- element-closure witness for the class-mask scan ---------------------------
@@ -451,7 +458,8 @@ def test_s4_s5_tuple_degree(n, elements, b_order, verdict):
     elems = B.elements()
     assert isinstance(elems[0], tuple)
     B0 = b0_group(G, S)
-    assert s4_s5_membership(G, S, B0) == _element_closure_scan(G, B) == verdict
+    got = s4_s5_membership(G, S, B0, B0.elements())
+    assert got == _element_closure_scan(G, B) == verdict
     assert stability._diagonal_count(elems, n) == _brute_diagonal_count(elems, n)
 
 
@@ -465,6 +473,7 @@ def test_classify_indeterminate_on_tiny_enum_cap():
     # orders are still exact: they come from the stabilizer chain
     assert rec.b_order == 120
     # the cap is on |B| = 120, not on the |B0| = 24 elements listed
+    assert b0_group(C5, ConnectionSet(C5, 0b11110)).order == 24
     assert classify(C5, ConnectionSet(C5, 0b11110), enum_cap=119).indeterminate
     assert not classify(C5, ConnectionSet(C5, 0b11110), enum_cap=120).indeterminate
 
