@@ -10,10 +10,11 @@ least mask, and tallies its record once per orbit member: an
 automorphism tau of G carries Cay(G,S) isomorphically onto Cay(G,tau S),
 conjugates B(S) onto B(tau S) while normalizing the translations and
 commuting with inversion, so every field of the record is the same on
-the whole orbit. The only cap that can leave a field indeterminate, the
-enumeration cap on |B(S)|, is an orbit invariant too, so no orbit needs a
-second look. `CensusReport.classified` counts the `classify` calls a
-census made.
+the whole orbit, and each canonical-form class of Cayley graphs is a
+union of orbits: the unlabeled census also labels one set per orbit.
+The only cap that can leave a field indeterminate, the enumeration cap
+on |B(S)|, is an orbit invariant too, so no orbit needs a second look.
+`CensusReport.classified` counts the `classify` calls a census made.
 """
 
 from __future__ import annotations
@@ -434,7 +435,11 @@ class UnlabeledReport:
 
     A set is good when its cover automorphism group is as small as
     possible (twice the translations extended by inversion); good graphs
-    determine their connection set up to holomorph conjugacy.
+    determine their connection set up to holomorph conjugacy. Each class
+    is a union of Aut(G)-orbits, all good or none, so good classes are
+    holomorph orbits exactly when there are as many good orbits as good
+    classes: the CI-type question of Babai's lemma (Acta Math. Acad. Sci.
+    Hungar. 29, 1977).
     """
 
     group: str
@@ -487,40 +492,34 @@ def unlabeled_census(
     G: AbelianGroup,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> UnlabeledReport:
-    """Group Cayley graphs by canonical form and compare with holomorph orbits."""
+    """Group the orbits' least masks by the canonical form of their graph."""
     total = count_inverse_closed(G)
     if total > DEFAULT_SET_CAP:
         raise CapExceededError("unlabeled census set count", total, DEFAULT_SET_CAP)
     target = G.order if G.exponent <= 2 else 2 * G.order
     hol_order = G.order * len(group_context(G).automorphisms)
-    classes: dict[bytes, list[int]] = {}
-    good_masks: set[int] = set()
-    for mask in inverse_closed_masks(G):
-        S = ConnectionSet(G, mask)
-        rec = classify(G, S, enum_cap=enum_cap)
-        key = canonical_form(cayley_graph(G, S)).bytes
-        classes.setdefault(key, []).append(mask)
-        if rec.cover_aut_order == 2 * target:
-            good_masks.add(mask)
     orbits = hol_orbits(G)
-    good_classes = [ms for ms in classes.values() if set(ms) <= good_masks]
-    good_class_masks = {frozenset(ms) for ms in classes.values() if set(ms) & good_masks}
-    good_orbit_masks = {
-        frozenset(orb) for orb in orbits if set(orb) & good_masks
-    }
-    good_orbit_count = len(good_orbit_masks)
-    report = UnlabeledReport(
+    classes: dict[bytes, set[bool]] = {}
+    good_sizes = []
+    for orbit in orbits:
+        S = ConnectionSet(G, orbit[0])
+        good = classify(G, S, enum_cap=enum_cap).cover_aut_order == 2 * target
+        classes.setdefault(canonical_form(cayley_graph(G, S)).bytes, set()).add(good)
+        if good:
+            good_sizes.append(len(orbit))
+    if {True, False} in classes.values():
+        raise StabcoverError("a canonical class mixes good and non-good orbits")
+    good_class_count = list(classes.values()).count({True})
+    good_set_count = sum(good_sizes)
+    return UnlabeledReport(
         group=G.spec(),
         total=total,
         hol_order=hol_order,
         unlabeled_count=len(classes),
-        good_set_count=len(good_masks),
-        good_class_count=len(good_class_masks),
+        good_set_count=good_set_count,
+        good_class_count=good_class_count,
         hol_orbit_count=len(orbits),
-        good_hol_orbit_count=good_orbit_count,
-        lower_bound_holds=len(good_class_masks) * hol_order >= len(good_masks),
-        good_classes_are_hol_orbits=good_class_masks == good_orbit_masks,
+        good_hol_orbit_count=len(good_sizes),
+        lower_bound_holds=good_class_count * hol_order >= good_set_count,
+        good_classes_are_hol_orbits=len(good_sizes) == good_class_count,
     )
-    if len(good_classes) != len(good_class_masks):
-        raise StabcoverError("a canonical class mixes good and non-good sets")
-    return report

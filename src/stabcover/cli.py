@@ -132,6 +132,8 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 def cmd_census(cfg: RunConfig, args) -> int:
     G = parse_group_spec(cfg.group)
+    if args.unlabeled and cfg.fmt == "csv":
+        raise DomainError("the unlabeled report has no CSV form; use --format json or jsonl")
     if args.samples is not None:
         if cfg.seed is None:
             raise DomainError("Monte-Carlo mode needs --seed for reproducibility")
@@ -274,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="classify every set, or a uniform sample")
     common(p)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="sweep all sets (the default mode)")
     p.add_argument("--samples", type=int, default=None,
                    help="Monte-Carlo sample count (switches mode)")
     p.add_argument("--seed", type=int, default=None)

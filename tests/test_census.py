@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from stabcover import census, groups, stability
 from stabcover.census import (
     BUCKETS,
     CensusReport,
+    UnlabeledReport,
     _tally,
     check_record,
     exhaustive_census,
@@ -18,7 +20,7 @@ from stabcover.census import (
     unlabeled_census,
 )
 from stabcover.errors import DomainError, StabcoverError
-from stabcover.graphs import ConnectionSet
+from stabcover.graphs import ConnectionSet, cayley_graph
 from stabcover.groups import (
     all_abelian_groups,
     count_inverse_closed,
@@ -299,6 +301,94 @@ def test_unlabeled_census_class_counts(facs, unlabeled, hol_orbits_n, good_class
     assert rep.hol_orbit_count == hol_orbits_n
     assert rep.good_class_count == rep.good_hol_orbit_count == good_classes
     assert rep.good_classes_are_hol_orbits
+
+
+def _per_set_unlabeled(G):
+    """The unlabeled census without orbits: classify and label every set.
+
+    Calls `classify` and `canonical_form` through the census module, so a
+    test that patches them there changes the oracle the same way.
+    """
+    target = G.order if G.exponent <= 2 else 2 * G.order
+    hol_order = G.order * len(group_context(G).automorphisms)
+    classes = {}
+    good_masks = set()
+    for mask in inverse_closed_masks(G):
+        S = ConnectionSet(G, mask)
+        rec = census.classify(G, S)
+        key = census.canonical_form(census.cayley_graph(G, S)).bytes
+        classes.setdefault(key, []).append(mask)
+        if rec.cover_aut_order == 2 * target:
+            good_masks.add(mask)
+    orbits = hol_orbits(G)
+    good_classes = [ms for ms in classes.values() if set(ms) <= good_masks]
+    good_class_masks = {frozenset(ms) for ms in classes.values() if set(ms) & good_masks}
+    good_orbit_masks = {frozenset(orb) for orb in orbits if set(orb) & good_masks}
+    if len(good_classes) != len(good_class_masks):
+        raise StabcoverError("a canonical class mixes good and non-good sets")
+    return UnlabeledReport(
+        group=G.spec(),
+        total=count_inverse_closed(G),
+        hol_order=hol_order,
+        unlabeled_count=len(classes),
+        good_set_count=len(good_masks),
+        good_class_count=len(good_class_masks),
+        hol_orbit_count=len(orbits),
+        good_hol_orbit_count=len(good_orbit_masks),
+        lower_bound_holds=len(good_class_masks) * hol_order >= len(good_masks),
+        good_classes_are_hol_orbits=good_class_masks == good_orbit_masks,
+    )
+
+
+def test_unlabeled_census_matches_per_set_oracle():
+    for G in all_abelian_groups(12):
+        oracle = _per_set_unlabeled(G).to_json_dict()
+        assert unlabeled_census(G).to_json_dict() == oracle, G.spec()
+
+
+def test_unlabeled_census_classifies_once_per_orbit(monkeypatch):
+    real = census.classify
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(census, "classify", counted)
+    rep = unlabeled_census(make_group([2, 8]))
+    assert len(calls) == rep.hol_orbit_count == 304  # of 1 024 sets
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["two-good", "good-and-not"])
+def test_unlabeled_census_merged_classes(monkeypatch, mixed):
+    # Merging two canonical classes keeps every class a union of orbits.
+    # Two good classes merged are no longer one orbit each; a good class
+    # merged with a non-good one must be refused. Both paths see the merge.
+    G = make_group([10])
+    target = 2 * G.order
+    good, bad = [], []
+    for orbit in hol_orbits(G):
+        S = ConnectionSet(G, orbit[0])
+        key = census.canonical_form(cayley_graph(G, S)).bytes
+        is_good = classify(G, S).cover_aut_order == 2 * target
+        (good if is_good else bad).append(key)
+    merge = {good[1] if not mixed else bad[0]: good[0]}
+    real = census.canonical_form
+
+    def merged(graph):
+        key = real(graph).bytes
+        return SimpleNamespace(bytes=merge.get(key, key))
+
+    monkeypatch.setattr(census, "canonical_form", merged)
+    if mixed:
+        for run in (unlabeled_census, _per_set_unlabeled):
+            with pytest.raises(StabcoverError, match="mixes good and non-good"):
+                run(G)
+        return
+    rep = unlabeled_census(G)
+    assert rep.to_json_dict() == _per_set_unlabeled(G).to_json_dict()
+    assert rep.good_class_count == 9 and rep.good_hol_orbit_count == 10
+    assert not rep.good_classes_are_hol_orbits
 
 
 def test_unlabeled_census_exponent_two_group():

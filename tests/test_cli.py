@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from stabcover import cli
 from stabcover.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INDETERMINATE,
@@ -133,6 +134,15 @@ def test_census_unlabeled_jsonl(capsys):
     assert lines[1]["unlabeled_count"] == 6
 
 
+def test_census_unlabeled_refuses_csv(capsys, monkeypatch):
+    # the unlabeled report has no CSV rows, so the pair is refused up front
+    monkeypatch.setattr(cli, "exhaustive_census", None)
+    monkeypatch.setattr(cli, "unlabeled_census", None)
+    code, out, err = run_cli(capsys, "census", "C5", "--unlabeled", "--format", "csv")
+    assert code == EXIT_PRECONDITION
+    assert "CSV" in err and out == ""
+
+
 def test_census_records_file(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     code, _, _ = run_cli(capsys, "census", "C5", "--records", str(path))
@@ -221,6 +231,7 @@ def test_census_refuses_too_many_sets(capsys):
         "bounds --grid --strict",
         "classify C5 1,4 --set-cap 5",
         "census C5 --set-cap 5",
+        "census C5 --exhaustive --samples 5 --seed 1",
     ],
 )
 def test_subcommands_reject_options_they_do_not_read(capsys, argv):

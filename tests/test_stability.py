@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from stabcover import stability
-from stabcover.autgrp import automorphism_group
+from stabcover.autgrp import assert_preserves, automorphism_group
 from stabcover.errors import DomainError
 from stabcover.graphs import (
     ConnectionSet,
@@ -57,7 +57,8 @@ def test_b_group_pentagon():
 def test_b_group_from_point_stabilizer():
     # B(S) = R B0, read off the base 0+ then B0's base, against generic
     # Schreier-Sims on the generators of a search of the whole + block
-    # stabilizer, the way B(S) was built before B0 was searched
+    # stabilizer, the way B(S) was built before B0 was searched; and the
+    # seed lifts, which `b0_group` trusts without a check, preserve the cover
     checked = 0
     for G in all_abelian_groups(8):
         n = G.order
@@ -65,6 +66,8 @@ def test_b_group_from_point_stabilizer():
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
             cover = double_cover(cayley_graph(G, S))
+            for t in seeds:
+                assert_preserves(cover, t)
             B0 = b0_group(G, S, cover)
             B = b_group(G, S, cover)
             if B.order > 20_000:
