@@ -11,7 +11,8 @@ automorphism tau of G carries Cay(G,S) isomorphically onto Cay(G,tau S),
 conjugates B(S) onto B(tau S) while normalizing the translations and
 commuting with inversion, so every field of the record is the same on
 the whole orbit, and each canonical-form class of Cayley graphs is a
-union of orbits: the unlabeled census also labels one set per orbit.
+union of orbits: the unlabeled census labels one set per orbit and reads
+its goodness off the exhaustive census's record for that orbit.
 The only cap that can leave a field indeterminate, the enumeration cap
 on |B(S)|, is an orbit invariant too, so no orbit needs a second look.
 `CensusReport.classified` counts the `classify` calls a census made.
@@ -22,8 +23,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .autgrp import canonical_form
 from .errors import CapExceededError, DomainError, StabcoverError
@@ -103,7 +105,10 @@ class CensusReport:
     unstable, so the four outcome buckets always add up to `examined`.
     `classified` is the number of `classify` calls behind the tallies:
     one per Aut(G)-orbit for an exhaustive census, `examined` for a
-    Monte-Carlo one. It is left out of `signature()`.
+    Monte-Carlo one. It is left out of `signature()`. An exhaustive
+    census keeps each orbit, as its masks, with its record in
+    `orbit_records`, the input of `set_records` and `unlabeled_census`;
+    that field is left out of the JSON, the signature and equality.
     """
 
     group: str
@@ -116,6 +121,9 @@ class CensusReport:
     seed: int | None
     ci_half_width: float | None
     elapsed: float
+    orbit_records: tuple[tuple[list[int], StabilityRecord], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def proportion(self, bucket: str) -> float:
         if self.examined == 0:
@@ -169,6 +177,20 @@ class CensusReport:
             "ci_half_width": self.ci_half_width,
             "elapsed": self.elapsed,
         }
+
+    def set_records(self) -> Iterator[StabilityRecord]:
+        """One record per set, in the order of `inverse_closed_masks`.
+
+        Each member of an orbit gets its orbit's record, carrying its own
+        connection set. Empty for a Monte-Carlo report.
+        """
+        if not self.orbit_records:
+            return
+        G = self.orbit_records[0][1].set.group
+        by_mask = {mask: rec for orbit, rec in self.orbit_records for mask in orbit}
+        for mask in inverse_closed_masks(G):
+            rec = by_mask[mask]
+            yield rec if rec.set.mask == mask else replace(rec, set=ConnectionSet(G, mask))
 
     CSV_HEADER = ("group", "bucket", "count", "proportion")
 
@@ -250,31 +272,21 @@ def check_record(rec: StabilityRecord) -> None:
             )
 
 
-def _classify_orbits(
-    G: AbelianGroup,
-    orbits: list[list[int]],
-    enum_cap: int,
-    by_mask: dict[int, StabilityRecord] | None = None,
-) -> tuple[dict[str, int], int]:
-    """Tally every member of the orbits from one record per orbit.
-
-    Returns the counts and the number of `classify` calls. When `by_mask`
-    is given, it receives the representative's record for each member.
-    """
-    counts = _empty_counts()
-    for orbit in orbits:
-        rec = classify(G, ConnectionSet(G, orbit[0]), enum_cap=enum_cap)
+def _classify_masks(
+    G: AbelianGroup, masks: list[int], enum_cap: int
+) -> list[StabilityRecord]:
+    """Checked records of the given sets, in order."""
+    records = []
+    for mask in masks:
+        rec = classify(G, ConnectionSet(G, mask), enum_cap=enum_cap)
         check_record(rec)
-        _tally(counts, rec, len(orbit))
-        if by_mask is not None:
-            by_mask.update(dict.fromkeys(orbit, rec))
-    return counts, len(orbits)
+        records.append(rec)
+    return records
 
 
-def _exhaustive_shard(args) -> tuple[dict[str, int], int]:
-    factors, orbits, enum_cap = args
-    G = make_group(factors)
-    return _classify_orbits(G, orbits, enum_cap)
+def _exhaustive_shard(args) -> list[StabilityRecord]:
+    factors, masks, enum_cap = args
+    return _classify_masks(make_group(factors), masks, enum_cap)
 
 
 def _shard_ranges(total: int) -> list[tuple[int, int]]:
@@ -298,13 +310,11 @@ def exhaustive_census(
     G: AbelianGroup,
     enum_cap: int = DEFAULT_ENUM_CAP,
     workers: int = 1,
-    record_sink=None,
 ) -> CensusReport:
     """Classify every inverse-closed subset of G and tally the buckets.
 
-    One set per Aut(G)-orbit is classified (see the module docstring).
-    A record sink still receives one record per set, in the order of
-    `inverse_closed_masks`, each carrying its own connection set.
+    One set per Aut(G)-orbit is classified (see the module docstring);
+    the report keeps each orbit with its record in `orbit_records`.
     """
     start = time.monotonic()
     total = count_inverse_closed(G)
@@ -312,38 +322,32 @@ def exhaustive_census(
         raise CapExceededError("census set count", total, DEFAULT_SET_CAP)
     if workers < 1:
         raise DomainError("worker count must be at least 1")
-    if workers > 1 and record_sink is not None:
-        raise DomainError("per-set record sinks require a single worker")
     orbits = hol_orbits(G)
+    reps = [orbit[0] for orbit in orbits]
     if workers == 1:
-        by_mask = None if record_sink is None else {}
-        counts, classified = _classify_orbits(G, orbits, enum_cap, by_mask)
-        if record_sink is not None:
-            for mask in inverse_closed_masks(G):
-                rec = by_mask[mask]
-                if rec.set.mask != mask:
-                    rec = replace(rec, set=ConnectionSet(G, mask))
-                record_sink(rec)
+        records = _classify_masks(G, reps, enum_cap)
     else:
         jobs = [
-            (G.invariant_factors, orbits[lo:hi], enum_cap)
-            for lo, hi in _shard_ranges(len(orbits))
+            (G.invariant_factors, reps[lo:hi], enum_cap)
+            for lo, hi in _shard_ranges(len(reps))
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_exhaustive_shard, jobs))
-        counts = _merge([part for part, _ in parts])
-        classified = sum(n for _, n in parts)
+            records = [rec for part in pool.map(_exhaustive_shard, jobs) for rec in part]
+    counts = _empty_counts()
+    for orbit, rec in zip(orbits, records):
+        _tally(counts, rec, len(orbit))
     report = CensusReport(
         group=G.spec(),
         total=total,
         examined=total,
-        classified=classified,
+        classified=len(records),
         counts=counts,
         mode="exhaustive",
         samples=None,
         seed=None,
         ci_half_width=None,
         elapsed=time.monotonic() - start,
+        orbit_records=tuple(zip(orbits, records)),
     )
     report.check()
     return report
@@ -488,23 +492,22 @@ def hol_orbits(G: AbelianGroup) -> list[list[int]]:
     return orbits
 
 
-def unlabeled_census(
-    G: AbelianGroup,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> UnlabeledReport:
-    """Group the orbits' least masks by the canonical form of their graph."""
-    total = count_inverse_closed(G)
-    if total > DEFAULT_SET_CAP:
-        raise CapExceededError("unlabeled census set count", total, DEFAULT_SET_CAP)
+def unlabeled_census(report: CensusReport) -> UnlabeledReport:
+    """Group the orbits of an exhaustive census by the canonical form of their graph.
+
+    Each orbit is labeled by its least mask, and its goodness is read off
+    its record.
+    """
+    if not report.orbit_records:
+        raise DomainError("the unlabeled census needs an exhaustive census report")
+    G = report.orbit_records[0][1].set.group
     target = G.order if G.exponent <= 2 else 2 * G.order
     hol_order = G.order * len(group_context(G).automorphisms)
-    orbits = hol_orbits(G)
     classes: dict[bytes, set[bool]] = {}
     good_sizes = []
-    for orbit in orbits:
-        S = ConnectionSet(G, orbit[0])
-        good = classify(G, S, enum_cap=enum_cap).cover_aut_order == 2 * target
-        classes.setdefault(canonical_form(cayley_graph(G, S)).bytes, set()).add(good)
+    for orbit, rec in report.orbit_records:
+        good = rec.cover_aut_order == 2 * target
+        classes.setdefault(canonical_form(cayley_graph(G, rec.set)).bytes, set()).add(good)
         if good:
             good_sizes.append(len(orbit))
     if {True, False} in classes.values():
@@ -512,13 +515,13 @@ def unlabeled_census(
     good_class_count = list(classes.values()).count({True})
     good_set_count = sum(good_sizes)
     return UnlabeledReport(
-        group=G.spec(),
-        total=total,
+        group=report.group,
+        total=report.total,
         hol_order=hol_order,
         unlabeled_count=len(classes),
         good_set_count=good_set_count,
         good_class_count=good_class_count,
-        hol_orbit_count=len(orbits),
+        hol_orbit_count=len(report.orbit_records),
         good_hol_orbit_count=len(good_sizes),
         lower_bound_holds=good_class_count * hol_order >= good_set_count,
         good_classes_are_hol_orbits=len(good_sizes) == good_class_count,

@@ -137,8 +137,8 @@ def cmd_census(cfg: RunConfig, args) -> int:
     if args.samples is not None:
         if cfg.seed is None:
             raise DomainError("Monte-Carlo mode needs --seed for reproducibility")
-        if args.records:
-            raise DomainError("per-set record output needs the exhaustive census, not --samples")
+        if args.records or args.unlabeled:
+            raise DomainError("--records and --unlabeled need the exhaustive census, not --samples")
         report = monte_carlo_census(
             G,
             samples=args.samples,
@@ -147,26 +147,14 @@ def cmd_census(cfg: RunConfig, args) -> int:
             workers=cfg.workers,
         )
     else:
-        sink = None
-        records = []
-        if args.records:
-            if cfg.workers != 1:
-                raise DomainError("per-set record output needs --workers 1")
-            sink = records.append
-        report = exhaustive_census(
-            G,
-            enum_cap=cfg.enum_cap,
-            workers=cfg.workers,
-            record_sink=sink,
-        )
+        report = exhaustive_census(G, enum_cap=cfg.enum_cap, workers=cfg.workers)
         if args.records:
             with open(args.records, "w") as f:
-                for rec in records:
+                for rec in report.set_records():
                     f.write(json.dumps(rec.to_json_dict()) + "\n")
     pieces = [report.to_json_dict()]
     if args.unlabeled:
-        unl = unlabeled_census(G, enum_cap=cfg.enum_cap)
-        pieces.append(unl.to_json_dict())
+        pieces.append(unlabeled_census(report).to_json_dict())
     if cfg.fmt == "csv":
         import io
 
@@ -284,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unlabeled", action="store_true",
                    help="also compare canonical-form classes with holomorph orbits")
     p.add_argument("--records", default=None,
-                   help="write one JSON record per set to this path (workers=1)")
+                   help="write one JSON record per set to this path")
     p.add_argument("--format", dest="fmt", choices=("json", "csv", "jsonl"),
                    default="json")
 

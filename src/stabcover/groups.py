@@ -184,13 +184,7 @@ class AbelianGroup:
         return mask
 
     def neg_mask(self, mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << self._neg[low.bit_length() - 1]
-            m ^= low
-        return out
+        return _map_mask(mask, self._neg)
 
     def spec(self) -> str:
         if not self.invariant_factors:
@@ -321,6 +315,16 @@ def mask_union(masks: list[int], selector: int) -> int:
     return out
 
 
+def _map_mask(mask: int, image) -> int:
+    """Image of a subset under the map x -> image[x]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << image[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def bit_indices(mask: int) -> list[int]:
     """The set bits of mask, in increasing order: a subset's members."""
     out = []
@@ -416,13 +420,7 @@ class GroupAutomorphism:
         return self.images == self.parent.generators()
 
     def apply_mask(self, mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << self.perm[low.bit_length() - 1]
-            m ^= low
-        return out
+        return _map_mask(mask, self.perm)
 
 
 def automorphism_group_of_G(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP) -> list[GroupAutomorphism]:
@@ -460,13 +458,7 @@ class HolomorphElement:
         return self.twist.perm[G.add(x, self.translation)]
 
     def apply_mask(self, mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << self.apply(low.bit_length() - 1)
-            m ^= low
-        return out
+        return self.twist.apply_mask(self.parent.translate_mask(mask, self.translation))
 
 
 def holomorph(G: AbelianGroup, cap: int = HOLOMORPH_CAP) -> list[HolomorphElement]:

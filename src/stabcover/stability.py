@@ -42,9 +42,6 @@ Every per-group table (Aut(G) without 1 and -1, the automorphism seeds,
 the translation lifts and the fix0 tables that reduce an element of B(S)
 to the stabilizer of 0+) lives in one `GroupContext`, built once per
 group by `group_context`.
-
-Also implements the sigma statistics on cosets of a subgroup with
-cyclic quotient, and the Psi coincidence census.
 """
 
 from __future__ import annotations
@@ -69,12 +66,9 @@ from .graphs import (
 from .groups import (
     AbelianGroup,
     GroupAutomorphism,
-    Subgroup,
     automorphism_group_of_G,
     bit_indices,
-    c_value,
     close_subgroup,
-    inverse_closed_masks,
 )
 from .perms import (
     DEFAULT_ENUM_CAP,
@@ -655,90 +649,3 @@ def s4_s5_membership(
     s4 = TriState.YES if found4 else TriState.NO
     s5 = TriState.YES if found5 else TriState.NO
     return s4, s5
-
-
-# -- sigma statistics ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SigmaContext:
-    """Cosets of a subgroup N with cyclic quotient of order b >= 2.
-
-    gamma[i] is the least-index representative of the i-th power coset,
-    so gamma[i] + gamma[j] always lies in the (i+j mod b)-th coset.
-    """
-
-    G: AbelianGroup
-    N: Subgroup
-    b: int
-    gammas: tuple[int, ...]
-    orbit_masks: tuple[int, ...]
-
-
-def make_sigma_context(G: AbelianGroup, N: Subgroup) -> SigmaContext:
-    if N.parent != G:
-        raise DomainError("subgroup belongs to a different group")
-    b = G.order // N.order
-    if b < 2:
-        raise DomainError("quotient must have order at least 2")
-    gen = None
-    for g in G.elements():
-        k = 1
-        x = g
-        while not N.contains(x):
-            x = G.add(x, g)
-            k += 1
-        if k == b:
-            gen = g
-            break
-    if gen is None:
-        raise DomainError("quotient is not cyclic")
-    gammas = []
-    masks = []
-    cur = 0
-    for _ in range(b):
-        coset = G.translate_mask(N.mask, cur)
-        gammas.append((coset & -coset).bit_length() - 1)
-        masks.append(coset)
-        cur = G.add(cur, gen)
-    return SigmaContext(G, N, b, tuple(gammas), tuple(masks))
-
-
-def sigma(ctx: SigmaContext, S: ConnectionSet | int, u: int, j: int) -> int:
-    """Bitmask of S intersected with S+u and the j-th coset."""
-    if not 0 <= j < ctx.b:
-        raise DomainError(f"coset index {j} out of range")
-    mask = S.mask if isinstance(S, ConnectionSet) else S
-    return mask & ctx.G.translate_mask(mask, u) & ctx.orbit_masks[j]
-
-
-def psi_census(
-    ctx: SigmaContext, i: int, u: int, v: int, cap: int = 1 << 22
-) -> tuple[int, float]:
-    """Count inverse-closed S whose sigma sizes at u and v agree off {0, i}.
-
-    Returns (count, bound) with bound = 2^(c(G) - 2b/25 + 1); the bound can
-    exceed the total number of sets at small b, in which case it is vacuous.
-    """
-    G = ctx.G
-    if i % ctx.b == 0:
-        raise DomainError("i must be nonzero mod b")
-    if u == v:
-        raise DomainError("u and v must be distinct")
-    oi = ctx.orbit_masks[i % ctx.b]
-    if not (oi >> u & 1 and oi >> v & 1):
-        raise DomainError("u and v must lie in the i-th coset")
-    js = [j for j in range(ctx.b) if j != 0 and j != i % ctx.b]
-    count = 0
-    for mask in inverse_closed_masks(G, cap):
-        su = G.translate_mask(mask, u)
-        sv = G.translate_mask(mask, v)
-        for j in js:
-            oj = ctx.orbit_masks[j]
-            if (mask & su & oj).bit_count() != (mask & sv & oj).bit_count():
-                break
-        else:
-            count += 1
-    full = (1 << G.order) - 1
-    bound = 2.0 ** (c_value(G, full) - 2 * ctx.b / 25 + 1)
-    return count, bound

@@ -11,10 +11,10 @@ import time
 
 import pytest
 
+from helpers import make_sigma_context, psi_census
 from stabcover.bounds import default_grid, h_delta_terms, lemma_bound_table
 from stabcover.census import exhaustive_census, stabilized_count, unlabeled_census
 from stabcover.groups import all_abelian_groups, make_group, subgroups
-from stabcover.stability import make_sigma_context, psi_census
 from stabcover.verify import (
     check_bicoset_model,
     check_cover_decomposition,
@@ -85,8 +85,7 @@ def test_odd_order_groups_have_no_nontrivially_unstable_sets():
     bad = []
     total = 0
     for facs in [(5,), (7,), (9,), (3, 3), (11,), (13,), (15,)]:
-        records = []
-        exhaustive_census(make_group(facs), record_sink=records.append)
+        records = list(exhaustive_census(make_group(facs)).set_records())
         total += len(records)
         bad += [f"{r.group} {r.set.mask:#x}" for r in records if r.nontrivially_unstable]
     _report(6, not bad, f"7 odd-order censuses, {total} sets; offenders: {bad or '-'}")
@@ -155,7 +154,7 @@ def test_unlabeled_counts_bounded_by_holomorph_orbits():
         if G.exponent <= 2:
             continue
         cases += 1
-        rep = unlabeled_census(G)
+        rep = unlabeled_census(exhaustive_census(G))
         if not (rep.lower_bound_holds and rep.good_classes_are_hol_orbits):
             bad.append(rep.group)
     _report(10, not bad, f"unlabeled censuses of {cases} groups; offenders: {bad or '-'}")

@@ -1,12 +1,13 @@
 """Census tallies, sampling determinism, and unlabeled counting."""
 
 import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
 import pytest
 
-from stabcover import census, groups, stability
+from stabcover import census, cli, groups, stability
 from stabcover.census import (
     BUCKETS,
     CensusReport,
@@ -123,11 +124,18 @@ def test_exhaustive_census_c5_c7():
 
 
 def test_exhaustive_census_worker_independence():
-    # C2xC6 has a nontrivial Aut(G), so the orbit list spans many shards
-    for facs in ([7], [2, 6]):
+    # C2xC6 and C2xC8 have a nontrivial Aut(G), so the orbit list spans
+    # many shards; the records come back from the workers, so the per-set
+    # records and the unlabeled report must not depend on their number
+    for facs in ([7], [2, 6], [2, 8]):
         G = make_group(facs)
         reps = [exhaustive_census(G, workers=w) for w in (1, 2, 3)]
         assert len({(r.signature(), r.classified) for r in reps}) == 1
+        records = list(reps[0].set_records())
+        unlabeled = unlabeled_census(reps[0]).to_json_dict()
+        for r in reps[1:]:
+            assert list(r.set_records()) == records, (G.spec(), r)
+            assert unlabeled_census(r).to_json_dict() == unlabeled, G.spec()
 
 
 def _per_set_oracle(G, **caps):
@@ -142,8 +150,8 @@ def _per_set_oracle(G, **caps):
 
 
 def _orbit_census_against_oracle(G, **caps):
-    records = []
-    report = exhaustive_census(G, record_sink=records.append, **caps)
+    report = exhaustive_census(G, **caps)
+    records = list(report.set_records())
     oracle, oracle_counts = _per_set_oracle(G, **caps)
     assert [rec.set.mask for rec in records] == list(oracle)
     for rec in records:
@@ -198,13 +206,12 @@ def test_exhaustive_census_builds_aut_g_once(monkeypatch):
     assert calls == ["C2xC6"]
 
 
-def test_exhaustive_census_record_sink():
+def test_exhaustive_census_set_records():
     G = make_group([5])
-    records = []
-    exhaustive_census(G, record_sink=records.append)
-    assert len(records) == 8
-    with pytest.raises(DomainError):
-        exhaustive_census(G, workers=2, record_sink=records.append)
+    records = list(exhaustive_census(G).set_records())
+    assert [rec.set.mask for rec in records] == list(inverse_closed_masks(G))
+    assert list(exhaustive_census(G, workers=2).set_records()) == records
+    assert list(monte_carlo_census(G, samples=4, seed=1).set_records()) == []
 
 
 def test_monte_carlo_determinism_and_worker_independence():
@@ -275,7 +282,7 @@ def test_hol_orbit_counts():
 
 
 def test_unlabeled_census_c5():
-    rep = unlabeled_census(make_group([5]))
+    rep = unlabeled_census(exhaustive_census(make_group([5])))
     assert rep.total == 8
     assert rep.hol_order == 20
     assert rep.unlabeled_count == 6
@@ -287,6 +294,8 @@ def test_unlabeled_census_c5():
     assert rep.good_classes_are_hol_orbits
     d = rep.to_json_dict()
     assert d["unlabeled_count"] == 6
+    with pytest.raises(DomainError):
+        unlabeled_census(monte_carlo_census(make_group([5]), samples=4, seed=1))
 
 
 @pytest.mark.parametrize(
@@ -296,7 +305,7 @@ def test_unlabeled_census_c5():
 )
 def test_unlabeled_census_class_counts(facs, unlabeled, hol_orbits_n, good_classes):
     # canonical forms depend on the search's cell order, class counts do not
-    rep = unlabeled_census(make_group(facs))
+    rep = unlabeled_census(exhaustive_census(make_group(facs)))
     assert rep.unlabeled_count == unlabeled
     assert rep.hol_orbit_count == hol_orbits_n
     assert rep.good_class_count == rep.good_hol_orbit_count == good_classes
@@ -343,20 +352,30 @@ def _per_set_unlabeled(G):
 def test_unlabeled_census_matches_per_set_oracle():
     for G in all_abelian_groups(12):
         oracle = _per_set_unlabeled(G).to_json_dict()
-        assert unlabeled_census(G).to_json_dict() == oracle, G.spec()
+        assert unlabeled_census(exhaustive_census(G)).to_json_dict() == oracle, G.spec()
 
 
-def test_unlabeled_census_classifies_once_per_orbit(monkeypatch):
-    real = census.classify
-    calls = []
+def test_unlabeled_census_classifies_once_per_orbit(monkeypatch, tmp_path):
+    # `census --unlabeled` reads goodness off the labeled pass's records:
+    # one orbit listing and one `classify` call per orbit in all
+    calls = {"classify": 0, "hol_orbits": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(census, name)
 
-    monkeypatch.setattr(census, "classify", counted)
-    rep = unlabeled_census(make_group([2, 8]))
-    assert len(calls) == rep.hol_orbit_count == 304  # of 1 024 sets
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(census, name, wrapper)
+
+    counted("classify")
+    counted("hol_orbits")
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["census", "C2xC8", "--unlabeled", "--format", "jsonl",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text().splitlines()[1])["hol_orbit_count"] == 304
+    assert calls == {"classify": 304, "hol_orbits": 1}  # of 1 024 sets
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["two-good", "good-and-not"])
@@ -380,12 +399,14 @@ def test_unlabeled_census_merged_classes(monkeypatch, mixed):
         return SimpleNamespace(bytes=merge.get(key, key))
 
     monkeypatch.setattr(census, "canonical_form", merged)
+    report = exhaustive_census(G)
     if mixed:
-        for run in (unlabeled_census, _per_set_unlabeled):
-            with pytest.raises(StabcoverError, match="mixes good and non-good"):
-                run(G)
+        with pytest.raises(StabcoverError, match="mixes good and non-good"):
+            unlabeled_census(report)
+        with pytest.raises(StabcoverError, match="mixes good and non-good"):
+            _per_set_unlabeled(G)
         return
-    rep = unlabeled_census(G)
+    rep = unlabeled_census(report)
     assert rep.to_json_dict() == _per_set_unlabeled(G).to_json_dict()
     assert rep.good_class_count == 9 and rep.good_hol_orbit_count == 10
     assert not rep.good_classes_are_hol_orbits
@@ -393,7 +414,7 @@ def test_unlabeled_census_merged_classes(monkeypatch, mixed):
 
 def test_unlabeled_census_exponent_two_group():
     # no good sets at exponent two, the comparisons still hold vacuously
-    rep = unlabeled_census(make_group([2, 2]))
+    rep = unlabeled_census(exhaustive_census(make_group([2, 2])))
     assert rep.good_set_count == 0
     assert rep.lower_bound_holds
     assert rep.good_classes_are_hol_orbits

@@ -119,6 +119,17 @@ def test_census_monte_carlo_refuses_records(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_census_monte_carlo_refuses_unlabeled(capsys, monkeypatch):
+    # refused before any census runs
+    monkeypatch.setattr(cli, "exhaustive_census", None)
+    monkeypatch.setattr(cli, "monte_carlo_census", None)
+    code, out, err = run_cli(
+        capsys, "census", "C5", "--samples", "5", "--seed", "1", "--unlabeled"
+    )
+    assert code == EXIT_PRECONDITION
+    assert "--samples" in err and out == ""
+
+
 def test_census_monte_carlo(capsys):
     code, out, _ = run_cli(capsys, "census", "C7", "--samples", "16", "--seed", "7")
     assert code == EXIT_OK
@@ -144,10 +155,16 @@ def test_census_unlabeled_refuses_csv(capsys, monkeypatch):
 
 
 def test_census_records_file(tmp_path, capsys):
-    path = tmp_path / "records.jsonl"
-    code, _, _ = run_cli(capsys, "census", "C5", "--records", str(path))
-    assert code == EXIT_OK
-    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    texts = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"records-{workers}.jsonl"
+        code, _, _ = run_cli(
+            capsys, "census", "C5", "--records", str(path), "--workers", workers
+        )
+        assert code == EXIT_OK
+        texts.append(path.read_text())
+    assert texts[0] == texts[1]
+    recs = [json.loads(line) for line in texts[0].splitlines()]
     assert len(recs) == 8
     assert sum(r["stable"] for r in recs) == 5
 

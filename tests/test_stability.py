@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import make_sigma_context, psi_census, sigma
 from stabcover import stability
 from stabcover.autgrp import assert_preserves, automorphism_group
 from stabcover.errors import DomainError
@@ -35,10 +36,7 @@ from stabcover.stability import (
     cover_lift,
     factored_orders,
     group_context,
-    make_sigma_context,
-    psi_census,
     s4_s5_membership,
-    sigma,
 )
 
 ORACLE_GROUPS = [(5,), (6,), (7,), (8,), (2, 4), (9,), (3, 3)]
