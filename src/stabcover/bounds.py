@@ -4,7 +4,7 @@ Every bound is a sum of powers of two whose exponents mix -r/24 style
 linear terms with (log2 r)^2 and r^delta terms; for r up to 2**30 these
 exponents are large and cancellation-prone, so all arithmetic runs in
 mpmath binary floating point at a configurable precision (default 256
-bits) and never in machine doubles.
+bits, at least 53) and never in machine doubles.
 """
 
 from __future__ import annotations
@@ -35,11 +35,15 @@ GRID_R = tuple(1 << t for t in range(10, 31))
 GRID_DELTA = (0.01, 0.05, 0.1, 0.2)
 
 
-def _validate(r: int, delta: float) -> None:
+def _validate(r: int, delta: float, precision_bits: int) -> None:
     if r < 2:
         raise DomainError("r must be at least 2")
     if not 0 < delta < 0.5:
         raise DomainError("delta must lie strictly between 0 and 1/2")
+    # the exponents reach r/24, so below a double's 53 bits their rounding
+    # alone moves a bound by whole factors
+    if precision_bits < 53:
+        raise DomainError("precision must be at least 53 bits")
 
 
 def h_delta_terms(r: int, delta: float, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -48,7 +52,7 @@ def h_delta_terms(r: int, delta: float, precision_bits: int = DEFAULT_PRECISION_
     Each exponent is evaluated once at the working precision and then
     exponentiated once, so every term carries at most a few ulps of error.
     """
-    _validate(r, delta)
+    _validate(r, delta, precision_bits)
     with mp.workprec(precision_bits):
         rr = mp.mpf(r)
         lg = mp.log(rr, 2)
@@ -109,7 +113,7 @@ def lemma_bound_table(
     r: int, delta: float, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundProfile:
     """Evaluate every named per-family bound at one (r, delta) point."""
-    _validate(r, delta)
+    _validate(r, delta, precision_bits)
     with mp.workprec(precision_bits):
         rr = mp.mpf(r)
         lg = mp.log(rr, 2)

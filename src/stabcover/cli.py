@@ -1,10 +1,12 @@
 """Command-line surface: classify, census, check-lemmas, and bounds.
 
-Every command is deterministic given its flags; the census merges fixed
-shards, so reports are identical for any worker count. Exit codes: 0 on
-success, 1 when a verification check fails, 2 on parse or precondition
-errors, 3 when --strict is set and capped searches left indeterminate
-fields in the output.
+Each subcommand is a `cmd_*` function of the parsed arguments alone; its
+argument checks are the library's own. Every command is deterministic
+given its flags: both census modes classify fixed shards of masks, so
+reports are identical for any `--workers` value, the only worker setting.
+Exit codes: 0 on success, 1 when a verification check fails, 2 on parse
+or precondition errors, 3 when --strict is set and capped searches left
+indeterminate fields in the output.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -28,42 +29,10 @@ from .perms import DEFAULT_ENUM_CAP
 from .stability import classify
 from .verify import run_all_checks
 
-WORKERS_ENV = "STABCOVER_WORKERS"
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_INDETERMINATE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    command: str
-    group: str | None
-    delta: float | None
-    enum_cap: int
-    seed: int | None
-    workers: int
-    out: str | None
-    fmt: str
-    strict: bool
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise DomainError("worker count must be at least 1")
-        if self.delta is not None and not 0 < self.delta < 0.5:
-            raise DomainError("delta must lie strictly between 0 and 1/2")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError as e:
-        raise DomainError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from e
-    return value
 
 
 def parse_set_literal(G: AbelianGroup, text: str) -> list[int]:
@@ -103,6 +72,14 @@ def _write(out_path: str | None, text: str) -> None:
             f.write(text)
 
 
+def _write_csv(out_path: str | None, header, rows) -> None:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _write(out_path, buf.getvalue())
+
+
 def _mp_str(x) -> str:
     return mp.nstr(x, 12, strip_zeros=False)
 
@@ -110,44 +87,38 @@ def _mp_str(x) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_classify(cfg: RunConfig, args) -> int:
-    G = parse_group_spec(cfg.group)
+def cmd_classify(args) -> int:
+    G = parse_group_spec(args.group)
     elements = parse_set_literal(G, args.set)
     S = connection_set(G, elements, symmetrize=args.symmetrize)
-    rec = classify(G, S, cfg.enum_cap)
-    if cfg.fmt == "csv":
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(rec.CSV_COLUMNS)
-        w.writerow(rec.to_csv_row())
-        _write(cfg.out, buf.getvalue())
+    rec = classify(G, S, args.enum_cap)
+    if args.fmt == "csv":
+        _write_csv(args.out, rec.CSV_COLUMNS, [rec.to_csv_row()])
     else:
-        _write(cfg.out, json.dumps(rec.to_json_dict(), indent=2) + "\n")
-    if cfg.strict and rec.indeterminate:
+        _write(args.out, json.dumps(rec.to_json_dict(), indent=2) + "\n")
+    if args.strict and rec.indeterminate:
         return EXIT_INDETERMINATE
     return EXIT_OK
 
 
-def cmd_census(cfg: RunConfig, args) -> int:
-    G = parse_group_spec(cfg.group)
-    if args.unlabeled and cfg.fmt == "csv":
+def cmd_census(args) -> int:
+    G = parse_group_spec(args.group)
+    if args.unlabeled and args.fmt == "csv":
         raise DomainError("the unlabeled report has no CSV form; use --format json or jsonl")
     if args.samples is not None:
-        if cfg.seed is None:
+        if args.seed is None:
             raise DomainError("Monte-Carlo mode needs --seed for reproducibility")
         if args.records or args.unlabeled:
             raise DomainError("--records and --unlabeled need the exhaustive census, not --samples")
         report = monte_carlo_census(
             G,
             samples=args.samples,
-            seed=cfg.seed,
-            enum_cap=cfg.enum_cap,
-            workers=cfg.workers,
+            seed=args.seed,
+            enum_cap=args.enum_cap,
+            workers=args.workers,
         )
     else:
-        report = exhaustive_census(G, enum_cap=cfg.enum_cap, workers=cfg.workers)
+        report = exhaustive_census(G, enum_cap=args.enum_cap, workers=args.workers)
         if args.records:
             with open(args.records, "w") as f:
                 for rec in report.set_records():
@@ -155,24 +126,18 @@ def cmd_census(cfg: RunConfig, args) -> int:
     pieces = [report.to_json_dict()]
     if args.unlabeled:
         pieces.append(unlabeled_census(report).to_json_dict())
-    if cfg.fmt == "csv":
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(report.CSV_HEADER)
-        w.writerows(report.to_csv_rows())
-        _write(cfg.out, buf.getvalue())
-    elif cfg.fmt == "jsonl":
-        _write(cfg.out, "".join(json.dumps(p) + "\n" for p in pieces))
+    if args.fmt == "csv":
+        _write_csv(args.out, report.CSV_HEADER, report.to_csv_rows())
+    elif args.fmt == "jsonl":
+        _write(args.out, "".join(json.dumps(p) + "\n" for p in pieces))
     else:
-        _write(cfg.out, json.dumps(pieces[0] if len(pieces) == 1 else pieces, indent=2) + "\n")
-    if cfg.strict and report.counts["indeterminate"] > 0:
+        _write(args.out, json.dumps(pieces[0] if len(pieces) == 1 else pieces, indent=2) + "\n")
+    if args.strict and report.counts["indeterminate"] > 0:
         return EXIT_INDETERMINATE
     return EXIT_OK
 
 
-def cmd_check_lemmas(cfg: RunConfig, args) -> int:
+def cmd_check_lemmas(args) -> int:
     results = run_all_checks(args.order_limit)
     failed = False
     lines = []
@@ -183,7 +148,7 @@ def cmd_check_lemmas(cfg: RunConfig, args) -> int:
         for f in res.failures:
             lines.append(f"  {f}")
         failed = failed or not res.passed
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -218,21 +183,17 @@ def _bounds_row(r: int, delta: float, precision_bits: int) -> list[str]:
     return row
 
 
-def cmd_bounds(cfg: RunConfig, args) -> int:
-    import io
-
+def cmd_bounds(args) -> int:
     if args.grid:
+        if (args.r, args.delta) != (None, None):
+            raise DomainError("--grid excludes --r and --delta")
         points = bounds_mod.default_grid()
     else:
-        if args.r is None or cfg.delta is None:
+        if args.r is None or args.delta is None:
             raise DomainError("either --grid or both --r and --delta are required")
-        points = [(args.r, cfg.delta)]
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(BOUNDS_HEADER)
-    for r, delta in points:
-        w.writerow(_bounds_row(r, delta, args.precision_bits))
-    _write(cfg.out, buf.getvalue())
+        points = [(args.r, args.delta)]
+    rows = [_bounds_row(r, delta, args.precision_bits) for r, delta in points]
+    _write_csv(args.out, BOUNDS_HEADER, rows)
     return EXIT_OK
 
 
@@ -267,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="Monte-Carlo sample count (switches mode)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"parallel workers (default ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel worker processes (reports do not depend on it)")
     p.add_argument("--unlabeled", action="store_true",
                    help="also compare canonical-form classes with holomorph orbits")
     p.add_argument("--records", default=None,
@@ -291,23 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args) -> RunConfig:
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = _default_workers()
-    return RunConfig(
-        command=args.command,
-        group=getattr(args, "group", None),
-        delta=getattr(args, "delta", None),
-        enum_cap=getattr(args, "enum_cap", DEFAULT_ENUM_CAP),
-        seed=getattr(args, "seed", None),
-        workers=workers,
-        out=args.out,
-        fmt=getattr(args, "fmt", "json"),
-        strict=getattr(args, "strict", False),
-    )
-
-
 COMMANDS = {
     "classify": cmd_classify,
     "census": cmd_census,
@@ -320,8 +264,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _make_config(args)
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](args)
     except (DomainError, CapExceededError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -27,6 +27,21 @@ def test_domain_validation():
         lemma_bound_table(100, 0.7)
 
 
+@pytest.mark.parametrize("bits", [-5, 0, 1, 8, 52])
+def test_precision_below_a_double_is_refused(bits):
+    # at 8 bits h(1024, 0.1) printed 1.128e+366 against 4.443e+364 at 256
+    # bits: the rounding of exponents near r/24 moves the value by factors
+    with pytest.raises(DomainError, match="53 bits"):
+        h_delta(1024, 0.1, precision_bits=bits)
+    with pytest.raises(DomainError, match="53 bits"):
+        lemma_bound_table(1024, 0.1, precision_bits=bits)
+    assert mp.almosteq(
+        h_delta(1024, 0.1, precision_bits=53),
+        h_delta(1024, 0.1),
+        rel_eps=mp.mpf(2) ** -20,
+    )
+
+
 def test_term_comparison_small_delta():
     # at delta = 0.001 the fast-decaying first term is already below the
     # second at fifty thousand

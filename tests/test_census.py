@@ -88,6 +88,13 @@ def _brute_stabilized(G, z):
     return count
 
 
+def _unlabeled_json(rep):
+    """The unlabeled report's JSON without its elapsed time."""
+    d = rep.to_json_dict()
+    del d["elapsed"]
+    return d
+
+
 def test_stabilized_count_values():
     cases = [
         ((4,), 2, 4, 4),
@@ -132,10 +139,10 @@ def test_exhaustive_census_worker_independence():
         reps = [exhaustive_census(G, workers=w) for w in (1, 2, 3)]
         assert len({(r.signature(), r.classified) for r in reps}) == 1
         records = list(reps[0].set_records())
-        unlabeled = unlabeled_census(reps[0]).to_json_dict()
+        unlabeled = _unlabeled_json(unlabeled_census(reps[0]))
         for r in reps[1:]:
             assert list(r.set_records()) == records, (G.spec(), r)
-            assert unlabeled_census(r).to_json_dict() == unlabeled, G.spec()
+            assert _unlabeled_json(unlabeled_census(r)) == unlabeled, G.spec()
 
 
 def _per_set_oracle(G, **caps):
@@ -215,15 +222,22 @@ def test_exhaustive_census_set_records():
 
 
 def test_monte_carlo_determinism_and_worker_independence():
+    # five samples leave most of the 32 shard ranges empty
     G = make_group([7])
-    a = monte_carlo_census(G, samples=64, seed=42, workers=1)
-    b = monte_carlo_census(G, samples=64, seed=42, workers=4)
-    assert a.signature() == b.signature()
-    c = monte_carlo_census(G, samples=64, seed=43, workers=1)
-    assert c.signature() != a.signature()
-    assert a.mode == "monte-carlo" and a.examined == a.classified == 64
-    p = a.counts["stable"] / 64
-    assert a.ci_half_width == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 64))
+    for samples in (0, 5, 64):
+        a = monte_carlo_census(G, samples=samples, seed=42, workers=1)
+        for workers in (2, 3):
+            b = monte_carlo_census(G, samples=samples, seed=42, workers=workers)
+            assert b.signature() == a.signature(), (samples, workers)
+        c = monte_carlo_census(G, samples=samples, seed=43, workers=1)
+        assert c.signature() != a.signature()
+        assert a.mode == "monte-carlo" and a.examined == a.classified == samples
+        if samples == 0:
+            assert a.ci_half_width is None
+            assert set(a.counts.values()) == {0}
+            continue
+        p = a.counts["stable"] / samples
+        assert a.ci_half_width == pytest.approx(1.96 * math.sqrt(p * (1 - p) / samples))
 
 
 def test_monte_carlo_is_unbiased():
@@ -294,6 +308,7 @@ def test_unlabeled_census_c5():
     assert rep.good_classes_are_hol_orbits
     d = rep.to_json_dict()
     assert d["unlabeled_count"] == 6
+    assert d["elapsed"] == rep.elapsed >= 0
     with pytest.raises(DomainError):
         unlabeled_census(monte_carlo_census(make_group([5]), samples=4, seed=1))
 
@@ -346,13 +361,14 @@ def _per_set_unlabeled(G):
         good_hol_orbit_count=len(good_orbit_masks),
         lower_bound_holds=len(good_class_masks) * hol_order >= len(good_masks),
         good_classes_are_hol_orbits=good_class_masks == good_orbit_masks,
+        elapsed=0.0,
     )
 
 
 def test_unlabeled_census_matches_per_set_oracle():
     for G in all_abelian_groups(12):
-        oracle = _per_set_unlabeled(G).to_json_dict()
-        assert unlabeled_census(exhaustive_census(G)).to_json_dict() == oracle, G.spec()
+        oracle = _unlabeled_json(_per_set_unlabeled(G))
+        assert _unlabeled_json(unlabeled_census(exhaustive_census(G))) == oracle, G.spec()
 
 
 def test_unlabeled_census_classifies_once_per_orbit(monkeypatch, tmp_path):
@@ -407,7 +423,7 @@ def test_unlabeled_census_merged_classes(monkeypatch, mixed):
             _per_set_unlabeled(G)
         return
     rep = unlabeled_census(report)
-    assert rep.to_json_dict() == _per_set_unlabeled(G).to_json_dict()
+    assert _unlabeled_json(rep) == _unlabeled_json(_per_set_unlabeled(G))
     assert rep.good_class_count == 9 and rep.good_hol_orbit_count == 10
     assert not rep.good_classes_are_hol_orbits
 

@@ -12,7 +12,6 @@ from stabcover.cli import (
     EXIT_INDETERMINATE,
     EXIT_OK,
     EXIT_PRECONDITION,
-    WORKERS_ENV,
     main,
     parse_set_literal,
 )
@@ -176,14 +175,42 @@ def test_census_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["total"] == 8
 
 
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    code, out, _ = run_cli(capsys, "census", "C5")
+def test_census_monte_carlo_stream_is_pinned(capsys):
+    # each of the 32 shard ranges of the samples draws from its own
+    # random.Random(seed ^ shard); these tallies pin that stream
+    want = {
+        "disconnected": 18,
+        "connected-bipartite": 10,
+        "not-twin-free": 13,
+        "s1": 264,
+        "s2": 69,
+        "s3": 163,
+        "s3prime": 199,
+        "s4": 50,
+        "s5": 1,
+        "stable": 143,
+        "trivially-unstable": 36,
+        "nontrivially-unstable": 91,
+        "indeterminate": 30,
+    }
+    code, out, _ = run_cli(capsys, "census", "C2xC10", "--samples", "300", "--seed", "7")
     assert code == EXIT_OK
-    assert json.loads(out)["counts"]["stable"] == 5
-    monkeypatch.setenv(WORKERS_ENV, "zero")
-    code, _, err = run_cli(capsys, "census", "C5")
-    assert code == EXIT_PRECONDITION
+    assert json.loads(out)["counts"] == want
+
+
+def test_workers_environment_variable_is_not_read(capsys, monkeypatch):
+    # --workers (default 1) is the only worker setting
+    monkeypatch.setenv("STABCOVER_WORKERS", "zero")
+    for argv in ("classify C5 1,4", "census C5", "bounds --r 1024 --delta 0.1"):
+        code, _, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (EXIT_OK, ""), argv
+
+
+def test_census_refuses_zero_workers(capsys):
+    for argv in ("census C5 --workers 0", "census C5 --samples 5 --seed 1 --workers 0"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_PRECONDITION and out == "", argv
+        assert "worker count" in err
 
 
 def test_bounds_single_point(capsys):
@@ -209,6 +236,21 @@ def test_bounds_domain_error(capsys):
     assert code == EXIT_PRECONDITION
     code, _, err = run_cli(capsys, "bounds")
     assert code == EXIT_PRECONDITION
+    code, out, err = run_cli(
+        capsys, "bounds", "--r", "1024", "--delta", "0.1", "--precision-bits", "8"
+    )
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "53 bits" in err
+
+
+@pytest.mark.parametrize("argv", ["--grid --r 5 --delta 0.3", "--grid --delta 0.7"])
+def test_bounds_grid_refuses_a_point(capsys, argv):
+    # --grid reads neither --r nor --delta. An argparse mutually exclusive
+    # group would also make --r and --delta exclude each other, so the
+    # refusal is a precondition error before any row is printed
+    code, out, err = run_cli(capsys, "bounds", *argv.split())
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "--grid excludes --r and --delta" in err
 
 
 def test_check_lemmas_small(capsys):
