@@ -38,6 +38,7 @@ from .groups import (
     inverse_closed_masks,
     involution_set,
     make_group,
+    map_mask,
     mask_union,
     negation_orbits,
 )
@@ -452,8 +453,10 @@ def hol_orbits(G: AbelianGroup) -> list[list[int]]:
 
     A holomorph element conjugates the set of translations {R(s)} by
     acting with its automorphism part only (translations centralize each
-    other), so the classes are the group-automorphism orbits; closure
-    under inversion is preserved.
+    other), so the classes are the Aut(G)-orbits: each is the set of
+    images of one inverse-closed mask through the tables of
+    `GroupContext.automorphisms`, sorted, and the orbits come in the order
+    `inverse_closed_masks` first meets them.
     """
     auts = group_context(G).automorphisms
     orbits = []
@@ -461,7 +464,7 @@ def hol_orbits(G: AbelianGroup) -> list[list[int]]:
     for mask in inverse_closed_masks(G):
         if mask in seen:
             continue
-        orbit = sorted({tau.apply_mask(mask) for tau in auts})
+        orbit = sorted({map_mask(mask, tau) for tau in auts})
         seen.update(orbit)
         orbits.append(orbit)
     return orbits

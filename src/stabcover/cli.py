@@ -41,7 +41,10 @@ def parse_set_literal(G: AbelianGroup, text: str) -> list[int]:
     Tuples are coordinate vectors in the invariant-factor order; plain
     integers are only accepted for cyclic groups, where they are the
     single coordinate. Coordinates are reduced modulo the factor sizes.
+    Blank text is the empty set.
     """
+    if not text.strip():
+        return []
     try:
         parsed = ast.literal_eval(f"({text},)")
     except (ValueError, SyntaxError) as e:

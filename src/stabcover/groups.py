@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError, DomainError
+from .perms import as_perm, pmul
 
 DEFAULT_GROUP_CAP = 512
 HOLOMORPH_CAP = DEFAULT_GROUP_CAP * 64
@@ -184,7 +185,7 @@ class AbelianGroup:
         return mask
 
     def neg_mask(self, mask: int) -> int:
-        return _map_mask(mask, self._neg)
+        return map_mask(mask, self._neg)
 
     def spec(self) -> str:
         if not self.invariant_factors:
@@ -315,7 +316,7 @@ def mask_union(masks: list[int], selector: int) -> int:
     return out
 
 
-def _map_mask(mask: int, image) -> int:
+def map_mask(mask: int, image) -> int:
     """Image of a subset under the map x -> image[x]."""
     out = 0
     while mask:
@@ -335,23 +336,6 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: AbelianGroup
-    mask: int
-    generators: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return self.mask.bit_count()
-
-    def members(self) -> list[int]:
-        return bit_indices(self.mask)
-
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-
 def close_subgroup(G: AbelianGroup, gens: list[int] | tuple[int, ...]) -> int:
     """Bitmask of the subgroup generated by the given elements."""
     mask = 1
@@ -368,112 +352,53 @@ def close_subgroup(G: AbelianGroup, gens: list[int] | tuple[int, ...]) -> int:
     return mask
 
 
-def subgroups(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP) -> list[Subgroup]:
-    """All subgroups of G, each exactly once.
+def automorphism_group_of_G(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP) -> list:
+    """All automorphisms of G, as `perms.as_perm` image tables.
 
-    Closure-adjoin BFS: repeatedly extend known subgroups by one element.
-    """
-    if G.order > cap:
-        raise CapExceededError("subgroup enumeration", G.order, cap)
-    seen: dict[int, tuple[int, ...]] = {1: ()}
-    frontier = [(1, ())]
-    while frontier:
-        nxt = []
-        for mask, gens in frontier:
-            for x in G.elements():
-                if mask >> x & 1:
-                    continue
-                new_gens = gens + (x,)
-                new_mask = close_subgroup(G, new_gens)
-                if new_mask not in seen:
-                    seen[new_mask] = new_gens
-                    nxt.append((new_mask, new_gens))
-        frontier = nxt
-    out = [Subgroup(G, m, g) for m, g in seen.items()]
-    out.sort(key=lambda s: (s.order, s.mask))
-    return out
-
-
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    """An automorphism of G, stored as images of the canonical generators."""
-
-    parent: AbelianGroup
-    images: tuple[int, ...]
-    perm: tuple[int, ...] = field(compare=False, repr=False, default=())
-
-    def __post_init__(self):
-        G = self.parent
-        perm = tuple(self.apply_raw(i) for i in G.elements())
-        if len(set(perm)) != G.order:
-            raise DomainError("generator images do not define a bijection")
-        object.__setattr__(self, "perm", perm)
-
-    def apply_raw(self, i: int) -> int:
-        G = self.parent
-        out = 0
-        for c, img in zip(G.coords(i), self.images):
-            out = G.add(out, G.scalar_mul(c, img))
-        return out
-
-    def is_identity(self) -> bool:
-        return self.images == self.parent.generators()
-
-    def apply_mask(self, mask: int) -> int:
-        return _map_mask(mask, self.perm)
-
-
-def automorphism_group_of_G(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP) -> list[GroupAutomorphism]:
-    """All automorphisms of G, by brute force over candidate generator images.
-
-    The image of the i-th canonical generator must have order dividing d_i;
-    every such tuple of candidates is tested for bijectivity.
+    A backtrack over the images of the canonical generators e_1, ..., e_k,
+    from the last up; the image of e_i must have order dividing d_i.
+    Indices are lexicographic, so the subgroup <e_i, ..., e_k> is the first
+    d_i * ... * d_k indices, and its table is d_i copies of the table of
+    <e_{i+1}, ..., e_k>: the c-th copy is the one before read through the
+    addition row of tau(e_i), that is shifted by c tau(e_i). The copies are
+    cosets of the image H of the smaller table, so a value first repeats
+    at the start of a copy, and a candidate is rejected when some
+    c tau(e_i) with 0 < c < d_i lies in H. Each leaf is then an injective
+    homomorphism on G, a bijection, and every automorphism is one leaf.
     """
     if G.order > cap:
         raise CapExceededError("automorphism enumeration", G.order, cap)
-    if G.rank == 0:
-        return [GroupAutomorphism(G, ())]
-    candidates = []
-    for d in G.invariant_factors:
-        candidates.append([x for x in G.elements() if G.scalar_mul(d, x) == 0])
+    facs = G.invariant_factors
+    candidates = [[x for x in G.elements() if G.scalar_mul(d, x) == 0] for d in facs]
+    rows = [[G.add(a, x) for x in G.elements()] for a in G.elements()]
     out = []
-    for images in itertools.product(*candidates):
-        try:
-            out.append(GroupAutomorphism(G, images))
-        except DomainError:
-            continue
+
+    def extend(i: int, table: list[int]) -> None:
+        if i < 0:
+            out.append(as_perm(table))
+            return
+        image = set(table)
+        for img in candidates[i]:
+            row = rows[img]
+            shift, grown, block = img, list(table), table
+            for _ in range(facs[i] - 1):
+                if shift in image:
+                    break
+                block = [row[t] for t in block]
+                grown += block
+                shift = row[shift]
+            else:
+                extend(i - 1, grown)
+
+    extend(G.rank - 1, [0])
     return out
 
 
-@dataclass(frozen=True)
-class HolomorphElement:
-    """An element R(g)*tau of Hol(G), acting as x -> tau(x + g)."""
-
-    parent: AbelianGroup
-    translation: int
-    twist: GroupAutomorphism
-
-    def apply(self, x: int) -> int:
-        G = self.parent
-        return self.twist.perm[G.add(x, self.translation)]
-
-    def apply_mask(self, mask: int) -> int:
-        return self.twist.apply_mask(self.parent.translate_mask(mask, self.translation))
-
-
-def holomorph(G: AbelianGroup, cap: int = HOLOMORPH_CAP) -> list[HolomorphElement]:
-    """All elements of Hol(G) = R(G) x| Aut(G), as (translation, twist) pairs."""
+def holomorph(G: AbelianGroup, cap: int = HOLOMORPH_CAP) -> list:
+    """All elements of Hol(G) = R(G) x| Aut(G): the tables of x -> tau(x + g)."""
     auts = automorphism_group_of_G(G)
     size = G.order * len(auts)
     if size > cap:
         raise CapExceededError("holomorph enumeration", size, cap)
-    return [HolomorphElement(G, g, tau) for tau in auts for g in G.elements()]
-
-
-def fixed_points(G: AbelianGroup, alpha: HolomorphElement) -> int:
-    """Bitmask of {x : alpha(x) = x}."""
-    mask = 0
-    for x in G.elements():
-        if alpha.apply(x) == x:
-            mask |= 1 << x
-    return mask
+    shifts = [as_perm([G.add(x, g) for x in G.elements()]) for g in G.elements()]
+    return [pmul(shift, tau) for tau in auts for shift in shifts]

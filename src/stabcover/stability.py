@@ -65,15 +65,16 @@ from .graphs import (
 )
 from .groups import (
     AbelianGroup,
-    GroupAutomorphism,
     automorphism_group_of_G,
     bit_indices,
     close_subgroup,
+    map_mask,
 )
 from .perms import (
     DEFAULT_ENUM_CAP,
     PermutationGroup,
     as_perm,
+    identity_perm,
     left_mul,
     mul_table,
     pinv,
@@ -115,28 +116,28 @@ def cover_lift(perm):
 class GroupContext:
     """The tables every classification of sets in one group reads.
 
-    Aut(G) without 1 and -1 for the S3' test, the automorphism seeds, the
-    translation lifts and the fix0 tables of the S4/S5 scan. The scan
-    lists the point stabilizer B0 of 0+ that `b0_group` searches, not B(S),
-    though its enumeration cap is still on |B(S)| = |G| |B0|. Each field is
-    built on first use, so a caller needing only the seeds (`b0_group`,
-    `b_group`) never lists Aut(G).
+    Aut(G) as permutation tables, for the census's orbit list and
+    |Hol(G)|; those tables without 1 and -1 for the S3' test; the
+    automorphism seeds, the translation lifts and the fix0 tables of the
+    S4/S5 scan. The scan lists the point stabilizer B0 of 0+ that
+    `b0_group` searches, not B(S), though its enumeration cap is still on
+    |B(S)| = |G| |B0|. Each field is built on first use, so a caller
+    needing only the seeds (`b0_group`, `b_group`) never lists Aut(G).
     """
 
     G: AbelianGroup
 
     @cached_property
-    def automorphisms(self) -> list[GroupAutomorphism]:
+    def automorphisms(self) -> list:
+        """Aut(G), as the image tables of `automorphism_group_of_G`."""
         return automorphism_group_of_G(self.G)
 
     @cached_property
-    def s3prime_twists(self) -> tuple[GroupAutomorphism, ...]:
-        """Aut(G) without the identity and the inversion (one map at exponent two)."""
-        neg = tuple(self.G.neg(x) for x in self.G.elements())
-        return tuple(
-            tau for tau in self.automorphisms
-            if not (tau.is_identity() or tau.perm == neg)
-        )
+    def s3prime_twists(self) -> tuple:
+        """Aut(G) without the identity and the inversion (one table at exponent two)."""
+        G = self.G
+        trivial = (identity_perm(G.order), base_inversion_perm(G))
+        return tuple(tau for tau in self.automorphisms if tau not in trivial)
 
     @cached_property
     def base_seeds(self) -> tuple:
@@ -521,7 +522,7 @@ def s3prime_membership(G: AbelianGroup, gam: LabeledGraph) -> bool:
     if len(rows) < G.order:
         return True
     mask = gam.rows[0]
-    return any(tau.apply_mask(mask) in rows for tau in group_context(G).s3prime_twists)
+    return any(map_mask(mask, tau) in rows for tau in group_context(G).s3prime_twists)
 
 
 # -- S4 / S5 -----------------------------------------------------------------

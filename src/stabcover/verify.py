@@ -25,9 +25,8 @@ from .graphs import (
 )
 from .groups import (
     all_abelian_groups,
+    automorphism_group_of_G,
     count_inverse_closed,
-    fixed_points,
-    holomorph,
     inverse_closed_masks,
 )
 from .stability import b_group, classify
@@ -87,22 +86,25 @@ def check_stabilized_counts(max_order: int = 16) -> CheckResult:
 
 
 def check_fixed_point_cosets(max_order: int = 12) -> CheckResult:
-    """Fixed points of x -> tau(x + g) form a coset of the fixed points of tau."""
+    """Fixed points of x -> tau(x + g) form a coset of the fixed points of tau.
+
+    One case per holomorph element: every tau in Aut(G) with every g in G.
+    """
     failures = []
     cases = 0
     for G in all_abelian_groups(max_order):
-        for alpha in holomorph(G):
-            cases += 1
-            fix = fixed_points(G, alpha)
-            if fix == 0:
-                continue
-            tau_only = type(alpha)(G, 0, alpha.twist)
-            fix_tau = fixed_points(G, tau_only)
-            x0 = (fix & -fix).bit_length() - 1
-            if G.translate_mask(fix_tau, x0) != fix:
-                failures.append(
-                    f"{G.spec()} g={alpha.translation}: 0x{fix:x} not a coset of 0x{fix_tau:x}"
-                )
+        for tau in automorphism_group_of_G(G):
+            fix_tau = sum(1 << x for x in G.elements() if tau[x] == x)
+            for g in G.elements():
+                cases += 1
+                fix = sum(1 << x for x in G.elements() if tau[G.add(x, g)] == x)
+                if fix == 0:
+                    continue
+                x0 = (fix & -fix).bit_length() - 1
+                if G.translate_mask(fix_tau, x0) != fix:
+                    failures.append(
+                        f"{G.spec()} g={g}: 0x{fix:x} not a coset of 0x{fix_tau:x}"
+                    )
     return CheckResult("fixed-point-cosets", cases, tuple(failures))
 
 

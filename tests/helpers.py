@@ -1,20 +1,93 @@
 """Helpers shared by the tests; the package has no use for them.
 
-Besides a graph helper, this holds the sigma statistics on cosets of a
-subgroup with cyclic quotient and the Psi coincidence census, which the
-acceptance and stability tests check against the agreement-count bound.
+Besides a graph helper, this holds two reference implementations the
+tests compare against, Aut(G) by brute force and the subgroup lattice,
+and the sigma statistics on cosets of a subgroup with cyclic quotient and
+the Psi coincidence census, which the acceptance and stability tests
+check against the agreement-count bound.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from stabcover.errors import DomainError
 from stabcover.graphs import ConnectionSet
-from stabcover.groups import AbelianGroup, Subgroup, c_value, inverse_closed_masks
+from stabcover.groups import (
+    AbelianGroup,
+    c_value,
+    close_subgroup,
+    inverse_closed_masks,
+)
+from stabcover.perms import as_perm
 
 
 def has_edge(g, u: int, v: int) -> bool:
     """Whether u ~ v in the LabeledGraph g (u == v asks for a loop)."""
     return bool((g.rows[u] >> v) & 1)
+
+
+# -- reference implementations ------------------------------------------------
+
+
+def brute_automorphisms(G: AbelianGroup) -> list:
+    """Aut(G) as `as_perm` tables, by brute force over generator images.
+
+    The image of the i-th canonical generator must have order dividing
+    d_i; every such tuple of candidates is extended linearly and kept when
+    the extension is a bijection.
+    """
+    candidates = [
+        [x for x in G.elements() if G.scalar_mul(d, x) == 0] for d in G.invariant_factors
+    ]
+    out = []
+    for images in itertools.product(*candidates):
+        table = []
+        for i in G.elements():
+            y = 0
+            for c, img in zip(G.coords(i), images):
+                y = G.add(y, G.scalar_mul(c, img))
+            table.append(y)
+        if len(set(table)) == G.order:
+            out.append(as_perm(table))
+    return out
+
+
+@dataclass(frozen=True)
+class Subgroup:
+    parent: AbelianGroup
+    mask: int
+    generators: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return self.mask.bit_count()
+
+    def contains(self, i: int) -> bool:
+        return bool(self.mask >> i & 1)
+
+
+def subgroups(G: AbelianGroup) -> list[Subgroup]:
+    """All subgroups of G, each exactly once.
+
+    Closure-adjoin BFS: repeatedly extend known subgroups by one element.
+    """
+    seen: dict[int, tuple[int, ...]] = {1: ()}
+    frontier = [(1, ())]
+    while frontier:
+        nxt = []
+        for mask, gens in frontier:
+            for x in G.elements():
+                if mask >> x & 1:
+                    continue
+                new_gens = gens + (x,)
+                new_mask = close_subgroup(G, new_gens)
+                if new_mask not in seen:
+                    seen[new_mask] = new_gens
+                    nxt.append((new_mask, new_gens))
+        frontier = nxt
+    out = [Subgroup(G, m, g) for m, g in seen.items()]
+    out.sort(key=lambda s: (s.order, s.mask))
+    return out
 
 
 # -- sigma statistics ---------------------------------------------------------

@@ -11,10 +11,10 @@ import time
 
 import pytest
 
-from helpers import make_sigma_context, psi_census
+from helpers import make_sigma_context, psi_census, subgroups
 from stabcover.bounds import default_grid, h_delta_terms, lemma_bound_table
 from stabcover.census import exhaustive_census, stabilized_count, unlabeled_census
-from stabcover.groups import all_abelian_groups, make_group, subgroups
+from stabcover.groups import all_abelian_groups, make_group
 from stabcover.verify import (
     check_bicoset_model,
     check_cover_decomposition,

@@ -29,6 +29,7 @@ def test_parse_set_literal():
     C5 = make_group([5])
     assert parse_set_literal(C5, "1,4") == [1, 4]
     assert parse_set_literal(C5, "(1,),(4,)") == [1, 4]
+    assert parse_set_literal(C5, " ") == []
     G = make_group([2, 4])
     assert parse_set_literal(G, "(1,0),(0,3)") == [4, 3]
     with pytest.raises(DomainError):
@@ -47,8 +48,8 @@ def test_classify_stable(capsys):
 
 
 def test_classify_clebsch_graph_in_c2_to_the_fourth(capsys):
-    # |Hol(C2^4)| = 322 560; S3' is read off the Cayley rows instead. Most
-    # of the time here is the brute listing of Aut(C2^4)
+    # |Hol(C2^4)| = 322 560; S3' is read off the Cayley rows instead, which
+    # scans the 20 159 tables of Aut(C2^4) other than 1 (= -1 here)
     code, out, _ = run_cli(
         capsys, "classify", "C2xC2xC2xC2", "(1,0,0,0),(0,1,0,0),(0,0,1,0),(0,0,0,1),(1,1,1,1)"
     )
@@ -56,6 +57,17 @@ def test_classify_clebsch_graph_in_c2_to_the_fourth(capsys):
     rec = json.loads(out)
     assert rec["in_s3prime"] is True
     assert rec["aut_order"] == 1920
+
+
+def test_classify_empty_set_matches_census_record(capsys, tmp_path):
+    # blank text is the empty set, which the census classifies as mask 0x0
+    code, out, _ = run_cli(capsys, "classify", "C5", "")
+    assert code == EXIT_OK
+    path = tmp_path / "records.jsonl"
+    code, _, _ = run_cli(capsys, "census", "C5", "--records", str(path))
+    assert code == EXIT_OK
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert json.loads(out) == next(r for r in recs if r["set"] == "0x0")
 
 
 def test_classify_trivially_unstable_csv(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_automorphisms, subgroups
 from stabcover.errors import DomainError
 from stabcover.groups import (
     AbelianGroup,
@@ -15,7 +16,6 @@ from stabcover.groups import (
     c_value,
     close_subgroup,
     count_inverse_closed,
-    fixed_points,
     holomorph,
     inverse_closed_masks,
     involution_set,
@@ -24,7 +24,6 @@ from stabcover.groups import (
     negation_orbits,
     normalize_invariant_factors,
     parse_group_spec,
-    subgroups,
 )
 
 
@@ -155,8 +154,36 @@ def _brute_automorphism_count(G: AbelianGroup) -> int:
 def test_automorphism_group_matches_brute_force():
     for G in all_abelian_groups(8):
         auts = automorphism_group_of_G(G)
-        assert len({a.perm for a in auts}) == len(auts)
+        assert len(set(auts)) == len(auts)
         assert len(auts) == _brute_automorphism_count(G)
+
+
+def test_automorphism_tables_match_brute_product():
+    # the backtrack lists the same tables, each once, as the brute product
+    # over generator images; C2^4 (16^4 products) is left to the next test
+    for G in all_abelian_groups(16):
+        if G.invariant_factors == (2, 2, 2, 2):
+            continue
+        auts = automorphism_group_of_G(G)
+        assert len(set(auts)) == len(auts)
+        assert set(auts) == set(brute_automorphisms(G)), G.spec()
+
+
+def test_automorphism_tables_of_larger_groups():
+    # each table is a bijection with tau(x + e_i) = tau(x) + tau(e_i) for
+    # every x and canonical generator e_i, so it is an automorphism, and
+    # the counts are |GL(4, 2)| and the known orders of the others
+    sizes = {(2, 2, 2, 2): 20160, (2, 2, 8): 384, (2, 4, 4): 1536, (2, 2, 2, 4): 21504}
+    for facs, size in sizes.items():
+        G = make_group(facs)
+        elems = list(G.elements())
+        add = [[G.add(a, b) for b in elems] for a in elems]
+        auts = automorphism_group_of_G(G)
+        assert len(set(auts)) == len(auts) == size
+        for tau in auts:
+            assert sorted(tau) == elems
+            for e in G.generators():
+                assert [tau[y] for y in add[e]] == [add[tau[e]][t] for t in tau]
 
 
 def test_automorphism_group_known_orders():
@@ -177,20 +204,8 @@ def test_holomorph_size_and_action():
     for G in all_abelian_groups(8):
         hol = holomorph(G)
         assert len(hol) == G.order * len(automorphism_group_of_G(G))
-        perms = {tuple(map(h.apply, G.elements())) for h in hol}
+        perms = {tuple(h[x] for x in G.elements()) for h in hol}
         assert len(perms) == len(hol)
-
-
-def test_fixed_points():
-    G = make_group([6])
-    hol = holomorph(G)
-    untranslated = [h for h in hol if h.translation == 0]
-    ident = next(h for h in untranslated if h.twist.is_identity())
-    assert fixed_points(G, ident) == (1 << 6) - 1
-    inv = next(
-        h for h in untranslated if all(h.apply(x) == G.neg(x) for x in G.elements())
-    )
-    assert fixed_points(G, inv) == 0b001001  # 0 and 3
 
 
 def test_parse_group_spec():
