@@ -10,8 +10,18 @@ into a multi-vertex splitter are bit-sliced, added row by row into
 counter planes. The resulting cells are the coarsest equitable refinement
 of the input, in an order read from cells and counts alone, so labels
 never steer the search (see `_refine`).
-Automorphisms are read off leaf collisions with the first leaf; the
-canonical form is the lexicographically least leaf encoding.
+The canonical form is the lexicographically least leaf encoding; its
+search reads automorphisms off leaf collisions with the first leaf. The
+automorphism search confirms them at the node instead (as saucy does:
+Darga, Sakallah and Markov, DAC 2008): at a node of depth d that is no
+deeper than the first path, the map sending the singleton cells of the
+first-path node of depth d onto those of the node, in order, and fixing
+the other cells pointwise, is tried when those other cells are equal as
+sets. Cells are split in place, so equal cell sizes put each cell inside
+the same initial cell, and the map respects colors. It is kept when it
+sends the first path's prefix onto the node's prefix and preserves
+adjacency; the search then jumps back to the branch point, as from a
+leaf collision.
 
 The automorphisms a search finds (seeds included) are a strong generating
 set relative to its first path as base (McKay and Piperno, *Practical
@@ -20,8 +30,15 @@ vertex of the target cell in the orbit of the path vertex under the
 stabilizer of the prefix is either explored, and then yields a found
 automorphism fixing the prefix that maps it onto the path vertex, or
 skipped by `_orbit_of` as the image of an explored one under found
-automorphisms fixing the prefix. So `automorphism_group` hands the first
-path to `PermutationGroup.from_base`, which needs no Schreier-Sims.
+automorphisms fixing the prefix. A map confirmed at a node below that
+vertex is such an automorphism, exactly as a leaf collision is: it fixes
+the common prefix and sends the path vertex to the explored one. One is
+always found there: below the explored vertex runs the image of the
+first path under an automorphism fixing the prefix, whose discrete node
+at the first leaf's depth passes every test, and orbit pruning skips a
+child only for an explored one below which such an image runs too. So
+`automorphism_group` hands the first path to
+`PermutationGroup.from_base`, which needs no Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -149,14 +166,16 @@ def _refine(rows, cells: list[int], splitters: list[int] | None = None) -> list[
 class _Search:
     """One individualization-refinement traversal of a colored graph.
 
-    In automorphism mode a leaf collision triggers a jump back to the
-    deepest common ancestor with the first-leaf path (the aborted subtree
-    is the image of an explored one under the found automorphism).
-    Canonical mode walks every orbit-inequivalent branch to keep the
-    least leaf encoding.
+    In automorphism mode a map confirmed at a node (see the module
+    docstring) triggers a jump back to the deepest common ancestor with
+    the first-leaf path (the aborted subtree is the image of an explored
+    one under the found automorphism). Canonical mode walks every
+    orbit-inequivalent branch to keep the least leaf encoding, and reads
+    automorphisms off leaf collisions with the first leaf.
     """
 
     def __init__(self, graph: LabeledGraph, colors, canonical: bool, seeds=()):
+        self.graph = graph
         self.n = graph.n
         self.rows = graph.rows
         self.nbrs = graph.nbrs
@@ -169,46 +188,43 @@ class _Search:
         self.initial = [keyed[k] for k in sorted(keyed)]
         self.gens: list = list(seeds)
         self._gen_set = set(self.gens)
-        self.first_leaf = None  # (perm, encoding)
-        self.first_path: list[int] = []
+        self.first_leaf = None  # (perm, encoding), canonical mode only
+        self.first_path: list[int] | None = None
+        self.first_cells: list[list[int]] = []  # first-path cells, by depth
         self.best = None  # (encoding, perm)
 
     def run(self):
         if self.n == 0:
             p = as_perm(())
-            self.first_leaf = (p, ())
+            self.first_path = []
             self.best = ((), p)
             return
         self._node(_refine(self.rows, self.initial), [])
 
+    def _add_gen(self, a):
+        if a != identity_perm(self.n) and a not in self._gen_set:
+            self.gens.append(a)
+            self._gen_set.add(a)
+
     # -- leaves --------------------------------------------------------------
 
-    def _leaf(self, cells, prefix) -> int | None:
+    def _leaf(self, cells, prefix) -> None:
+        if self.first_path is None:
+            self.first_path = list(prefix)
+        if not self.canonical:
+            return  # later automorphisms are confirmed at their nodes
         images = [0] * self.n
         for pos, cell in enumerate(cells):
             images[cell.bit_length() - 1] = pos
         # singleton cells list discrete vertices, so images is a bijection
         p = as_perm(images)
         enc = self._encode(p)
-        jump = None
         if self.first_leaf is None:
             self.first_leaf = (p, enc)
-            self.first_path = list(prefix)
         elif enc == self.first_leaf[1]:
-            a = pmul(p, pinv(self.first_leaf[0]))
-            if a != identity_perm(self.n) and a not in self._gen_set:
-                self.gens.append(a)
-                self._gen_set.add(a)
-            if not self.canonical:
-                depth = 0
-                for x, y in zip(prefix, self.first_path):
-                    if x != y:
-                        break
-                    depth += 1
-                jump = depth
-        if self.canonical and (self.best is None or enc < self.best[0]):
+            self._add_gen(pmul(p, pinv(self.first_leaf[0])))
+        if self.best is None or enc < self.best[0]:
             self.best = (enc, p)
-        return jump
 
     def _encode(self, p):
         out = [0] * self.n
@@ -219,16 +235,59 @@ class _Search:
             out[p[v]] = img
         return tuple(out)
 
+    def _confirm(self, cells, prefix) -> int | None:
+        """Jump depth when the first-path node maps onto this one, else None.
+
+        The candidate sends each singleton cell of the first-path node of
+        the same depth to the singleton at the same place here and fixes
+        the other cells, which must be equal as sets, pointwise. It must
+        send the first path's prefix onto this node's and preserve
+        adjacency; it is then a found automorphism, and the jump depth
+        is the length of the prefix it fixes, where this node's path left
+        the first path. An automorphism carrying the first-path node onto
+        this one carries the first path onto this node's path, as the
+        individualized vertices keep their places, so the prefix test
+        only spares the adjacency loop a candidate that would fail it.
+        """
+        first = self.first_cells[len(prefix)]
+        if len(first) != len(cells):
+            return None
+        images = list(range(self.n))
+        for a, b in zip(first, cells):
+            if a & (a - 1):
+                if a != b:
+                    return None
+            elif b & (b - 1):
+                return None
+            else:
+                images[a.bit_length() - 1] = b.bit_length() - 1
+        if any(images[x] != y for x, y in zip(self.first_path, prefix)):
+            return None
+        g = as_perm(images)
+        if not preserves(self.graph, g):
+            return None
+        self._add_gen(g)
+        depth = 0
+        while prefix[depth] == self.first_path[depth]:
+            depth += 1
+        return depth
+
     # -- tree ----------------------------------------------------------------
 
     def _node(self, cells, prefix) -> int | None:
+        depth = len(prefix)
+        if self.first_path is None:
+            self.first_cells.append(cells)
+        elif not self.canonical and depth < len(self.first_cells):
+            jump = self._confirm(cells, prefix)
+            if jump is not None:
+                return jump
         sizes = [cell.bit_count() for cell in cells]
         biggest = max(sizes)
         if biggest == 1:
             return self._leaf(cells, prefix)
         target = sizes.index(biggest)
         cell = cells[target]
-        depth = len(prefix)
         done = 0  # union of orbits already explored
         for v in bit_indices(cell):
             if (done >> v) & 1:
@@ -294,9 +353,9 @@ def automorphism_group(
         _assert_respects_blocks(s, fixed_blocks)
     search = _Search(graph, colors, canonical=False, seeds=seeds)
     search.run()
-    # generators found by the search come from leaf collisions with equal
-    # adjacency encodings, so they preserve adjacency by construction; only
-    # their block behavior still needs checking
+    # generators found by the search were checked to preserve adjacency
+    # when they were confirmed; only their block behavior still needs
+    # checking
     for g in search.gens[len(seeds):]:
         _assert_respects_blocks(g, fixed_blocks)
     return PermutationGroup.from_base(graph.n, search.gens, search.first_path)
@@ -310,14 +369,22 @@ def _assert_respects_blocks(g, fixed_blocks):
             raise DomainError("generator does not respect a fixed block")
 
 
-def assert_preserves(graph: LabeledGraph, g):
-    """Raise DomainError unless the permutation g is an automorphism of graph."""
+def preserves(graph: LabeledGraph, g) -> bool:
+    """Whether the permutation g is an automorphism of graph."""
+    rows = graph.rows
     for v, nbr in enumerate(graph.nbrs):
         img = 0
         for u in nbr:
             img |= 1 << g[u]
-        if img != graph.rows[g[v]]:
-            raise DomainError("generator does not preserve adjacency")
+        if img != rows[g[v]]:
+            return False
+    return True
+
+
+def assert_preserves(graph: LabeledGraph, g):
+    """Raise DomainError unless the permutation g is an automorphism of graph."""
+    if not preserves(graph, g):
+        raise DomainError("generator does not preserve adjacency")
 
 
 def canonical_form(graph: LabeledGraph) -> CanonicalForm:

@@ -21,6 +21,7 @@ on |B(S)|, is an orbit invariant too, so no orbit needs a second look.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -109,8 +110,9 @@ class CensusReport:
     one per Aut(G)-orbit for an exhaustive census, `examined` for a
     Monte-Carlo one. It is left out of `signature()`. An exhaustive
     census keeps each orbit, as its masks, with its record in
-    `orbit_records`, the input of `set_records` and `unlabeled_census`;
-    that field is left out of the JSON, the signature and equality.
+    `orbit_records`, the input of `set_records`, `record_lines` and
+    `unlabeled_census`; that field is left out of the JSON, the signature
+    and equality.
     """
 
     group: str
@@ -193,6 +195,28 @@ class CensusReport:
         for mask in inverse_closed_masks(G):
             rec = by_mask[mask]
             yield rec if rec.set.mask == mask else replace(rec, set=ConnectionSet(G, mask))
+
+    def record_lines(self) -> Iterator[str]:
+        """The JSON lines of `set_records`, each serialised from its orbit's.
+
+        Members of an orbit differ only in their `"set"` value (their size
+        is an orbit invariant too), so each orbit's record is dumped once
+        and split around that value; every member's line is the head, its
+        own mask and the tail. Empty for a Monte-Carlo report.
+        """
+        if not self.orbit_records:
+            return
+        G = self.orbit_records[0][1].set.group
+        by_mask = {}
+        for orbit, rec in self.orbit_records:
+            line = json.dumps(rec.to_json_dict())
+            value = json.dumps(f"0x{rec.set.mask:x}")
+            cut = line.index('"set": ' + value) + len('"set": ')
+            parts = (line[:cut], line[cut + len(value):] + "\n")
+            by_mask.update(dict.fromkeys(orbit, parts))
+        for mask in inverse_closed_masks(G):
+            head, tail = by_mask[mask]
+            yield f'{head}"0x{mask:x}"{tail}'
 
     CSV_HEADER = ("group", "bucket", "count", "proportion")
 

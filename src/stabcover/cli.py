@@ -124,8 +124,7 @@ def cmd_census(args) -> int:
         report = exhaustive_census(G, enum_cap=args.enum_cap, workers=args.workers)
         if args.records:
             with open(args.records, "w") as f:
-                for rec in report.set_records():
-                    f.write(json.dumps(rec.to_json_dict()) + "\n")
+                f.writelines(report.record_lines())
     pieces = [report.to_json_dict()]
     if args.unlabeled:
         pieces.append(unlabeled_census(report).to_json_dict())

@@ -106,17 +106,20 @@ def connection_set(G: AbelianGroup, elements, symmetrize: bool = False) -> Conne
     return ConnectionSet(G, mask)
 
 
-def _symmetric_graph(n: int, rows: tuple[int, ...]) -> LabeledGraph:
+def _symmetric_graph(n: int, rows: tuple[int, ...], nbrs=None) -> LabeledGraph:
     """A `LabeledGraph` whose caller has proved its rows symmetric.
 
     Skips the validation in `LabeledGraph.__post_init__`, whose symmetry
     check costs one probe per edge. Only `cayley_graph` and
     `double_cover`, whose docstrings carry the proofs, call it; a
-    source-scan test keeps it so.
+    source-scan test keeps it so. A caller that already holds the rows'
+    neighbour lists, in increasing order, passes them as `nbrs`.
     """
     g = object.__new__(LabeledGraph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
+    if nbrs is not None:
+        object.__setattr__(g, "nbrs", nbrs)
     return g
 
 
@@ -138,10 +141,13 @@ def double_cover(g: LabeledGraph) -> LabeledGraph:
     u+ ~ v- iff u ~ v in the base graph; no edges inside a block. A loop at v
     becomes the edge v+ ~ v-. The rows are symmetric because g's are:
     v- is in the row of u+ iff v ~ u iff u ~ v iff u+ is in the row of v-.
+    The neighbour lists are lifted the same way: u+ has n + v for each
+    neighbour v of u, and u- has the base list of u, both increasing.
     """
     n = g.n
     rows = [row << n for row in g.rows] + list(g.rows)
-    return _symmetric_graph(2 * n, tuple(rows))
+    nbrs = tuple([n + v for v in nb] for nb in g.nbrs) + g.nbrs
+    return _symmetric_graph(2 * n, tuple(rows), nbrs)
 
 
 def is_connected(g: LabeledGraph) -> bool:

@@ -119,14 +119,38 @@ class AbelianGroup:
             if self.order > 1024:
                 a, b = self._coords[i], self._coords[j]
                 return self.index(tuple(x + y for x, y in zip(a, b)))
-            # small groups get a lazily built full addition table
-            idx, coords = self.index, self._coords
-            tab = [
-                [idx(tuple(x + y for x, y in zip(a, b))) for b in coords]
-                for a in coords
-            ]
+            tab = self._addition_table()
             object.__setattr__(self, "_sum", tab)
         return tab[i][j]
+
+    def _addition_table(self) -> list[list[int]]:
+        """Row a lists a + x for every x; built once, for small groups.
+
+        The row of each canonical generator e comes from coordinates; the
+        row of a + e is then the row of a read through the row of e, since
+        (a + x) + e = a + e + x, so a breadth-first walk from 0 along the
+        generators reaches every row with one `map` each.
+        """
+        idx, coords = self.index, self._coords
+        gen_rows = []
+        for pos in range(self.rank):
+            gen_rows.append(
+                [idx(c[:pos] + (c[pos] + 1,) + c[pos + 1:]) for c in coords]
+            )
+        tab: list = [None] * self.order
+        tab[0] = list(range(self.order))
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row_a = tab[a]
+                for row_e in gen_rows:
+                    b = row_e[a]
+                    if tab[b] is None:
+                        tab[b] = list(map(row_e.__getitem__, row_a))
+                        nxt.append(b)
+            frontier = nxt
+        return tab
 
     def neg(self, i: int) -> int:
         return self._neg[i]

@@ -466,7 +466,8 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
 
     Gamma_H/T is bipartite exactly when Gamma_H is, as a 2-coloring of
     either is constant on classes and a loop exists in both or in neither.
-    The translations and the inversion of H project to seeds on it.
+    The translations and the inversion of H project to seeds on it; the
+    translations by a generating set of H/T generate the rest.
     """
     n = G.order
     members = bit_indices(close_subgroup(G, S.members()))
@@ -492,7 +493,14 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
                 row |= 1 << pos[h]
         rows.append(row)
     quot = LabeledGraph(q, rows)
-    seeds = [as_perm([pos[G.add(g, t)] for g in reps]) for t in reps]
+    # translations by representatives generating H/T, greedily
+    gens: list[int] = []
+    span = close_subgroup(G, twins)
+    for t in reps:
+        if not span >> t & 1:
+            gens.append(t)
+            span = close_subgroup(G, twins + gens)
+    seeds = [as_perm([pos[G.add(g, t)] for g in reps]) for t in gens]
     seeds.append(as_perm([pos[G.neg(g)] for g in reps]))
     a_h = f * automorphism_group(quot, known_automorphisms=seeds).order
     fm = math.factorial(m)

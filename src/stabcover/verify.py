@@ -89,15 +89,21 @@ def check_fixed_point_cosets(max_order: int = 12) -> CheckResult:
     """Fixed points of x -> tau(x + g) form a coset of the fixed points of tau.
 
     One case per holomorph element: every tau in Aut(G) with every g in G.
+    A set is always a coset of itself, so this alone cannot tell the fixed
+    points of x -> tau(x + g) from those of tau. For each tau the fixed
+    point counts must also add up to |G| over g: x is fixed exactly for
+    g = tau^-1(x) - x, one g per x.
     """
     failures = []
     cases = 0
     for G in all_abelian_groups(max_order):
         for tau in automorphism_group_of_G(G):
             fix_tau = sum(1 << x for x in G.elements() if tau[x] == x)
+            fixed_total = 0
             for g in G.elements():
                 cases += 1
                 fix = sum(1 << x for x in G.elements() if tau[G.add(x, g)] == x)
+                fixed_total += fix.bit_count()
                 if fix == 0:
                     continue
                 x0 = (fix & -fix).bit_length() - 1
@@ -105,6 +111,11 @@ def check_fixed_point_cosets(max_order: int = 12) -> CheckResult:
                     failures.append(
                         f"{G.spec()} g={g}: 0x{fix:x} not a coset of 0x{fix_tau:x}"
                     )
+            if fixed_total != G.order:
+                failures.append(
+                    f"{G.spec()} tau={list(tau)}: {fixed_total} fixed points "
+                    f"over all g, not {G.order}"
+                )
     return CheckResult("fixed-point-cosets", cases, tuple(failures))
 
 

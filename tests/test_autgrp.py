@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helpers import has_edge
+from stabcover import autgrp
 from stabcover.autgrp import (
     DEFAULT_VERTEX_CAP,
     _refine,
@@ -15,10 +16,19 @@ from stabcover.autgrp import (
     canonical_form,
 )
 from stabcover.errors import CapExceededError, DomainError
-from stabcover.graphs import ConnectionSet, LabeledGraph, cayley_graph, double_cover
+from stabcover.census import hol_orbits
+from stabcover.graphs import (
+    ConnectionSet,
+    LabeledGraph,
+    cayley_graph,
+    double_cover,
+    is_bipartite,
+    is_connected,
+    is_twin_free,
+)
 from stabcover.groups import all_abelian_groups, inverse_closed_masks, make_group
 from stabcover.perms import PermutationGroup, as_perm, pmul
-from stabcover.stability import b_group
+from stabcover.stability import b0_group, b_group
 
 
 def _random_graph(rng, n, p=0.5, loops=False):
@@ -45,6 +55,11 @@ def _brute_automorphisms(g):
     return out
 
 
+def _assert_is_brute(A, brute):
+    assert A.order == len(brute)
+    assert set(A.elements()) == set(brute)
+
+
 def test_all_graphs_up_to_four_vertices():
     for n in range(5):
         pair_count = n * (n - 1) // 2
@@ -58,8 +73,14 @@ def test_all_graphs_up_to_four_vertices():
                         rows[v] |= 1 << u
                     k += 1
             g = LabeledGraph(n, tuple(rows))
-            A = automorphism_group(g)
-            assert A.order == len(_brute_automorphisms(g))
+            brute = _brute_automorphisms(g)
+            _assert_is_brute(automorphism_group(g), brute)
+            _assert_is_brute(_leaf_only_group(g), brute)
+            # and with the first two vertices colored apart from the rest
+            if n > 2:
+                block = [0, 1]
+                kept = [p for p in brute if {p[0], p[1]} == {0, 1}]
+                _assert_is_brute(automorphism_group(g, fixed_blocks=[block]), kept)
 
 
 def test_random_graphs_with_loops():
@@ -67,10 +88,9 @@ def test_random_graphs_with_loops():
     for _ in range(25):
         n = rng.randint(1, 7)
         g = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]), loops=True)
-        A = automorphism_group(g)
         brute = _brute_automorphisms(g)
-        assert A.order == len(brute)
-        assert all(A.contains(p) for p in brute)
+        _assert_is_brute(automorphism_group(g), brute)
+        _assert_is_brute(_leaf_only_group(g), brute)
 
 
 def test_known_orders():
@@ -99,15 +119,26 @@ def test_petersen_graph():
 
 def test_fixed_blocks_stabilizer():
     rng = random.Random(47)
+    cases = []
     for _ in range(15):
         n = rng.randint(2, 6)
-        g = _random_graph(rng, n)
-        block = list(range(rng.randint(1, n)))
+        cases.append((_random_graph(rng, n), rng.randint(1, n)))
+    # and graphs with loops at several densities
+    rng = random.Random(48)
+    for _ in range(25):
+        n = rng.randint(2, 7)
+        g = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]), loops=True)
+        cases.append((g, rng.randint(1, n)))
+    for g, size in cases:
+        n = g.n
+        block = list(range(size))
         A = automorphism_group(g, fixed_blocks=[block])
         brute = [
             p for p in _brute_automorphisms(g) if {p[v] for v in block} == set(block)
         ]
-        assert A.order == len(brute)
+        _assert_is_brute(A, brute)
+        colors = [1 if v in block else 0 for v in range(n)]
+        _assert_is_brute(_leaf_only_group(g, colors), brute)
 
 
 def test_fixed_blocks_overlap_rejected():
@@ -250,6 +281,210 @@ def test_plus_pointwise_stabilizer_matches_enumeration():
             assert found.order == expected
             nontrivial += expected > 1
     assert nontrivial > 0
+
+
+# -- node-level confirmation against the leaf-only search ----------------------
+
+
+class _LeafOnlySearch:
+    """The automorphism search before node-level confirmation.
+
+    Automorphisms are read off leaves whose adjacency encoding equals the
+    first leaf's, with the same target cells, orbit pruning and jumps back
+    to the common ancestor with the first path; kept as the oracle for
+    the generators `autgrp._Search` confirms at their nodes.
+    """
+
+    def __init__(self, g, colors):
+        self.g = g
+        keyed = {}
+        for v in range(g.n):
+            key = (colors[v], g.rows[v] >> v & 1, g.rows[v].bit_count())
+            keyed[key] = keyed.get(key, 0) | (1 << v)
+        self.initial = [keyed[k] for k in sorted(keyed)]
+        self.gens = []
+        self.first = None  # (vertex at each position, encoding, path)
+        self.leaves = 0
+
+    def node(self, cells, prefix):
+        sizes = [cell.bit_count() for cell in cells]
+        if max(sizes) == 1:
+            return self.leaf(cells, prefix)
+        target = sizes.index(max(sizes))
+        cell = cells[target]
+        done = 0
+        for v in _members(cell):
+            if done >> v & 1:
+                continue
+            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:]
+            jump = self.node(_refine(self.g.rows, child, [1 << v]), prefix + [v])
+            if jump is not None and jump < len(prefix):
+                return jump
+            usable = [p for p in self.gens if all(p[x] == x for x in prefix)]
+            orbit, frontier = 1 << v, [v]
+            while frontier:
+                x = frontier.pop()
+                for p in usable:
+                    if not orbit >> p[x] & 1:
+                        orbit |= 1 << p[x]
+                        frontier.append(p[x])
+            done |= orbit
+        return None
+
+    def leaf(self, cells, prefix):
+        self.leaves += 1
+        order = [cell.bit_length() - 1 for cell in cells]
+        pos = {v: i for i, v in enumerate(order)}
+        enc = tuple(
+            sum(1 << pos[u] for u in _members(self.g.rows[v])) for v in order
+        )
+        if self.first is None:
+            self.first = (order, enc, list(prefix))
+            return None
+        first_order, first_enc, first_path = self.first
+        if enc != first_enc:
+            return None
+        a = [0] * self.g.n
+        for x, y in zip(first_order, order):
+            a[x] = y
+        if a != list(range(self.g.n)):
+            self.gens.append(as_perm(a))
+        depth = 0
+        while prefix[depth] == first_path[depth]:
+            depth += 1
+        return depth
+
+
+def _leaf_only_group(g, colors=None):
+    search = _LeafOnlySearch(g, colors or [0] * g.n)
+    if g.n:
+        search.node(_refine(g.rows, search.initial), [])
+    return PermutationGroup(g.n, search.gens)
+
+
+def _assert_same_group(A, ref, elements_up_to=2_000):
+    assert A.order == ref.order
+    if A.order <= elements_up_to:
+        assert set(A.elements()) == set(ref.elements())
+    else:
+        assert all(A.contains(p) for p in ref.generators)
+        assert all(ref.contains(p) for p in A.generators)
+
+
+def test_node_confirmation_matches_leaf_only_search():
+    # every Cayley graph of order at most 8, and its cover with the blocks
+    # colored apart, as `b_group` has it, and with 0+ colored apart too,
+    # as `b0_group` searches it
+    for G in all_abelian_groups(8):
+        n = G.order
+        for mask in inverse_closed_masks(G):
+            gam = cayley_graph(G, ConnectionSet(G, mask))
+            cover = double_cover(gam)
+            _assert_same_group(automorphism_group(gam), _leaf_only_group(gam))
+            for blocks in ([list(range(n))], [[0], list(range(1, n))]):
+                colors = [0] * (2 * n)
+                for i, block in enumerate(blocks, start=1):
+                    for v in block:
+                        colors[v] = i
+                _assert_same_group(
+                    automorphism_group(cover, fixed_blocks=blocks),
+                    _leaf_only_group(cover, colors),
+                )
+
+
+# Cayley graphs of C4xC4 around the Shrikhande graph, Cay(C4xC4, {+-(0,1),
+# +-(1,0), +-(1,3)}) = 0x309a: refinement leaves nodes that are not images
+# of the first path with its cells, so candidates fail at the prefix or at
+# adjacency
+SHRIKHANDE_SETS = (0x309A, 0x309B, 0x309E, 0x319F, 0x359E)
+
+
+def test_node_confirmation_on_shrikhande_graphs(monkeypatch):
+    # a candidate that misplaces the prefix is no automorphism (an
+    # automorphism mapping the first-path node onto this one maps the first
+    # path onto this node's path), so the prefix comparison only spares the
+    # adjacency check, and it runs first; the adjacency check is what
+    # rejects the others
+    checked = []
+    prefix_stops = []
+    real_confirm, real_preserves = _Search._confirm, autgrp.preserves
+
+    def confirm(self, cells, prefix):
+        checked.append((self.first_path, prefix))
+        first = self.first_cells[len(prefix)]
+        if len(first) == len(cells) and all(
+            a == b if a & (a - 1) else not b & (b - 1) for a, b in zip(first, cells)
+        ):
+            images = {
+                a.bit_length() - 1: b.bit_length() - 1
+                for a, b in zip(first, cells)
+                if not a & (a - 1)
+            }
+            prefix_stops.append(
+                any(images.get(x, x) != y for x, y in zip(self.first_path, prefix))
+            )
+        return real_confirm(self, cells, prefix)
+
+    def preserves(graph, g):
+        first_path, prefix = checked[-1]
+        assert all(g[x] == y for x, y in zip(first_path, prefix))
+        ok = real_preserves(graph, g)
+        results.append(ok)
+        return ok
+
+    results = []
+    monkeypatch.setattr(_Search, "_confirm", confirm)
+    monkeypatch.setattr(autgrp, "preserves", preserves)
+    G = make_group([4, 4])
+    n = G.order
+    for mask in SHRIKHANDE_SETS:
+        gam = cayley_graph(G, ConnectionSet(G, mask))
+        cover = double_cover(gam)
+        _assert_same_group(automorphism_group(gam), _leaf_only_group(gam))
+        _assert_same_group(automorphism_group(cover), _leaf_only_group(cover))
+        for blocks in ([list(range(n))], [[0], list(range(1, n))]):
+            colors = [0] * (2 * n)
+            for i, block in enumerate(blocks, start=1):
+                for v in block:
+                    colors[v] = i
+            _assert_same_group(
+                automorphism_group(cover, fixed_blocks=blocks),
+                _leaf_only_group(cover, colors),
+            )
+    # every candidate reaching the adjacency check mapped the prefix; some
+    # were stopped at the prefix, and some by adjacency
+    assert True in prefix_stops and False in results
+
+
+def test_one_leaf_per_search_on_s1_covers(monkeypatch):
+    # C2xC10's S1 orbit representatives: every automorphism the B0 search
+    # finds is confirmed at a node, so only the first leaf is reached
+    leaves = []
+    real = _Search._leaf
+
+    def counted(self, cells, prefix):
+        leaves[-1] += 1
+        return real(self, cells, prefix)
+
+    monkeypatch.setattr(_Search, "_leaf", counted)
+    G = make_group([2, 10])
+    n = G.order
+    nontrivial = ref_leaves = 0
+    for orbit in hol_orbits(G):
+        S = ConnectionSet(G, orbit[0])
+        gam = cayley_graph(G, S)
+        if not (is_connected(gam) and not is_bipartite(gam) and is_twin_free(gam)):
+            continue
+        leaves.append(0)
+        B0 = b0_group(G, S, double_cover(gam))
+        nontrivial += B0.order > 2
+        assert leaves[-1] == 1, hex(orbit[0])
+        # the leaf-only search, colored as `b0_group` colors the cover
+        ref = _LeafOnlySearch(double_cover(gam), [1] + [2] * (n - 1) + [0] * n)
+        ref.node(_refine(ref.g.rows, ref.initial), [])
+        ref_leaves += ref.leaves
+    assert len(leaves) > 100 and nontrivial > 0
+    assert ref_leaves > len(leaves) + nontrivial
 
 
 # -- refinement against the splitting oracle -----------------------------------

@@ -221,6 +221,18 @@ def test_exhaustive_census_set_records():
     assert list(monte_carlo_census(G, samples=4, seed=1).set_records()) == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_record_lines_match_set_records(workers):
+    # the per-orbit line templates reproduce `set_records` serialised one
+    # by one, byte for byte
+    for G in [*all_abelian_groups(12), make_group([2, 10])]:
+        report = exhaustive_census(G, workers=workers)
+        want = "".join(json.dumps(r.to_json_dict()) + "\n" for r in report.set_records())
+        assert "".join(report.record_lines()) == want, G.spec()
+    mc = monte_carlo_census(make_group([2, 10]), samples=5, seed=1, workers=workers)
+    assert list(mc.record_lines()) == []
+
+
 def test_monte_carlo_determinism_and_worker_independence():
     # five samples leave most of the 32 shard ranges empty
     G = make_group([7])

@@ -49,6 +49,25 @@ def test_basic_arithmetic():
     assert G.coords(G.add(G.index((1, 3)), G.index((1, 2)))) == (0, 1)
 
 
+def _coordinate_sum(G, a, b):
+    facs = G.invariant_factors
+    return G.index(tuple((x + y) % d for x, y, d in zip(G.coords(a), G.coords(b), facs)))
+
+
+def test_addition_table_matches_coordinates():
+    for G in all_abelian_groups(64):
+        assert all(
+            G.add(a, b) == _coordinate_sum(G, a, b) for a in G.elements() for b in G.elements()
+        ), G.spec()
+    rng = random.Random(11)
+    for facs in ([512], [2, 256]):
+        G = make_group(facs)
+        for a in [0, 1, G.order - 1] + rng.sample(range(G.order), 20):
+            assert [G.add(a, b) for b in G.elements()] == [
+                _coordinate_sum(G, a, b) for b in G.elements()
+            ], (G.spec(), a)
+
+
 def test_generators_generate():
     for G in all_abelian_groups(12):
         assert close_subgroup(G, G.generators()) == (1 << G.order) - 1
