@@ -10,18 +10,26 @@ into a multi-vertex splitter are bit-sliced, added row by row into
 counter planes. The resulting cells are the coarsest equitable refinement
 of the input, in an order read from cells and counts alone, so labels
 never steer the search (see `_refine`).
-The canonical form is the lexicographically least leaf encoding; its
-search reads automorphisms off leaf collisions with the first leaf. The
-automorphism search confirms them at the node instead (as saucy does:
-Darga, Sakallah and Markov, DAC 2008): at a node of depth d that is no
-deeper than the first path, the map sending the singleton cells of the
-first-path node of depth d onto those of the node, in order, and fixing
-the other cells pointwise, is tried when those other cells are equal as
-sets. Cells are split in place, so equal cell sizes put each cell inside
-the same initial cell, and the map respects colors. It is kept when it
-sends the first path's prefix onto the node's prefix and preserves
-adjacency; the search then jumps back to the branch point, as from a
-leaf collision.
+Both searches confirm automorphisms at the node where they show (as
+saucy does: Darga, Sakallah and Markov, DAC 2008): at a node of depth d
+that is no deeper than the first path, the map sending the singleton
+cells of the first-path node of depth d onto those of the node, in
+order, and fixing the other cells pointwise, is tried when those other
+cells are equal as sets. Cells are split in place, so equal cell sizes
+put each cell inside the same initial cell, and the map respects colors.
+It is kept when it sends the first path's prefix onto the node's prefix
+and preserves adjacency; the search then jumps back to the first-path
+node of depth j where the node's path left the first path. The map fixes
+the first path's prefix of length j and sends its next vertex to the
+node's, so it carries the subtree below the first path's child of that
+node, already searched, onto the subtree being abandoned.
+
+The canonical form is the lexicographically least leaf encoding. Its
+search is the automorphism search that also encodes each leaf. An
+automorphism carrying one subtree onto another carries leaves onto
+leaves with equal encodings, since refinement and the choice of target
+cell never read labels; so the jumps and the orbit pruning skip only
+subtrees whose encodings have been met, and the least one is found.
 
 The automorphisms a search finds (seeds included) are a strong generating
 set relative to its first path as base (McKay and Piperno, *Practical
@@ -31,14 +39,13 @@ stabilizer of the prefix is either explored, and then yields a found
 automorphism fixing the prefix that maps it onto the path vertex, or
 skipped by `_orbit_of` as the image of an explored one under found
 automorphisms fixing the prefix. A map confirmed at a node below that
-vertex is such an automorphism, exactly as a leaf collision is: it fixes
-the common prefix and sends the path vertex to the explored one. One is
-always found there: below the explored vertex runs the image of the
-first path under an automorphism fixing the prefix, whose discrete node
-at the first leaf's depth passes every test, and orbit pruning skips a
-child only for an explored one below which such an image runs too. So
-`automorphism_group` hands the first path to
-`PermutationGroup.from_base`, which needs no Schreier-Sims.
+vertex is such an automorphism: it fixes the common prefix and sends the
+path vertex to the explored one. One is always found there: below the
+explored vertex runs the image of the first path under an automorphism
+fixing the prefix, whose discrete node at the first leaf's depth passes
+every test, and orbit pruning skips a child only for an explored one
+below which such an image runs too. So `automorphism_group` hands the
+first path to `PermutationGroup` as its base, and no Schreier-Sims runs.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError, DomainError
 from .graphs import LabeledGraph
 from .groups import bit_indices
-from .perms import PermutationGroup, as_perm, identity_perm, pinv, pmul
+from .perms import PermutationGroup, as_perm, identity_perm
 
 DEFAULT_VERTEX_CAP = 2000
 
@@ -166,12 +173,11 @@ def _refine(rows, cells: list[int], splitters: list[int] | None = None) -> list[
 class _Search:
     """One individualization-refinement traversal of a colored graph.
 
-    In automorphism mode a map confirmed at a node (see the module
-    docstring) triggers a jump back to the deepest common ancestor with
-    the first-leaf path (the aborted subtree is the image of an explored
-    one under the found automorphism). Canonical mode walks every
-    orbit-inequivalent branch to keep the least leaf encoding, and reads
-    automorphisms off leaf collisions with the first leaf.
+    A map confirmed at a node (see the module docstring) triggers a jump
+    back to the deepest common ancestor with the first path: the aborted
+    subtree is the image of an explored one under the found automorphism.
+    With `canonical` set the search also encodes each leaf and keeps the
+    least encoding; the traversal is the same either way.
     """
 
     def __init__(self, graph: LabeledGraph, colors, canonical: bool, seeds=()):
@@ -188,10 +194,9 @@ class _Search:
         self.initial = [keyed[k] for k in sorted(keyed)]
         self.gens: list = list(seeds)
         self._gen_set = set(self.gens)
-        self.first_leaf = None  # (perm, encoding), canonical mode only
         self.first_path: list[int] | None = None
         self.first_cells: list[list[int]] = []  # first-path cells, by depth
-        self.best = None  # (encoding, perm)
+        self.best = None  # (encoding, perm), canonical mode only
 
     def run(self):
         if self.n == 0:
@@ -212,17 +217,13 @@ class _Search:
         if self.first_path is None:
             self.first_path = list(prefix)
         if not self.canonical:
-            return  # later automorphisms are confirmed at their nodes
+            return
         images = [0] * self.n
         for pos, cell in enumerate(cells):
             images[cell.bit_length() - 1] = pos
         # singleton cells list discrete vertices, so images is a bijection
         p = as_perm(images)
         enc = self._encode(p)
-        if self.first_leaf is None:
-            self.first_leaf = (p, enc)
-        elif enc == self.first_leaf[1]:
-            self._add_gen(pmul(p, pinv(self.first_leaf[0])))
         if self.best is None or enc < self.best[0]:
             self.best = (enc, p)
 
@@ -278,7 +279,7 @@ class _Search:
         depth = len(prefix)
         if self.first_path is None:
             self.first_cells.append(cells)
-        elif not self.canonical and depth < len(self.first_cells):
+        elif depth < len(self.first_cells):
             jump = self._confirm(cells, prefix)
             if jump is not None:
                 return jump
@@ -358,7 +359,7 @@ def automorphism_group(
     # checking
     for g in search.gens[len(seeds):]:
         _assert_respects_blocks(g, fixed_blocks)
-    return PermutationGroup.from_base(graph.n, search.gens, search.first_path)
+    return PermutationGroup(graph.n, search.gens, search.first_path)
 
 
 def _assert_respects_blocks(g, fixed_blocks):

@@ -27,7 +27,7 @@ import random
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .autgrp import canonical_form
 from .errors import CapExceededError, DomainError, StabcoverError
@@ -110,9 +110,8 @@ class CensusReport:
     one per Aut(G)-orbit for an exhaustive census, `examined` for a
     Monte-Carlo one. It is left out of `signature()`. An exhaustive
     census keeps each orbit, as its masks, with its record in
-    `orbit_records`, the input of `set_records`, `record_lines` and
-    `unlabeled_census`; that field is left out of the JSON, the signature
-    and equality.
+    `orbit_records`, the input of `record_lines` and `unlabeled_census`;
+    that field is left out of the JSON, the signature and equality.
     """
 
     group: str
@@ -182,27 +181,14 @@ class CensusReport:
             "elapsed": self.elapsed,
         }
 
-    def set_records(self) -> Iterator[StabilityRecord]:
-        """One record per set, in the order of `inverse_closed_masks`.
-
-        Each member of an orbit gets its orbit's record, carrying its own
-        connection set. Empty for a Monte-Carlo report.
-        """
-        if not self.orbit_records:
-            return
-        G = self.orbit_records[0][1].set.group
-        by_mask = {mask: rec for orbit, rec in self.orbit_records for mask in orbit}
-        for mask in inverse_closed_masks(G):
-            rec = by_mask[mask]
-            yield rec if rec.set.mask == mask else replace(rec, set=ConnectionSet(G, mask))
-
     def record_lines(self) -> Iterator[str]:
-        """The JSON lines of `set_records`, each serialised from its orbit's.
+        """One JSON record line per set, in the order of `inverse_closed_masks`.
 
-        Members of an orbit differ only in their `"set"` value (their size
+        Each member of an orbit gets its orbit's record with its own mask
+        as the `"set"` value. Members differ only in that value (their size
         is an orbit invariant too), so each orbit's record is dumped once
-        and split around that value; every member's line is the head, its
-        own mask and the tail. Empty for a Monte-Carlo report.
+        and split around it; every member's line is the head, its own mask
+        and the tail. Empty for a Monte-Carlo report.
         """
         if not self.orbit_records:
             return

@@ -29,7 +29,9 @@ normalizes R. So the normalizer has |G| choices of a for each holomorph
 element x -> tau(x) + (b - a) fixing S setwise. That stabilizer always
 holds 1 and the inversion, which coincide exactly when G has exponent
 two, so the normalizer exceeds the translations extended by inversion
-exactly when S is in S3': S3 is S1 and S3'.
+exactly when S is in S3': S3 is S1 and S3'. No S2 set is in S3', since
+there N_B(R) <= B has order |G| |{1, -1}|, which forces
+Stab_Hol(S) = {1, -1}; `classify` skips the S3' scan for S2 sets.
 
 S3' is read off the rows S + h of Gamma = Cay(G, S), listing no
 holomorph: x -> tau(x) + g fixes S exactly when tau(S) = S - g, a row.
@@ -223,9 +225,7 @@ def b_group(
     """
     seeds = group_context(G).cover_seeds
     B0 = b0_group(G, S, cover)
-    B = PermutationGroup.from_base(
-        2 * G.order, [*seeds[:-1], *B0.generators], [0, *B0.base]
-    )
+    B = PermutationGroup(2 * G.order, [*seeds[:-1], *B0.generators], [0, *B0.base])
     for p in seeds:
         if not B.contains(p):
             raise DomainError("translations or inversion missing from the block stabilizer")
@@ -391,7 +391,8 @@ def classify(
 
     in_s1 = connected and not bipartite and twin_free
     in_s2 = in_s1 and b_order == target
-    in_s3prime = s3prime_membership(G, gam)
+    # no S2 set is in S3' (see the module docstring)
+    in_s3prime = not in_s2 and s3prime_membership(G, gam)
     # |N_B(R)| = n |Stab_Hol(S)| (see the module docstring)
     in_s3 = in_s1 and in_s3prime
 

@@ -1,14 +1,15 @@
 """Helpers shared by the tests; the package has no use for them.
 
-Besides a graph helper, this holds two reference implementations the
-tests compare against, Aut(G) by brute force and the subgroup lattice,
-and the sigma statistics on cosets of a subgroup with cyclic quotient and
-the Psi coincidence census, which the acceptance and stability tests
-check against the agreement-count bound.
+Besides a graph helper, this holds the reference implementations the
+tests compare against: deterministic Schreier-Sims, Aut(G) by brute
+force, the subgroup lattice and the per-set census records. It also
+holds the sigma statistics on cosets of a subgroup with cyclic quotient
+and the Psi coincidence census, which the acceptance and stability
+tests check against the agreement-count bound.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from stabcover.errors import DomainError
 from stabcover.graphs import ConnectionSet
@@ -18,7 +19,7 @@ from stabcover.groups import (
     close_subgroup,
     inverse_closed_masks,
 )
-from stabcover.perms import as_perm
+from stabcover.perms import PermutationGroup, as_perm, identity_perm, pinv, pmul
 
 
 def has_edge(g, u: int, v: int) -> bool:
@@ -27,6 +28,70 @@ def has_edge(g, u: int, v: int) -> bool:
 
 
 # -- reference implementations ------------------------------------------------
+
+
+def schreier_sims(degree: int, generators) -> tuple[list, list[int]]:
+    """A strong generating set and a base of the group the generators generate.
+
+    Deterministic Schreier-Sims. A generator sifted from level k stops at
+    level j with a residue fixing base[:j]. A residue other than the
+    identity joins the generators of levels k to j, opening a new level at
+    its least moved point when j is past the last, and those levels'
+    orbits are closed again, deepest first, each Schreier generator of
+    level m sifted from level m + 1. At the end the generators of level i
+    fix base[:i] and generate its pointwise stabilizer, so all of them
+    together are strong for the base, as `PermutationGroup` requires.
+    """
+    ident = identity_perm(degree)
+    base: list[int] = []
+    level_gens: list[list] = []
+    # per level: image -> transversal element u with base point^u = image
+    orbits: list[dict] = []
+
+    def sift(g, start):
+        for i in range(start, len(base)):
+            u = orbits[i].get(g[base[i]])
+            if u is None:
+                return g, i
+            g = pmul(g, pinv(u))
+        return g, len(base)
+
+    def incorporate(g, level):
+        h, j = sift(g, level)
+        if h == ident:
+            return
+        if j == len(base):
+            point = min(p for p in range(degree) if h[p] != p)
+            base.append(point)
+            level_gens.append([])
+            orbits.append({point: ident})
+        for m in range(level, j + 1):
+            level_gens[m].append(h)
+        for m in range(j, level - 1, -1):
+            close(m)
+
+    def close(m):
+        orbit = orbits[m]
+        pts = list(orbit)
+        for pt in pts:
+            for s in level_gens[m]:
+                img = s[pt]
+                v = pmul(orbit[pt], s)
+                if img not in orbit:
+                    orbit[img] = v
+                    pts.append(img)
+                else:
+                    incorporate(pmul(v, pinv(orbit[img])), m + 1)
+
+    for g in generators:
+        incorporate(as_perm(g, degree), 0)
+    strong = list(dict.fromkeys(s for gens in level_gens for s in gens))
+    return strong, base
+
+
+def reference_group(degree: int, generators) -> PermutationGroup:
+    """The group the generators generate, its chain read off `schreier_sims`."""
+    return PermutationGroup(degree, *schreier_sims(degree, generators))
 
 
 def brute_automorphisms(G: AbelianGroup) -> list:
@@ -50,6 +115,21 @@ def brute_automorphisms(G: AbelianGroup) -> list:
         if len(set(table)) == G.order:
             out.append(as_perm(table))
     return out
+
+
+def set_records(report):
+    """One record per set of an exhaustive census, in the order of
+    `inverse_closed_masks`, each member of an orbit given its orbit's
+    record with its own connection set; none for a Monte-Carlo report.
+    The reference for `CensusReport.record_lines`.
+    """
+    if not report.orbit_records:
+        return
+    G = report.orbit_records[0][1].set.group
+    by_mask = {mask: rec for orbit, rec in report.orbit_records for mask in orbit}
+    for mask in inverse_closed_masks(G):
+        rec = by_mask[mask]
+        yield rec if rec.set.mask == mask else replace(rec, set=ConnectionSet(G, mask))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from helpers import make_sigma_context, psi_census, subgroups
+from helpers import make_sigma_context, psi_census, set_records, subgroups
 from stabcover.bounds import default_grid, h_delta_terms, lemma_bound_table
 from stabcover.census import exhaustive_census, stabilized_count, unlabeled_census
 from stabcover.groups import all_abelian_groups, make_group
@@ -85,7 +85,7 @@ def test_odd_order_groups_have_no_nontrivially_unstable_sets():
     bad = []
     total = 0
     for facs in [(5,), (7,), (9,), (3, 3), (11,), (13,), (15,)]:
-        records = list(exhaustive_census(make_group(facs)).set_records())
+        records = list(set_records(exhaustive_census(make_group(facs))))
         total += len(records)
         bad += [f"{r.group} {r.set.mask:#x}" for r in records if r.nontrivially_unstable]
     _report(6, not bad, f"7 odd-order censuses, {total} sets; offenders: {bad or '-'}")

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import has_edge
+from helpers import has_edge, reference_group
 from stabcover import autgrp
 from stabcover.autgrp import (
     DEFAULT_VERTEX_CAP,
@@ -27,7 +27,7 @@ from stabcover.graphs import (
     is_twin_free,
 )
 from stabcover.groups import all_abelian_groups, inverse_closed_masks, make_group
-from stabcover.perms import PermutationGroup, as_perm, pmul
+from stabcover.perms import as_perm, pmul
 from stabcover.stability import b0_group, b_group
 
 
@@ -221,7 +221,7 @@ def _assert_matches_schreier_sims(A, elements_up_to=2_000):
     Membership is compared on every element (sifting through each
     transversal inverse) and on each element times a transposition.
     """
-    ref = PermutationGroup(A.degree, A.generators)
+    ref = reference_group(A.degree, A.generators)
     assert A.order == ref.order
     swap = as_perm([1, 0] + list(range(2, A.degree)) if A.degree > 1 else [0])
     if A.order <= elements_up_to:
@@ -292,7 +292,8 @@ class _LeafOnlySearch:
     Automorphisms are read off leaves whose adjacency encoding equals the
     first leaf's, with the same target cells, orbit pruning and jumps back
     to the common ancestor with the first path; kept as the oracle for
-    the generators `autgrp._Search` confirms at their nodes.
+    the generators `autgrp._Search` confirms at their nodes, and, by the
+    least leaf encoding it meets, for `canonical_form`.
     """
 
     def __init__(self, g, colors):
@@ -304,6 +305,7 @@ class _LeafOnlySearch:
         self.initial = [keyed[k] for k in sorted(keyed)]
         self.gens = []
         self.first = None  # (vertex at each position, encoding, path)
+        self.best = None  # least leaf encoding
         self.leaves = 0
 
     def node(self, cells, prefix):
@@ -338,6 +340,8 @@ class _LeafOnlySearch:
         enc = tuple(
             sum(1 << pos[u] for u in _members(self.g.rows[v])) for v in order
         )
+        if self.best is None or enc < self.best:
+            self.best = enc
         if self.first is None:
             self.first = (order, enc, list(prefix))
             return None
@@ -355,11 +359,22 @@ class _LeafOnlySearch:
         return depth
 
 
-def _leaf_only_group(g, colors=None):
+def _leaf_only_search(g, colors=None):
     search = _LeafOnlySearch(g, colors or [0] * g.n)
     if g.n:
         search.node(_refine(g.rows, search.initial), [])
-    return PermutationGroup(g.n, search.gens)
+    return search
+
+
+def _leaf_only_group(g, colors=None):
+    return reference_group(g.n, _leaf_only_search(g, colors).gens)
+
+
+def _leaf_only_canonical_bytes(g):
+    """`canonical_form` bytes of g, from the leaf-only search's least leaf."""
+    width = (g.n + 7) // 8
+    rows = _leaf_only_search(g).best
+    return g.n.to_bytes(4, "big") + b"".join(row.to_bytes(width, "little") for row in rows)
 
 
 def _assert_same_group(A, ref, elements_up_to=2_000):
@@ -390,6 +405,45 @@ def test_node_confirmation_matches_leaf_only_search():
                     automorphism_group(cover, fixed_blocks=blocks),
                     _leaf_only_group(cover, colors),
                 )
+
+
+def _disjoint_union(graphs):
+    rows, offset = [], 0
+    for g in graphs:
+        rows += [row << offset for row in g.rows]
+        offset += g.n
+    return LabeledGraph(offset, tuple(rows))
+
+
+def test_canonical_form_matches_leaf_only_search():
+    # the least leaf encoding of a search that reads automorphisms off
+    # collisions with the first leaf, against `canonical_form`, whose search
+    # confirms them at nodes and jumps on: both meet the least encoding, for
+    # every Cayley graph of order at most 10 and its cover
+    for G in all_abelian_groups(10):
+        for mask in inverse_closed_masks(G):
+            gam = cayley_graph(G, ConnectionSet(G, mask))
+            for g in (gam, double_cover(gam)):
+                assert canonical_form(g).bytes == _leaf_only_canonical_bytes(g), (
+                    G.spec(), hex(mask), g.n
+                )
+    # on those graphs the leaves are often all images of the first leaf,
+    # so a wrong jump goes unseen; in a disjoint union of three Cayley
+    # graphs of one degree, randomly relabeled, cells mix components that
+    # no automorphism swaps, and skipping a branch can lose the least
+    # encoding (jumping one level too far, or leaving the branch node, is
+    # caught here and not above)
+    rng = random.Random(3)
+    small = [
+        cayley_graph(G, ConnectionSet(G, mask))
+        for G in all_abelian_groups(6)
+        for mask in inverse_closed_masks(G)
+    ]
+    for parts in itertools.combinations_with_replacement(small, 3):
+        if len({g.rows[0].bit_count() for g in parts}) == 1:
+            g = _disjoint_union(parts)
+            g = g.relabel(as_perm(rng.sample(range(g.n), g.n)))
+            assert canonical_form(g).bytes == _leaf_only_canonical_bytes(g), g.rows
 
 
 # Cayley graphs of C4xC4 around the Shrikhande graph, Cay(C4xC4, {+-(0,1),
@@ -480,9 +534,8 @@ def test_one_leaf_per_search_on_s1_covers(monkeypatch):
         nontrivial += B0.order > 2
         assert leaves[-1] == 1, hex(orbit[0])
         # the leaf-only search, colored as `b0_group` colors the cover
-        ref = _LeafOnlySearch(double_cover(gam), [1] + [2] * (n - 1) + [0] * n)
-        ref.node(_refine(ref.g.rows, ref.initial), [])
-        ref_leaves += ref.leaves
+        colors = [1] + [2] * (n - 1) + [0] * n
+        ref_leaves += _leaf_only_search(double_cover(gam), colors).leaves
     assert len(leaves) > 100 and nontrivial > 0
     assert ref_leaves > len(leaves) + nontrivial
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import set_records
 from stabcover import census, cli, groups, stability
 from stabcover.census import (
     BUCKETS,
@@ -138,10 +139,10 @@ def test_exhaustive_census_worker_independence():
         G = make_group(facs)
         reps = [exhaustive_census(G, workers=w) for w in (1, 2, 3)]
         assert len({(r.signature(), r.classified) for r in reps}) == 1
-        records = list(reps[0].set_records())
+        records = list(set_records(reps[0]))
         unlabeled = _unlabeled_json(unlabeled_census(reps[0]))
         for r in reps[1:]:
-            assert list(r.set_records()) == records, (G.spec(), r)
+            assert list(set_records(r)) == records, (G.spec(), r)
             assert _unlabeled_json(unlabeled_census(r)) == unlabeled, G.spec()
 
 
@@ -158,7 +159,7 @@ def _per_set_oracle(G, **caps):
 
 def _orbit_census_against_oracle(G, **caps):
     report = exhaustive_census(G, **caps)
-    records = list(report.set_records())
+    records = list(set_records(report))
     oracle, oracle_counts = _per_set_oracle(G, **caps)
     assert [rec.set.mask for rec in records] == list(oracle)
     for rec in records:
@@ -215,10 +216,10 @@ def test_exhaustive_census_builds_aut_g_once(monkeypatch):
 
 def test_exhaustive_census_set_records():
     G = make_group([5])
-    records = list(exhaustive_census(G).set_records())
+    records = list(set_records(exhaustive_census(G)))
     assert [rec.set.mask for rec in records] == list(inverse_closed_masks(G))
-    assert list(exhaustive_census(G, workers=2).set_records()) == records
-    assert list(monte_carlo_census(G, samples=4, seed=1).set_records()) == []
+    assert list(set_records(exhaustive_census(G, workers=2))) == records
+    assert list(set_records(monte_carlo_census(G, samples=4, seed=1))) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -227,7 +228,7 @@ def test_record_lines_match_set_records(workers):
     # by one, byte for byte
     for G in [*all_abelian_groups(12), make_group([2, 10])]:
         report = exhaustive_census(G, workers=workers)
-        want = "".join(json.dumps(r.to_json_dict()) + "\n" for r in report.set_records())
+        want = "".join(json.dumps(r.to_json_dict()) + "\n" for r in set_records(report))
         assert "".join(report.record_lines()) == want, G.spec()
     mc = monte_carlo_census(make_group([2, 10]), samples=5, seed=1, workers=workers)
     assert list(mc.record_lines()) == []

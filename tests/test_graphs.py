@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import has_edge
+from helpers import has_edge, reference_group
 from stabcover.errors import DomainError
 from stabcover.graphs import (
     ConnectionSet,
@@ -29,7 +29,7 @@ from stabcover.groups import (
     inverse_closed_masks,
     make_group,
 )
-from stabcover.perms import PermutationGroup, as_perm, pinv, pmul
+from stabcover.perms import as_perm, pinv, pmul
 from stabcover.stability import b_group
 
 
@@ -189,7 +189,7 @@ def test_bicoset_graph_by_hand():
     # X = Sym(3) on 3 points, H = K = <(0 1)>, D = H: the coset graph is
     # a perfect matching between equal cosets
     gens = [as_perm([1, 0, 2]), as_perm([1, 2, 0])]
-    X = PermutationGroup(3, gens)
+    X = reference_group(3, gens)
     elems = X.elements()
     H = frozenset([as_perm([0, 1, 2]), as_perm([1, 0, 2])])
     spec = make_bicoset_spec(elems, H, H, H)
@@ -200,7 +200,7 @@ def test_bicoset_graph_by_hand():
 
 def test_bicoset_spec_rejects_partial_double_coset():
     gens = [as_perm([1, 0, 2]), as_perm([1, 2, 0])]
-    X = PermutationGroup(3, gens)
+    X = reference_group(3, gens)
     elems = X.elements()
     H = frozenset([as_perm([0, 1, 2]), as_perm([1, 0, 2])])
     with pytest.raises(DomainError):
@@ -297,12 +297,12 @@ def test_cosets_match_oracle_on_block_stabilizers():
 
 
 def test_cosets_match_oracle_on_sym4_subgroups():
-    X = PermutationGroup(4, [as_perm([1, 2, 3, 0]), as_perm([1, 0, 2, 3])])
+    X = reference_group(4, [as_perm([1, 2, 3, 0]), as_perm([1, 0, 2, 3])])
     subgroups = [
-        PermutationGroup(4, [as_perm([1, 0, 2, 3])]),
-        PermutationGroup(4, [as_perm([1, 2, 3, 0])]),
-        PermutationGroup(4, [as_perm([1, 0, 3, 2]), as_perm([2, 3, 0, 1])]),
-        PermutationGroup(4, [as_perm([0, 2, 3, 1]), as_perm([0, 2, 1, 3])]),
+        reference_group(4, [as_perm([1, 0, 2, 3])]),
+        reference_group(4, [as_perm([1, 2, 3, 0])]),
+        reference_group(4, [as_perm([1, 0, 3, 2]), as_perm([2, 3, 0, 1])]),
+        reference_group(4, [as_perm([0, 2, 3, 1]), as_perm([0, 2, 1, 3])]),
     ]
     rng = random.Random(11)
     shuffled = X.elements()

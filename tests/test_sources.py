@@ -6,6 +6,12 @@ from pathlib import Path
 import stabcover
 
 
+def _package_trees():
+    """(file name, syntax tree) of every package module."""
+    for path in sorted(Path(stabcover.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by an import that no expression of the module reads."""
     imported = {}
@@ -27,9 +33,8 @@ def test_unused_imports_scan_sees_them():
 
 def test_no_unused_imports():
     offenders = []
-    for path in sorted(Path(stabcover.__file__).parent.glob("*.py")):
-        for entry in _unused_imports(ast.parse(path.read_text())):
-            offenders.append(f"{path.name}:{entry}")
+    for name, tree in _package_trees():
+        offenders += [f"{name}:{entry}" for entry in _unused_imports(tree)]
     assert offenders == []
 
 
@@ -56,7 +61,29 @@ def test_only_cayley_graph_and_double_cover_skip_the_symmetry_check():
     probe = ast.parse("def f():\n    g.h._s(1)\nk = _s\ndef _s(): pass\n")
     assert _referrers(probe, "_s") == {"f", "<module>"}
     callers = set()
-    for path in sorted(Path(stabcover.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        callers |= {f"{path.name}:{f}" for f in _referrers(tree, "_symmetric_graph")}
+    for name, tree in _package_trees():
+        callers |= {f"{name}:{f}" for f in _referrers(tree, "_symmetric_graph")}
     assert callers == {"graphs.py:cayley_graph", "graphs.py:double_cover"}
+
+
+def test_groups_take_a_base_and_searches_confirm_at_nodes():
+    # Schreier-Sims lives in the tests' helpers, and automorphisms are
+    # confirmed at search nodes, never read off a first leaf; so no package
+    # module defines the Schreier-Sims steps or names `first_leaf`, and
+    # every group is built from a base its generators are strong for
+    defined, named, calls = [], [], []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name in ("_incorporate", "_close_level", "from_base"):
+                    defined.append(f"{name}:{node.lineno}: {node.name}")
+            if "first_leaf" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                named.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "PermutationGroup":
+                    given = len(node.args) + len(node.keywords)
+                    calls.append((f"{name}:{node.lineno}", given))
+    assert defined == [] and named == []
+    assert len(calls) >= 2
+    assert [where for where, given in calls if given != 3] == []

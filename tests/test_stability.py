@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import make_sigma_context, psi_census, sigma, subgroups
+from helpers import make_sigma_context, psi_census, reference_group, sigma, subgroups
 from stabcover import stability
 from stabcover.autgrp import assert_preserves, automorphism_group
 from stabcover.errors import DomainError
@@ -25,7 +25,7 @@ from stabcover.groups import (
     make_group,
     map_mask,
 )
-from stabcover.perms import PermutationGroup, identity_perm, left_mul, pinv, pmul
+from stabcover.perms import identity_perm, left_mul, pinv, pmul
 from stabcover.stability import (
     TriState,
     b0_group,
@@ -73,7 +73,7 @@ def test_b_group_from_point_stabilizer():
             old = automorphism_group(
                 cover, fixed_blocks=[list(range(n))], known_automorphisms=seeds
             )
-            ref = PermutationGroup(2 * n, old.generators)
+            ref = reference_group(2 * n, old.generators)
             assert set(B.elements()) == set(ref.elements()), (G.spec(), hex(mask))
             b0_elems = B0.elements()
             assert all(x[0] == 0 for x in b0_elems)
@@ -303,6 +303,31 @@ def test_s3prime_from_rows_against_holomorph():
     assert sum(checked.values()) == 1002
     assert checked[False, False] == 0
     assert checked[True, True] and checked[False, True]
+
+
+def test_s2_sets_skip_the_s3prime_scan(monkeypatch):
+    # `classify` decides S3' without the scan for S2 sets, where the
+    # normalizer identity leaves Stab_Hol(S) = {1, -1}; the scan agrees
+    # with the record on every set of order at most 12
+    real = stability.s3prime_membership
+    scanned = []
+
+    def counted(G, gam):
+        scanned.append(gam.rows[0])
+        return real(G, gam)
+
+    monkeypatch.setattr(stability, "s3prime_membership", counted)
+    s2 = 0
+    for G in all_abelian_groups(12):
+        for mask in inverse_closed_masks(G):
+            S = ConnectionSet(G, mask)
+            scanned.clear()
+            rec = classify(G, S)
+            assert scanned == ([] if rec.in_s2 else [mask]), (G.spec(), hex(mask))
+            want = real(G, cayley_graph(G, S))
+            assert rec.in_s3prime == want, (G.spec(), hex(mask))
+            s2 += rec.in_s2
+    assert s2 == 172
 
 
 # -- element-closure witness for the class-mask scan ---------------------------
