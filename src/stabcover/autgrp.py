@@ -335,8 +335,11 @@ def automorphism_group(
     """Full automorphism group, or the subgroup fixing each given block setwise.
 
     known_automorphisms seeds the pruning with automorphisms the caller can
-    already name (they are verified first); the result is the same group,
-    found faster when the seeds act transitively on large cells.
+    already name (they are verified first); the result is the same group.
+    `stability` passes one seed, the inversion or its cover lift, to
+    searches of a point stabilizer: a translation group regular on the
+    point's block supplies the rest of the order (see its module
+    docstring), so no translation is needed as a seed.
     """
     _check_cap(graph.n)
     colors = [0] * graph.n

@@ -27,7 +27,7 @@ import random
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .autgrp import canonical_form
 from .errors import CapExceededError, DomainError, StabcoverError
@@ -443,19 +443,7 @@ class UnlabeledReport:
     elapsed: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "total": self.total,
-            "hol_order": self.hol_order,
-            "unlabeled_count": self.unlabeled_count,
-            "good_set_count": self.good_set_count,
-            "good_class_count": self.good_class_count,
-            "hol_orbit_count": self.hol_orbit_count,
-            "good_hol_orbit_count": self.good_hol_orbit_count,
-            "lower_bound_holds": self.lower_bound_holds,
-            "good_classes_are_hol_orbits": self.good_classes_are_hol_orbits,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def hol_orbits(G: AbelianGroup) -> list[list[int]]:

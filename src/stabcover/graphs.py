@@ -13,15 +13,7 @@ from functools import cached_property
 
 from .errors import DomainError
 from .groups import AbelianGroup, bit_indices, is_inverse_closed
-from .perms import (
-    DEFAULT_ENUM_CAP,
-    PermutationGroup,
-    as_perm,
-    left_mul,
-    mul_table,
-    pinv,
-    right_mul,
-)
+from .perms import as_perm, left_mul, mul_table, pinv, right_mul
 
 
 @dataclass(frozen=True)
@@ -308,26 +300,22 @@ def bicoset_graph(spec: BiCosetSpec) -> LabeledGraph:
     return LabeledGraph(n, tuple(rows))
 
 
-def verify_bicoset_isomorphism(
-    G: AbelianGroup,
-    S: ConnectionSet,
-    X: PermutationGroup,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> bool:
+def verify_bicoset_isomorphism(G: AbelianGroup, S: ConnectionSet, elements) -> bool:
     """Check the explicit bi-coset model of a double cover.
 
-    X must act on the 2n cover vertices with orbits exactly the + and -
-    blocks. With H and K the stabilizers of 0+ and 0-, and Y the set of
-    x in X sending 0- into the neighbourhood of 0+, the map sending
+    `elements` lists a group X of permutations of the 2n cover vertices,
+    each element once, whose orbits are exactly the + and - blocks. With
+    H and K the stabilizers of 0+ and 0-, and Y the set of x in X sending
+    0- into the neighbourhood of 0+, the map sending
     (0+)^x to Hx and (0-)^x to Kx must be a graph isomorphism from the
     cover onto the bi-coset graph of (X, H, K, Y). Also checks the
     inversion symmetry: K R(g) H inside Y iff K R(-g) H inside Y.
     """
     n = G.order
-    if X.degree != 2 * n:
+    elems = list(elements)
+    if any(len(x) != 2 * n for x in elems):
         raise DomainError("X does not act on the cover vertex set")
     cover = double_cover(cayley_graph(G, S))
-    elems = X.elements(cap)
     plus = frozenset(range(n))
     if {x[0] for x in elems} != plus or {x[n] for x in elems} != frozenset(
         range(n, 2 * n)

@@ -10,14 +10,13 @@ and runs unchanged on either representation.
 
 Groups carry a lazily-built stabilizer chain giving order, membership,
 and bounded element enumeration. A group is always built from a base
-relative to which its generators are strong: `autgrp.automorphism_group`
-passes its search's first path, and `stability.b_group` passes 0+
-followed by the base of B0. Each level of the chain is then one orbit
-enumeration, with no Schreier generator sifted; deterministic
-Schreier-Sims survives only as the tests' reference, whose strong
-generating set and base this class takes like any other. The chain, and
-so the enumeration order, is reproducible for a fixed generator list and
-base.
+relative to which its generators are strong; in the package only
+`autgrp.automorphism_group` builds one, from its search's first path.
+Each level of the chain is then one orbit enumeration, with no Schreier
+generator sifted; deterministic Schreier-Sims survives only as the
+tests' reference, whose strong generating set and base this class takes
+like any other. The chain, and so the enumeration order, is reproducible
+for a fixed generator list and base.
 """
 
 from __future__ import annotations
@@ -194,12 +193,6 @@ class PermutationGroup:
         assert self._order is not None
         return self._order
 
-    @property
-    def base(self) -> list[int]:
-        """The points of the chain's levels: a base, each of whose points has
-        a nontrivial orbit under the stabilizer of the points before it."""
-        return [lvl.point for lvl in self._build()]
-
     def contains(self, p) -> bool:
         return self._sift(as_perm(p, self.degree)) == identity_perm(self.degree)
 
@@ -213,7 +206,4 @@ class PermutationGroup:
             transversal = [lvl.orbit[pt] for pt in sorted(lvl.orbit)]
             out = [s for t in transversal for s in map(right_mul(t), out)]
         return out
-
-    def __len__(self) -> int:
-        return self.order
 

@@ -40,7 +40,17 @@ inversion exactly when g is nonzero and S - g = S: Gamma has twins. So
 S is in S3' exactly when Gamma has twins or tau(S) is a row of Gamma
 for some tau in Aut(G) other than 1 and -1.
 
-Every per-group table (Aut(G) without 1 and -1, the automorphism seeds,
+Every group order here follows one rule. If a group of automorphisms
+holds a subgroup R regular on a block of vertices, its order is |R|
+times that of the stabilizer of one point of the block, and the
+stabilizer is searched with the inversion, or its cover lift, as the
+only seed. The translations of G are regular on Cay(G, S), so
+|Aut(Cay(G, S))| = |G| |Aut_0|; the twin quotient of a component is a
+Cayley graph of a quotient group, with its own translations
+(`factored_orders`); and the lifted translations lie in B(S) and are
+regular on the + block, so |B(S)| = |G| |B0| (`b0_group`).
+
+Every per-group table (Aut(G) without 1 and -1, the lifted inversion,
 the translation lifts and the fix0 tables that reduce an element of B(S)
 to the stabilizer of 0+) lives in one `GroupContext`, built once per
 group by `group_context`.
@@ -119,12 +129,12 @@ class GroupContext:
     """The tables every classification of sets in one group reads.
 
     Aut(G) as permutation tables, for the census's orbit list and
-    |Hol(G)|; those tables without 1 and -1 for the S3' test; the
-    automorphism seeds, the translation lifts and the fix0 tables of the
-    S4/S5 scan. The scan lists the point stabilizer B0 of 0+ that
-    `b0_group` searches, not B(S), though its enumeration cap is still on
-    |B(S)| = |G| |B0|. Each field is built on first use, so a caller
-    needing only the seeds (`b0_group`, `b_group`) never lists Aut(G).
+    |Hol(G)|; those tables without 1 and -1 for the S3' test; the lifted
+    inversion, the one seed of `b0_group`; the translation lifts and the
+    fix0 tables of the S4/S5 scan. The scan lists the point stabilizer B0
+    of 0+ that `b0_group` searches, not B(S), though its enumeration cap
+    is still on |B(S)| = |G| |B0|. Each field is built on first use, so
+    a caller needing only the seed never lists Aut(G).
     """
 
     G: AbelianGroup
@@ -142,16 +152,9 @@ class GroupContext:
         return tuple(tau for tau in self.automorphisms if tau not in trivial)
 
     @cached_property
-    def base_seeds(self) -> tuple:
-        """Translations by the canonical generators, then the inversion."""
-        G = self.G
-        gens = tuple(base_translation_perm(G, g) for g in G.generators())
-        return gens + (base_inversion_perm(G),)
-
-    @cached_property
-    def cover_seeds(self) -> tuple:
-        """Cover lifts of `base_seeds`: translation generators, then inversion."""
-        return tuple(cover_lift(p) for p in self.base_seeds)
+    def inversion_lift(self):
+        """Cover lift of the inversion: the one seed of every B0 search."""
+        return cover_lift(base_inversion_perm(self.G))
 
     @cached_property
     def translation_lifts(self) -> tuple:
@@ -188,16 +191,18 @@ def b0_group(
     Computed as the color-respecting automorphism group of the cover with
     three colors: {0+}, the rest of the + block, and the - block. A map
     fixing 0+ and the rest of + fixes the + block setwise, so this is
-    exactly the stabilizer of 0+ in B(S). The inversion fixes 0+ and seeds
-    the search. The translations are cover automorphisms unchecked, since
-    `cayley_graph` builds row i as S + i and `double_cover` lifts rows.
-    They form R, which fixes the + block and is regular on it, so
-    B(S) = R B0 with R and B0 meeting in the identity, and
-    |B(S)| = |G| |B0|. A caller that has already built the double cover
-    of Cay(G, S) passes it as `cover`.
+    exactly the stabilizer of 0+ in B(S). The lifted inversion fixes 0+
+    and is the search's only seed. The translations are cover
+    automorphisms unchecked, since `cayley_graph` builds row i as S + i
+    and `double_cover` lifts rows. They form R, which fixes the + block
+    and is regular on it, so B(S) = R B0 with R and B0 meeting in the
+    identity, and |B(S)| = |G| |B0|: B(S) is never built, and its
+    elements, where needed, are the products of B0's with the
+    `GroupContext.translation_lifts`. A caller that has already built the
+    double cover of Cay(G, S) passes it as `cover`.
     """
     n = G.order
-    iota = group_context(G).cover_seeds[-1]
+    iota = group_context(G).inversion_lift
     if cover is None:
         cover = double_cover(cayley_graph(G, S))
     B0 = automorphism_group(
@@ -208,28 +213,6 @@ def b0_group(
     if not B0.contains(iota):
         raise DomainError("inversion missing from the point stabilizer")
     return B0
-
-
-def b_group(
-    G: AbelianGroup, S: ConnectionSet, cover: LabeledGraph | None = None
-) -> PermutationGroup:
-    """Setwise stabilizer of the + block in the cover's automorphism group.
-
-    B(S) = R B0 (see `b0_group`). The translation generators and the
-    generators of B0 are strong relative to the base 0+ followed by B0's
-    base: they generate B(S), whose orbit of 0+ is the + block; those
-    fixing 0+ are B0's generators, since no nontrivial translation fixes
-    it, and they are strong for B0's base. So the chain is read off that
-    base with no Schreier-Sims. A caller that has already built the double
-    cover of Cay(G, S) passes it as `cover`.
-    """
-    seeds = group_context(G).cover_seeds
-    B0 = b0_group(G, S, cover)
-    B = PermutationGroup(2 * G.order, [*seeds[:-1], *B0.generators], [0, *B0.base])
-    for p in seeds:
-        if not B.contains(p):
-            raise DomainError("translations or inversion missing from the block stabilizer")
-    return B
 
 
 # -- records -----------------------------------------------------------------
@@ -316,28 +299,15 @@ class StabilityRecord:
         }
 
     def to_csv_row(self) -> list[str]:
-        def b(x: bool) -> str:
-            return "true" if x else "false"
+        """`to_json_dict` over `CSV_COLUMNS`: bools as true/false, reasons joined by ;."""
+        d = self.to_json_dict()
 
-        return [
-            self.group,
-            f"0x{self.set.mask:x}",
-            str(self.aut_order),
-            str(self.cover_aut_order),
-            str(self.b_order),
-            b(self.connected),
-            b(self.bipartite),
-            b(self.twin_free),
-            b(self.stable),
-            b(self.in_s1),
-            b(self.in_s2),
-            b(self.in_s3prime),
-            b(self.exponent_two),
-            ";".join(self.trivial_instability_reasons),
-            b(self.in_s3),
-            self.in_s4.value,
-            self.in_s5.value,
-        ]
+        def cell(v) -> str:
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return ";".join(v) if isinstance(v, list) else str(v)
+
+        return [cell(d[col]) for col in self.CSV_COLUMNS]
 
 
 # -- the classification pipeline ---------------------------------------------
@@ -367,8 +337,10 @@ def classify(
         # the enumeration cap is on |B| = n |B0|, decided here only
         b0_elems = B0.elements(enum_cap) if b_order <= enum_cap else None
         if b0_elems is None:
-            aut_order = automorphism_group(
-                gam, known_automorphisms=group_context(G).base_seeds
+            # the translations are regular on Cay(G, S): n times the
+            # stabilizer of 0, which the inversion fixes
+            aut_order = n * automorphism_group(
+                gam, fixed_blocks=[[0]], known_automorphisms=[base_inversion_perm(G)]
             ).order
         else:
             # base automorphisms are exactly the diagonal elements of B;
@@ -467,8 +439,13 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
 
     Gamma_H/T is bipartite exactly when Gamma_H is, as a 2-coloring of
     either is constant on classes and a loop exists in both or in neither.
-    The translations and the inversion of H project to seeds on it; the
-    translations by a generating set of H/T generate the rest.
+    It is the Cayley graph of H/T whose connection set is the image of S
+    (S + T = S), so the translations of H/T are regular on its vertices,
+    and their lifts on the + block of its cover. Both orders are then q
+    times a point stabilizer (see the module docstring): |Aut(Gamma_H/T)|
+    = q |Aut_0| and |B(Gamma_H/T)| = q |B0|, searched with the projected
+    inversion of H, or its lift, as the only seed. The class of 0 is
+    vertex 0.
     """
     n = G.order
     members = bit_indices(close_subgroup(G, S.members()))
@@ -494,22 +471,16 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
                 row |= 1 << pos[h]
         rows.append(row)
     quot = LabeledGraph(q, rows)
-    # translations by representatives generating H/T, greedily
-    gens: list[int] = []
-    span = close_subgroup(G, twins)
-    for t in reps:
-        if not span >> t & 1:
-            gens.append(t)
-            span = close_subgroup(G, twins + gens)
-    seeds = [as_perm([pos[G.add(g, t)] for g in reps]) for t in gens]
-    seeds.append(as_perm([pos[G.neg(g)] for g in reps]))
-    a_h = f * automorphism_group(quot, known_automorphisms=seeds).order
+    iota = as_perm([pos[G.neg(g)] for g in reps])
+    a_h = f * q * automorphism_group(
+        quot, fixed_blocks=[[0]], known_automorphisms=[iota]
+    ).order
     fm = math.factorial(m)
     if not is_bipartite(quot):
-        b_h = f * f * automorphism_group(
+        b_h = f * f * q * automorphism_group(
             double_cover(quot),
-            fixed_blocks=[list(range(q))],
-            known_automorphisms=[cover_lift(s) for s in seeds],
+            fixed_blocks=[[0], list(range(1, q))],
+            known_automorphisms=[cover_lift(iota)],
         ).order
         return a_h**m * fm, (2 * b_h) ** m * fm, b_h**m * fm
     aut_order = a_h**m * fm
@@ -598,8 +569,9 @@ def s4_s5_membership(
     if elems is None:
         return TriState.INDETERMINATE, TriState.INDETERMINATE
     ctx = group_context(G)
-    *r_gens, iota_p = ctx.cover_seeds
     r_list = ctx.translation_lifts
+    r_gens = [r_list[g] for g in G.generators()]
+    iota_p = ctx.inversion_lift
     r_set = frozenset(r_list)
     fix0 = ctx.fix0_tables
     # cls maps each element of B0 - {1} to the index of its class; class i

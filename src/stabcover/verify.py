@@ -29,8 +29,8 @@ from .groups import (
     count_inverse_closed,
     inverse_closed_masks,
 )
-from .stability import b_group, classify
-from .perms import DEFAULT_ENUM_CAP
+from .stability import b0_group, classify, group_context
+from .perms import DEFAULT_ENUM_CAP, right_mul
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,13 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
     """Cover automorphisms split over the block stabilizer.
 
     For connected non-bipartite graphs the cover is connected and the
-    full cover group is exactly twice the block stabilizer B(S); the
-    cover group here comes from an unconstrained search, independent of
-    how the classifier derives it. For twin-free graphs no non-identity
-    element of B(S) fixes the + block pointwise: the cover automorphisms
-    fixing each + vertex are exactly those elements, so a search with
-    every + vertex colored apart must find only the identity.
+    full cover group is exactly twice the block stabilizer B(S), of order
+    |G| |B0| (`b0_group`); the cover group here comes from an
+    unconstrained search, independent of how the classifier derives it.
+    For twin-free graphs no non-identity element of B(S) fixes the +
+    block pointwise: the cover automorphisms fixing each + vertex are
+    exactly those elements, so a search with every + vertex colored apart
+    must find only the identity.
     """
     failures = []
     cases = 0
@@ -143,12 +144,12 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
             tag = f"{G.spec()} 0x{mask:x}"
             if conn and not bip:
                 cases += 1
-                B = b_group(G, S, cover)
+                b_order = n * b0_group(G, S, cover).order
                 full = automorphism_group(cover)
                 if not is_connected(cover):
                     failures.append(f"{tag}: cover disconnected")
-                if full.order != 2 * B.order:
-                    failures.append(f"{tag}: |Aut(D)|={full.order}, 2|B|={2 * B.order}")
+                if full.order != 2 * b_order:
+                    failures.append(f"{tag}: |Aut(D)|={full.order}, 2|B|={2 * b_order}")
             if is_twin_free(gam):
                 cases += 1
                 if automorphism_group(cover, fixed_blocks=plus_points).order != 1:
@@ -159,17 +160,24 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
 def check_bicoset_model(
     max_order: int = 8, b_cap: int = 20_000
 ) -> CheckResult:
-    """The cover is the bi-coset graph of (B, H, K, Y) via the orbit map."""
+    """The cover is the bi-coset graph of (B, H, K, Y) via the orbit map.
+
+    B = R B0 is listed as the products of B0's elements with the
+    translation lifts; sets with |B| over `b_cap` are skipped.
+    """
     failures = []
     cases = 0
     for G in all_abelian_groups(max_order):
+        lifts = group_context(G).translation_lifts
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
-            B = b_group(G, S)
-            if B.order > b_cap:
+            B0 = b0_group(G, S)
+            if G.order * B0.order > b_cap:
                 continue
             cases += 1
-            if not verify_bicoset_isomorphism(G, S, B, cap=b_cap):
+            b0_elems = B0.elements(b_cap)
+            elements = [x for r in lifts for x in map(right_mul(r), b0_elems)]
+            if not verify_bicoset_isomorphism(G, S, elements):
                 failures.append(f"{G.spec()} 0x{mask:x}")
     return CheckResult("bicoset-model", cases, tuple(failures))
 

@@ -1,8 +1,9 @@
 """Helpers shared by the tests; the package has no use for them.
 
 Besides a graph helper, this holds the reference implementations the
-tests compare against: deterministic Schreier-Sims, Aut(G) by brute
-force, the subgroup lattice and the per-set census records. It also
+tests compare against: deterministic Schreier-Sims, the whole block
+stabilizer B(S) by one search, Aut(G) by brute force, the subgroup
+lattice and the per-set census records. It also
 holds the sigma statistics on cosets of a subgroup with cyclic quotient
 and the Psi coincidence census, which the acceptance and stability
 tests check against the agreement-count bound.
@@ -11,8 +12,9 @@ tests check against the agreement-count bound.
 import itertools
 from dataclasses import dataclass, replace
 
+from stabcover.autgrp import automorphism_group
 from stabcover.errors import DomainError
-from stabcover.graphs import ConnectionSet
+from stabcover.graphs import ConnectionSet, cayley_graph, double_cover
 from stabcover.groups import (
     AbelianGroup,
     c_value,
@@ -20,6 +22,7 @@ from stabcover.groups import (
     inverse_closed_masks,
 )
 from stabcover.perms import PermutationGroup, as_perm, identity_perm, pinv, pmul
+from stabcover.stability import group_context
 
 
 def has_edge(g, u: int, v: int) -> bool:
@@ -92,6 +95,23 @@ def schreier_sims(degree: int, generators) -> tuple[list, list[int]]:
 def reference_group(degree: int, generators) -> PermutationGroup:
     """The group the generators generate, its chain read off `schreier_sims`."""
     return PermutationGroup(degree, *schreier_sims(degree, generators))
+
+
+def b_group(G: AbelianGroup, S: ConnectionSet, cover=None) -> PermutationGroup:
+    """B(S), the + block stabilizer of the cover, searched whole.
+
+    The cover is colored by block and seeded with the lifted translations
+    by G's generators and the lifted inversion. The package never builds
+    B(S): it searches B0 and takes B(S) = R B0, which this checks. A
+    caller that has already built the double cover passes it as `cover`.
+    """
+    ctx = group_context(G)
+    if cover is None:
+        cover = double_cover(cayley_graph(G, S))
+    seeds = [ctx.translation_lifts[g] for g in G.generators()] + [ctx.inversion_lift]
+    return automorphism_group(
+        cover, fixed_blocks=[list(range(G.order))], known_automorphisms=seeds
+    )
 
 
 def brute_automorphisms(G: AbelianGroup) -> list:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import has_edge, reference_group
+from helpers import b_group, has_edge, reference_group
 from stabcover import autgrp
 from stabcover.autgrp import (
     DEFAULT_VERTEX_CAP,
@@ -28,7 +28,7 @@ from stabcover.graphs import (
 )
 from stabcover.groups import all_abelian_groups, inverse_closed_masks, make_group
 from stabcover.perms import as_perm, pmul
-from stabcover.stability import b0_group, b_group
+from stabcover.stability import b0_group
 
 
 def _random_graph(rng, n, p=0.5, loops=False):
@@ -508,6 +508,23 @@ def test_node_confirmation_on_shrikhande_graphs(monkeypatch):
     # every candidate reaching the adjacency check mapped the prefix; some
     # were stopped at the prefix, and some by adjacency
     assert True in prefix_stops and False in results
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_confirm_checks_adjacency_in_both_modes(canonical):
+    # the first path [0, 2] left the cells [0], [1], {2, 3}; at the node
+    # [1] the candidate swaps 0 and 1, sends the prefix [0] onto [1] and
+    # fixes the cell {2, 3}. It is an automorphism of the edges 0-2, 1-2,
+    # so the search jumps back to depth 0, but not of 0-2, 1-3
+    for edges, want in ((((0, 2), (1, 3)), None), (((0, 2), (1, 2)), 0)):
+        rows = [0] * 4
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        search = _Search(LabeledGraph(4, tuple(rows)), [0] * 4, canonical=canonical)
+        search.first_path = [0, 2]
+        search.first_cells = [[0b11, 0b1100], [0b1, 0b10, 0b1100]]
+        assert search._confirm([0b10, 0b1, 0b1100], [1]) == want, edges
 
 
 def test_one_leaf_per_search_on_s1_covers(monkeypatch):

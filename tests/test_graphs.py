@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import has_edge, reference_group
+from helpers import b_group, has_edge, reference_group
 from stabcover.errors import DomainError
 from stabcover.graphs import (
     ConnectionSet,
@@ -30,7 +30,6 @@ from stabcover.groups import (
     make_group,
 )
 from stabcover.perms import as_perm, pinv, pmul
-from stabcover.stability import b_group
 
 
 def _random_graph(rng, n, p=0.5):
@@ -320,4 +319,4 @@ def test_cosets_match_oracle_on_sym4_subgroups():
 def test_verify_bicoset_isomorphism_pentagon():
     C5 = make_group([5])
     S = ConnectionSet(C5, 0b10010)
-    assert verify_bicoset_isomorphism(C5, S, b_group(C5, S))
+    assert verify_bicoset_isomorphism(C5, S, b_group(C5, S).elements())

@@ -5,7 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import make_sigma_context, psi_census, reference_group, sigma, subgroups
+from helpers import (
+    b_group,
+    make_sigma_context,
+    psi_census,
+    reference_group,
+    sigma,
+    subgroups,
+)
 from stabcover import stability
 from stabcover.autgrp import assert_preserves, automorphism_group
 from stabcover.errors import DomainError
@@ -29,7 +36,6 @@ from stabcover.perms import identity_perm, left_mul, pinv, pmul
 from stabcover.stability import (
     TriState,
     b0_group,
-    b_group,
     base_inversion_perm,
     base_translation_perm,
     classify,
@@ -53,31 +59,29 @@ def test_b_group_pentagon():
 
 
 def test_b_group_from_point_stabilizer():
-    # B(S) = R B0, read off the base 0+ then B0's base, against generic
+    # B(S) = R B0: the products of B0's elements with the translation
+    # lifts, as `verify.check_bicoset_model` lists B(S), against generic
     # Schreier-Sims on the generators of a search of the whole + block
-    # stabilizer, the way B(S) was built before B0 was searched; and the
-    # seed lifts, which `b0_group` trusts without a check, preserve the cover
+    # stabilizer; and the lifts, which `b0_group` and the S4/S5 scan trust
+    # without a check, preserve the cover
     checked = 0
     for G in all_abelian_groups(8):
         n = G.order
-        seeds = group_context(G).cover_seeds
+        ctx = group_context(G)
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
             cover = double_cover(cayley_graph(G, S))
-            for t in seeds:
+            for t in (*ctx.translation_lifts, ctx.inversion_lift):
                 assert_preserves(cover, t)
             B0 = b0_group(G, S, cover)
-            B = b_group(G, S, cover)
-            if B.order > 20_000:
+            if n * B0.order > 20_000:
                 continue
-            old = automorphism_group(
-                cover, fixed_blocks=[list(range(n))], known_automorphisms=seeds
-            )
-            ref = reference_group(2 * n, old.generators)
-            assert set(B.elements()) == set(ref.elements()), (G.spec(), hex(mask))
             b0_elems = B0.elements()
             assert all(x[0] == 0 for x in b0_elems)
-            assert B.order == n * B0.order == n * len(set(b0_elems))
+            products = {pmul(x, r) for r in ctx.translation_lifts for x in b0_elems}
+            assert len(products) == n * B0.order == n * len(set(b0_elems))
+            ref = reference_group(2 * n, b_group(G, S, cover).generators)
+            assert products == set(ref.elements()), (G.spec(), hex(mask))
             checked += 1
     assert checked == 366  # of 426 sets; the other 60 have |B| > 20 000
 
@@ -153,8 +157,6 @@ def test_classify_builds_b_group_only_for_s1(monkeypatch):
         built.append(S)
         return b0_group(G, S, cover)
 
-    # classify reaches B(S) only through b0_group
-    monkeypatch.setattr(stability, "b_group", None)
     monkeypatch.setattr(stability, "b0_group", s1_only_b0_group)
     kinds = Counter()
     for G in all_abelian_groups(8):
@@ -371,7 +373,7 @@ def _tuple_context(G):
     """Stand-in for `group_context(G)` with the cover tables as tuples."""
     ctx = group_context(G)
     return SimpleNamespace(
-        cover_seeds=tuple(map(tuple, ctx.cover_seeds)),
+        inversion_lift=tuple(ctx.inversion_lift),
         translation_lifts=tuple(map(tuple, ctx.translation_lifts)),
         fix0_tables=tuple(map(tuple, ctx.fix0_tables)),
     )
@@ -499,6 +501,24 @@ def test_classify_indeterminate_on_tiny_enum_cap():
     assert b0_group(C5, ConnectionSet(C5, 0b11110)).order == 24
     assert classify(C5, ConnectionSet(C5, 0b11110), enum_cap=119).indeterminate
     assert not classify(C5, ConnectionSet(C5, 0b11110), enum_cap=120).indeterminate
+
+
+def test_aut_order_over_the_enumeration_cap():
+    # over the cap |Aut(Cay(G, S))| is n times the stabilizer of 0, searched
+    # with the inversion as the only seed; within it, n times the diagonal
+    # elements of B0. Both against an unseeded search of the whole group
+    s1_sets = 0
+    for G in all_abelian_groups(10):
+        for mask in inverse_closed_masks(G):
+            S = ConnectionSet(G, mask)
+            rec = classify(G, S)
+            if not rec.in_s1:
+                continue
+            s1_sets += 1
+            want = automorphism_group(cayley_graph(G, S)).order
+            assert rec.aut_order == want, (G.spec(), hex(mask))
+            assert classify(G, S, enum_cap=0).aut_order == want, (G.spec(), hex(mask))
+    assert s1_sets == 279
 
 
 # -- coset statistics ----------------------------------------------------------
