@@ -2,9 +2,9 @@
 
 A census classifies every (or a sampled family of) inverse-closed subset
 of a group and tallies the classification buckets. Both modes classify
-through one path, which cuts the list of masks into a fixed number of
-index ranges and returns the records in mask order, so every report is
-identical for any worker count.
+through one path, which cuts the census's units of work into a fixed
+number of index ranges (shards) and returns each shard's records in
+order, so every report is identical for any worker count.
 
 An exhaustive census classifies one set per Aut(G)-orbit, the orbit's
 least mask, and tallies its record once per orbit member: an
@@ -16,6 +16,30 @@ union of orbits: the unlabeled census labels one set per orbit and reads
 its goodness off the exhaustive census's record for that orbit.
 The only cap that can leave a field indeterminate, the enumeration cap
 on |B(S)|, is an orbit invariant too, so no orbit needs a second look.
+
+A complement pair of orbits is classified once when both halves are S1.
+Write S^c = G - S, inverse-closed with S. In the cover x+ ~ y- exactly
+when y - x lies in S, so the cover of S^c is that of S with every pair
+between the blocks complemented; a permutation fixing both blocks keeps
+a relation between them exactly when it keeps its complement, so
+B(S) = B(S^c) as permutation groups, holding the same translations R and
+the same inversion. The rows of Cay(G, S^c), loops included, are the
+complements G - (S + g) of those of Cay(G, S), so the two graphs have
+the same automorphisms and the same twins; and tau(S) + g = S exactly
+when tau(S^c) + g = S^c, so Stab_Hol(S) = Stab_Hol(S^c). Connectivity
+and bipartiteness are not shared: the complement of S = G - {0} is {0}.
+S1 is connected, non-bipartite and twin-free, so when S is in S1 and
+Cay(G, S^c) is connected and non-bipartite, S^c is in S1 too, and every
+field of its record but the set is one of the shared objects: |Aut|,
+|B|, the cover order 2|B|, stability, S2, S3' and S3 (from
+Stab_Hol), S4 and S5 (a scan of the subgroups of B over R, under the
+same cap on |B|), and no trivial-instability reason. Complementation
+commutes with Aut(G), so it carries each orbit O onto an orbit O^c with
+least mask min(G - S for S in O). The census classifies the earlier
+orbit of each pair {O, O^c}, in orbit order; if its record is S1 and
+the graph of O^c's least mask is connected and non-bipartite, O^c's
+record is that record with O^c's least mask, and otherwise O^c is
+classified too. `check_record` runs on every record.
 `CensusReport.classified` counts the `classify` calls a census made.
 """
 
@@ -25,13 +49,14 @@ import json
 import math
 import random
 import time
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .autgrp import canonical_form
 from .errors import CapExceededError, DomainError, StabcoverError
-from .graphs import ConnectionSet, cayley_graph
+from .graphs import ConnectionSet, cayley_graph, is_bipartite, is_connected
 from .groups import (
     DEFAULT_SET_CAP,
     AbelianGroup,
@@ -107,8 +132,9 @@ class CensusReport:
     indeterminate; only determinate records are tallied as stable or
     unstable, so the four outcome buckets always add up to `examined`.
     `classified` is the number of `classify` calls behind the tallies:
-    one per Aut(G)-orbit for an exhaustive census, `examined` for a
-    Monte-Carlo one. It is left out of `signature()`. An exhaustive
+    for an exhaustive census one per Aut(G)-orbit, less one per
+    complement pair of S1 orbits; `examined` for a Monte-Carlo one. It
+    is left out of `signature()`. An exhaustive
     census keeps each orbit, as its masks, with its record in
     `orbit_records`, the input of `record_lines` and `unlabeled_census`;
     that field is left out of the JSON, the signature and equality.
@@ -284,35 +310,67 @@ def check_record(rec: StabilityRecord) -> None:
             )
 
 
-def _classify_masks(
-    G: AbelianGroup, masks: list[int], enum_cap: int, workers: int = 1
-) -> Iterator[StabilityRecord]:
-    """Checked records of the given sets, in the order of `masks`.
+def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityRecord], int]:
+    """Checked records of each unit of work in turn, and the `classify` calls made.
 
-    With one worker the sets are classified in this process, one at a
-    time. Otherwise the masks are cut into the fixed shard ranges and a
-    process pool classifies the shards; each shard's records arrive
-    together, in shard order, so the records never depend on the worker
-    count.
+    A unit is one mask, or a complement pair: the least masks of two
+    orbits O, O^c, the earlier first. The second record of a pair is
+    derived from the first when both sets are S1 (see the module
+    docstring), and classified otherwise.
+    """
+    records, calls = [], 0
+    for first_mask, *partner in units:
+        first = classify(G, ConnectionSet(G, first_mask), enum_cap=enum_cap)
+        records.append(first)
+        calls += 1
+        for mask in partner:
+            S = ConnectionSet(G, mask)
+            if first.in_s1 and is_connected(gam := cayley_graph(G, S)) and not is_bipartite(gam):
+                records.append(replace(first, set=S))
+            else:
+                records.append(classify(G, S, enum_cap=enum_cap))
+                calls += 1
+    for rec in records:
+        check_record(rec)
+    return records, calls
+
+
+def _samples_shard(
+    G: AbelianGroup, count: int, seed: int, shard: int, enum_cap: int
+) -> tuple[list[StabilityRecord], int]:
+    """Records of `count` uniform samples from the substream seed xor shard.
+
+    One fair bit per negation orbit gives the exact uniform distribution.
+    """
+    orbit_masks = [sum(1 << x for x in orb) for orb in negation_orbits(G)]
+    rng = random.Random(seed ^ shard)
+    units = ((mask_union(orbit_masks, rng.getrandbits(len(orbit_masks))),) for _ in range(count))
+    return _units_shard(G, units, enum_cap)
+
+
+def _run_shards(G: AbelianGroup, shard, jobs: list[tuple], workers: int) -> Iterator:
+    """`shard(G, *job)` for each job, in job order.
+
+    With one worker every job runs in this process. Otherwise a process
+    pool runs them, with at most `workers` jobs submitted and not yet
+    returned, so no more than that many shards' records ever wait here.
     """
     if workers == 1:
-        for mask in masks:
-            rec = classify(G, ConnectionSet(G, mask), enum_cap=enum_cap)
-            check_record(rec)
-            yield rec
+        for job in jobs:
+            yield shard(G, *job)
         return
-    jobs = [
-        (G.invariant_factors, masks[lo:hi], enum_cap)
-        for lo, hi in _shard_ranges(len(masks))
-    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_classify_shard, jobs):
-            yield from part
+        pending: deque = deque()
+        for job in jobs:
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_rebuild_and_run, shard, G.invariant_factors, job))
+        while pending:
+            yield pending.popleft().result()
 
 
-def _classify_shard(args) -> list[StabilityRecord]:
-    factors, masks, enum_cap = args
-    return list(_classify_masks(make_group(factors), masks, enum_cap))
+def _rebuild_and_run(shard, factors: tuple[int, ...], job: tuple):
+    return shard(make_group(factors), *job)
 
 
 def _shard_ranges(total: int) -> list[tuple[int, int]]:
@@ -331,8 +389,9 @@ def exhaustive_census(
 ) -> CensusReport:
     """Classify every inverse-closed subset of G and tally the buckets.
 
-    One set per Aut(G)-orbit is classified (see the module docstring);
-    the report keeps each orbit with its record in `orbit_records`.
+    One set per Aut(G)-orbit is classified, or one per complement pair
+    of orbits when both are S1 (see the module docstring); the report
+    keeps each orbit with its record in `orbit_records`.
     """
     start = time.monotonic()
     total = count_inverse_closed(G)
@@ -341,7 +400,18 @@ def exhaustive_census(
     if workers < 1:
         raise DomainError("worker count must be at least 1")
     orbits = hol_orbits(G)
-    records = list(_classify_masks(G, [orbit[0] for orbit in orbits], enum_cap, workers))
+    units = _complement_units(G, orbits)
+    jobs = [
+        ([tuple(orbits[i][0] for i in unit) for unit in units[lo:hi]], enum_cap)
+        for lo, hi in _shard_ranges(len(units))
+    ]
+    records: list = [None] * len(orbits)
+    order = (i for unit in units for i in unit)
+    classified = 0
+    for part, calls in _run_shards(G, _units_shard, jobs, workers):
+        for rec in part:
+            records[next(order)] = rec
+        classified += calls
     counts = _empty_counts()
     for orbit, rec in zip(orbits, records):
         _tally(counts, rec, len(orbit))
@@ -349,7 +419,7 @@ def exhaustive_census(
         group=G.spec(),
         total=total,
         examined=total,
-        classified=len(records),
+        classified=classified,
         counts=counts,
         mode="exhaustive",
         samples=None,
@@ -371,27 +441,27 @@ def monte_carlo_census(
 ) -> CensusReport:
     """Classify uniform samples over inverse-closed subsets.
 
-    One fair bit per negation orbit gives the exact uniform distribution.
-    Each of the fixed shard ranges of the samples is drawn from its own
-    substream (master seed xor shard index), so the sample list does not
-    depend on the worker count, and neither does the report. Each record
-    is tallied as it arrives; none is kept.
+    Each of the fixed shard ranges of the samples is drawn, where it is
+    classified, from its own substream (master seed xor shard index), so
+    the sample list does not depend on the worker count, and neither does
+    the report. Each shard's records are tallied as they arrive; none is
+    kept.
     """
     start = time.monotonic()
     if samples < 0:
         raise DomainError("sample count must be non-negative")
     if workers < 1:
         raise DomainError("worker count must be at least 1")
-    orbit_masks = [sum(1 << x for x in orb) for orb in negation_orbits(G)]
-    width = len(orbit_masks)
-    masks = []
-    for shard, (lo, hi) in enumerate(_shard_ranges(samples)):
-        rng = random.Random(seed ^ shard)
-        for _ in range(lo, hi):
-            masks.append(mask_union(orbit_masks, rng.getrandbits(width)))
+    jobs = [
+        (hi - lo, seed, shard, enum_cap)
+        for shard, (lo, hi) in enumerate(_shard_ranges(samples))
+    ]
     counts = _empty_counts()
-    for rec in _classify_masks(G, masks, enum_cap, workers):
-        _tally(counts, rec)
+    classified = 0
+    for part, calls in _run_shards(G, _samples_shard, jobs, workers):
+        for rec in part:
+            _tally(counts, rec)
+        classified += calls
     if samples > 0:
         p = counts["stable"] / samples
         half_width = 1.96 * math.sqrt(p * (1.0 - p) / samples)
@@ -401,7 +471,7 @@ def monte_carlo_census(
         group=G.spec(),
         total=count_inverse_closed(G),
         examined=samples,
-        classified=samples,
+        classified=classified,
         counts=counts,
         mode="monte-carlo",
         samples=samples,
@@ -466,6 +536,28 @@ def hol_orbits(G: AbelianGroup) -> list[list[int]]:
         seen.update(orbit)
         orbits.append(orbit)
     return orbits
+
+
+def _complement_units(G: AbelianGroup, orbits: list[list[int]]) -> list[tuple[int, ...]]:
+    """The census's units of work, as indices into `orbits`, in orbit order.
+
+    Complementation maps the orbit O onto the orbit O^c whose least mask
+    is the least G - S over O (see the module docstring). A unit is (i,)
+    for an orbit that is its own complement's, or (i, j) with i < j for a
+    complement pair. Orbits are looked up by least mask only, not by every
+    mask.
+    """
+    full = (1 << G.order) - 1
+    index = {orbit[0]: i for i, orbit in enumerate(orbits)}
+    units = []
+    paired: set[int] = set()
+    for i, orbit in enumerate(orbits):
+        if i in paired:
+            continue
+        j = index[min(full ^ mask for mask in orbit)]
+        paired.add(j)
+        units.append((i,) if j == i else (i, j))
+    return units
 
 
 def unlabeled_census(report: CensusReport) -> UnlabeledReport:

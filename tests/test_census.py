@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -132,13 +133,17 @@ def test_exhaustive_census_c5_c7():
 
 
 def test_exhaustive_census_worker_independence():
-    # C2xC6 and C2xC8 have a nontrivial Aut(G), so the orbit list spans
-    # many shards; the records come back from the workers, so the per-set
-    # records and the unlabeled report must not depend on their number
-    for facs in ([7], [2, 6], [2, 8]):
+    # C2xC6, C2xC8 and C2xC10 have a nontrivial Aut(G), so the orbit list
+    # spans many shards; the records come back from the workers, so the
+    # per-set records and the unlabeled report must not depend on their
+    # number. At C2xC10, 199 complement pairs have a derived record, and
+    # the workers must find them too: `classified` counts their calls
+    for facs, classified in (([7], 6), ([2, 6], 65), ([2, 8], 232), ([2, 10], 337)):
         G = make_group(facs)
         reps = [exhaustive_census(G, workers=w) for w in (1, 2, 3)]
-        assert len({(r.signature(), r.classified) for r in reps}) == 1
+        assert {(r.signature(), r.classified) for r in reps} == {
+            (reps[0].signature(), classified)
+        }, G.spec()
         records = list(set_records(reps[0]))
         unlabeled = _unlabeled_json(unlabeled_census(reps[0]))
         for r in reps[1:]:
@@ -157,8 +162,23 @@ def _per_set_oracle(G, **caps):
     return records, counts
 
 
-def _orbit_census_against_oracle(G, **caps):
-    report = exhaustive_census(G, **caps)
+def _counted_census(monkeypatch, G, **kwargs):
+    """An exhaustive census of G and the `classify` calls it made here."""
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[1].mask)
+        return classify(*args, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(census, "classify", counted)
+        report = exhaustive_census(G, **kwargs)
+    return report, len(calls)
+
+
+def _orbit_census_against_oracle(monkeypatch, G, **caps):
+    report, calls = _counted_census(monkeypatch, G, **caps)
+    assert report.classified == calls, G.spec()
     records = list(set_records(report))
     oracle, oracle_counts = _per_set_oracle(G, **caps)
     assert [rec.set.mask for rec in records] == list(oracle)
@@ -167,30 +187,35 @@ def _orbit_census_against_oracle(G, **caps):
     return report, oracle_counts
 
 
-def test_orbit_census_matches_per_set_oracle():
+def test_orbit_census_matches_per_set_oracle(monkeypatch):
+    classified = {}
     for G in all_abelian_groups(12):
-        report, oracle_counts = _orbit_census_against_oracle(G)
+        report, oracle_counts = _orbit_census_against_oracle(monkeypatch, G)
         assert report.counts == oracle_counts, G.spec()
-        assert report.classified == len(hol_orbits(G)), G.spec()
+        classified[G.spec()] = report.classified
+    # one call per Aut(G)-orbit, less one per complement pair of S1 orbits
+    assert (classified["C7"], classified["C12"]) == (6, 72)
 
 
 @pytest.mark.parametrize(
     "facs, indeterminate", [((2, 6), 136), ((12,), 32)], ids=["C2xC6", "C12"]
 )
-def test_orbit_census_under_enum_cap(facs, indeterminate):
+def test_orbit_census_under_enum_cap(monkeypatch, facs, indeterminate):
     # the enumeration cap on |B(S)| is an orbit invariant, so a capped
-    # census still classifies each orbit once and matches every member
+    # census still classifies each orbit at most once and matches every
+    # member
     G = make_group(facs)
-    report, oracle_counts = _orbit_census_against_oracle(G, enum_cap=100)
+    report, oracle_counts = _orbit_census_against_oracle(monkeypatch, G, enum_cap=100)
     assert report.counts == oracle_counts
-    assert report.classified == len(hol_orbits(G))
     assert report.counts["indeterminate"] == indeterminate
 
 
-def test_exhaustive_census_order_16():
-    report = exhaustive_census(make_group([2, 2, 4]))
+def test_exhaustive_census_order_16(monkeypatch):
+    report, calls = _counted_census(monkeypatch, make_group([2, 2, 4]))
     assert report.counts == C2XC2XC4_COUNTS
-    assert report.classified == 252
+    assert report.classified == calls == 206
+    report, calls = _counted_census(monkeypatch, make_group([4, 4]))
+    assert report.classified == calls == 91
 
 
 def test_exhaustive_census_builds_aut_g_once(monkeypatch):
@@ -253,6 +278,53 @@ def test_monte_carlo_determinism_and_worker_independence():
         assert a.ci_half_width == pytest.approx(1.96 * math.sqrt(p * (1 - p) / samples))
 
 
+def test_monte_carlo_memory_is_bounded_per_shard(monkeypatch):
+    # Each shard draws its own masks where it is classified, and at most
+    # `workers` shards are in flight, so the caller never holds every
+    # sample or every record: with `classify` stubbed to one record, the
+    # caller's traced peak at 10^5 samples of C2xC10 stays far below the
+    # 3.6 MB its masks alone would take. An inline pool, which runs each
+    # job on submit, stands in for the process pool so that its memory is
+    # traced too, and counts the results submitted and not yet read.
+    waiting = [0]
+    peak = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            out = fn(*args)
+            waiting[0] += 1
+            peak.append(waiting[0])
+
+            def result():
+                waiting[0] -= 1
+                return out
+
+            return SimpleNamespace(result=result)
+
+    G = make_group([2, 10])
+    rec = classify(G, ConnectionSet(G, (1 << G.order) - 1))
+    monkeypatch.setattr(census, "classify", lambda G, S, enum_cap: rec)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    tracemalloc.start()
+    try:
+        report = monte_carlo_census(G, samples=100_000, seed=1, workers=2)
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced_peak < 1_000_000
+    assert report.classified == 100_000 == report.counts["not-twin-free"]
+    assert (max(peak), len(peak), waiting[0]) == (2, 32, 0)
+
+
 def test_monte_carlo_is_unbiased():
     # mean stable frequency over many seeds close to the exhaustive value;
     # seeds are spaced past the shard count so the xor substreams never
@@ -278,12 +350,12 @@ def test_census_report_check_rejects_tampering():
         broken.check()
 
 
-def test_census_report_serialization():
-    rep = exhaustive_census(make_group([5]))
+def test_census_report_serialization(monkeypatch):
+    rep, calls = _counted_census(monkeypatch, make_group([5]))
     d = rep.to_json_dict()
     assert d["group"] == "C5"
     assert set(d["counts"]) == set(BUCKETS)
-    assert d["classified"] == rep.classified == len(hol_orbits(make_group([5])))
+    assert d["classified"] == rep.classified == calls == 5
     rows = rep.to_csv_rows()
     assert len(rows) == len(BUCKETS)
     assert all(len(r) == len(CensusReport.CSV_HEADER) for r in rows)
@@ -386,7 +458,8 @@ def test_unlabeled_census_matches_per_set_oracle():
 
 def test_unlabeled_census_classifies_once_per_orbit(monkeypatch, tmp_path):
     # `census --unlabeled` reads goodness off the labeled pass's records:
-    # one orbit listing and one `classify` call per orbit in all
+    # one orbit listing and at most one `classify` call per orbit in all,
+    # one per complement pair of S1 orbits
     calls = {"classify": 0, "hol_orbits": 0}
 
     def counted(name):
@@ -404,7 +477,7 @@ def test_unlabeled_census_classifies_once_per_orbit(monkeypatch, tmp_path):
     assert cli.main(["census", "C2xC8", "--unlabeled", "--format", "jsonl",
                      "--out", str(out)]) == cli.EXIT_OK
     assert json.loads(out.read_text().splitlines()[1])["hol_orbit_count"] == 304
-    assert calls == {"classify": 304, "hol_orbits": 1}  # of 1 024 sets
+    assert calls == {"classify": 232, "hol_orbits": 1}  # of 304 orbits, 1 024 sets
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["two-good", "good-and-not"])

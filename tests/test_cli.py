@@ -111,7 +111,7 @@ def test_census_exhaustive(capsys):
     assert code == EXIT_OK
     rep = json.loads(out)
     assert rep["total"] == 16 and rep["counts"]["stable"] == 13
-    assert rep["classified"] == 8  # one set per Aut(C7)-orbit
+    assert rep["classified"] == 6  # of 8 Aut(C7)-orbits, 2 complement pairs in S1
 
 
 def test_census_monte_carlo_requires_seed(capsys):

@@ -1,6 +1,7 @@
 """Classification pipeline against independent brute-force oracles."""
 
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -330,6 +331,38 @@ def test_s2_sets_skip_the_s3prime_scan(monkeypatch):
             assert rec.in_s3prime == want, (G.spec(), hex(mask))
             s2 += rec.in_s2
     assert s2 == 172
+
+
+def test_complement_shares_the_classification():
+    # B(S) depends on S only through the relation "v - u in S", which
+    # G - S keeps; the two Cayley graphs, loops included, have the same
+    # automorphisms and twins, and Stab_Hol(S) = Stab_Hol(G - S) (census
+    # module docstring). So a complement pair of S1 sets has one record
+    # apart from the set, and B0 is the same group for every pair
+    seen = Counter()
+    for G in all_abelian_groups(12):
+        full = (1 << G.order) - 1
+        recs = {mask: classify(G, ConnectionSet(G, mask)) for mask in inverse_closed_masks(G)}
+        for mask, rec in recs.items():
+            other = recs[full ^ mask]
+            assert (rec.aut_order, rec.in_s3prime, rec.twin_free) == (
+                other.aut_order, other.in_s3prime, other.twin_free
+            ), (G.spec(), hex(mask))
+            if rec.in_s1 and other.in_s1:
+                assert replace(other, set=rec.set) == rec, (G.spec(), hex(mask))
+                seen["s1"] += 1
+            if G.order > 8 or mask > full ^ mask:
+                continue
+            B0, C0 = b0_group(G, rec.set), b0_group(G, other.set)
+            if B0.order <= 5_000:
+                assert set(B0.elements()) == set(C0.elements()), (G.spec(), hex(mask))
+                seen["b0 elements"] += 1
+            else:
+                assert B0.order == C0.order, (G.spec(), hex(mask))
+                seen["b0 order"] += 1
+    # 408 S1 sets with an S1 complement; 183 of the 213 pairs at order 8 or
+    # less have |B0| within 5 000
+    assert seen == {"s1": 408, "b0 elements": 183, "b0 order": 30}
 
 
 # -- element-closure witness for the class-mask scan ---------------------------
