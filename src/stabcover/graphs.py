@@ -8,7 +8,7 @@ graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError
@@ -201,64 +201,147 @@ def is_twin_free(g: LabeledGraph) -> bool:
 # -- bi-coset graphs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiCosetSpec:
-    """A finite permutation group X with subgroups H, K and a subset D of X.
+@dataclass(frozen=True, eq=False)
+class BiCosetFrame:
+    """A finite permutation group X with subgroups H and K, without D.
 
-    All four are given as explicit element collections (image arrays).
-    D must be a union of (K, H) double cosets: KdH = D for every d in D.
+    Everything of a bi-coset graph that does not depend on D lives here,
+    so one frame serves every D over the same (X, H, K). `elements` lists
+    X once, as image arrays; H and K are element sets. Building the frame
+    checks the listing against both right coset partitions from
+    `_right_cosets`: X lists no element twice, every product hx lies in X,
+    and there are |X|/|H| cosets, so by counting they partition X;
+    likewise for K. The frame keeps H's partition as its representatives
+    (`h_reps`, least-index members in listing order) and K's whole, as
+    `k_cosets`, since every D is checked against it. Its members are the
+    listing's own objects, not the products, so the partition holds X no
+    second time. `h_tables` are H's elements prepared as `left_mul`
+    arguments, for the D-side check.
 
-    The right coset partitions `h_cosets` and `k_cosets` are computed once
-    per spec and shared by the validation, `bicoset_graph` and
-    `verify_bicoset_isomorphism`. KD = D is checked as "every right
-    K-coset lies inside D or is disjoint from it", which is what D being
-    a union of right K-cosets means. DH = D is checked by left H-cosets:
-    walking D, the left coset xH of each x not yet covered must lie
-    inside D. Every d in D lies in one of these cosets, so this is dh in
-    D for every d in D and h in H, at |D| products.
+    With `points` = (p, q), H must fix p and K must fix q, and
+    `orbit_map` is the orbit map sending p^x to Hx (index a of the a-th
+    H-coset) and q^x to Kx (index nh + b). Every member of Hx sends p to
+    p^x, so the representatives define it. It is checked to be a
+    bijection from the points onto the nh + nk cosets, and is None
+    without `points`.
     """
 
     elements: tuple
     h_elements: frozenset
     k_elements: frozenset
+    points: tuple[int, int] | None = None
+    h_reps: tuple = field(init=False)
+    k_cosets: list = field(init=False)
+    h_tables: list = field(init=False)
+    orbit_map: tuple[int, ...] | None = field(init=False)
+
+    def __post_init__(self):
+        elems = self.elements
+        listed = {x: x for x in elems}
+        if len(listed) != len(elems):
+            raise DomainError("X lists an element twice")
+        partitions = []
+        for name, sub in (("H", self.h_elements), ("K", self.k_elements)):
+            if not listed.keys() >= sub:
+                raise DomainError(f"{name} is not contained in X")
+            # each product is replaced by its listed object, None if unlisted
+            cosets = [
+                (x, list(map(listed.get, coset))) for x, coset in _right_cosets(elems, sub)
+            ]
+            if len(cosets) * len(sub) != len(elems) or any(None in c for _, c in cosets):
+                raise DomainError(f"the right cosets of {name} do not partition X")
+            partitions.append(cosets)
+        del listed
+        object.__setattr__(self, "h_reps", tuple(x for x, _ in partitions[0]))
+        object.__setattr__(self, "k_cosets", partitions[1])
+        object.__setattr__(self, "h_tables", list(map(mul_table, self.h_elements)))
+        phi = None if self.points is None else self._checked_orbit_map()
+        object.__setattr__(self, "orbit_map", phi)
+
+    def _checked_orbit_map(self) -> tuple[int, ...]:
+        p, q = self.points
+        if any(h[p] != p for h in self.h_elements) or any(
+            k[q] != q for k in self.k_elements
+        ):
+            raise DomainError("H does not fix p or K does not fix q")
+        phi = [-1] * len(self.elements[0])
+        nh = len(self.h_reps)
+        for a, x in enumerate(self.h_reps):
+            phi[x[p]] = a
+        for b, (y, _) in enumerate(self.k_cosets):
+            phi[y[q]] = nh + b
+        if sorted(phi) != list(range(len(phi))):
+            raise DomainError("the orbit map is not a bijection onto the cosets")
+        return tuple(phi)
+
+
+@dataclass(frozen=True, eq=False)
+class BiCosetSpec:
+    """A bi-coset frame (X, H, K) with a subset D of X.
+
+    D must be a union of (K, H) double cosets: KdH = D for every d in D.
+    Only D is checked here; the frame was checked once when it was built
+    and is shared by every spec over it (`verify.check_bicoset_model`
+    serves both sets of a complement pair from one frame). The check is
+    one pass over the frame's partition of X into right K-cosets Ky. Each
+    lies inside D or is disjoint from it, and the cosets inside D hold
+    all of D: so D ⊆ X and KD = D. For each Ky inside D, the left coset
+    yH lies inside D: then DH = D, since every d in D is some ky with
+    dh = k(yh) in KD = D. That is |H| products per K-coset inside D, and
+    no copy of D.
+    """
+
+    frame: BiCosetFrame
     d_elements: frozenset
 
     def __post_init__(self):
-        elems = set(self.elements)
-        if not (self.h_elements <= elems and self.k_elements <= elems):
-            raise DomainError("H or K is not contained in X")
-        d = self.d_elements
-        if not d <= elems:
-            raise DomainError("D is not contained in X")
-        del elems  # free X's set before the coset walk below
-        if not all(d.issuperset(c) or d.isdisjoint(c) for _, c in self.k_cosets):
-            raise DomainError("D is not a union of (K, H) double cosets")
-        h_tabs = list(map(mul_table, self.h_elements))
-        uncovered = set(d)
-        for x in d:
-            if x not in uncovered:
+        frame, d = self.frame, self.d_elements
+        h_tabs = frame.h_tables
+        inside = 0
+        for y, coset in frame.k_cosets:
+            if d.issuperset(coset):
+                inside += len(coset)
+                if d.issuperset(map(left_mul(y), h_tabs)):
+                    continue
+            elif d.isdisjoint(coset):
                 continue
-            coset = list(map(left_mul(x), h_tabs))
-            if not d.issuperset(coset):
-                raise DomainError("D is not a union of (K, H) double cosets")
-            uncovered.difference_update(coset)
+            raise DomainError("D is not a union of (K, H) double cosets")
+        if inside != len(d):
+            raise DomainError("D is not contained in X")
 
-    @cached_property
+    @property
     def h_cosets(self) -> list[tuple]:
-        return _right_cosets(self.elements, self.h_elements)
+        """The right H-cosets, recomputed: the frame keeps their representatives."""
+        return _right_cosets(self.frame.elements, self.frame.h_elements)
 
-    @cached_property
+    @property
     def k_cosets(self) -> list[tuple]:
-        return _right_cosets(self.elements, self.k_elements)
+        return self.frame.k_cosets
 
 
 def make_bicoset_spec(x_elements, h_elements, k_elements, d_elements) -> BiCosetSpec:
-    return BiCosetSpec(
-        tuple(x_elements),
-        frozenset(h_elements),
-        frozenset(k_elements),
-        frozenset(d_elements),
-    )
+    frame = BiCosetFrame(tuple(x_elements), frozenset(h_elements), frozenset(k_elements))
+    return BiCosetSpec(frame, frozenset(d_elements))
+
+
+def cover_frame(n: int, elements) -> BiCosetFrame:
+    """The frame of a group X acting on the double cover of an n-vertex graph.
+
+    `elements` lists X, each element once; its orbits must be exactly the
+    + and - blocks. H and K are the stabilizers of 0+ and 0-, and the
+    orbit map sends (0+)^x to Hx and (0-)^x to Kx. None of this depends on
+    the graph, so one frame serves every graph whose cover X acts on.
+    """
+    elems = tuple(elements)
+    if any(len(x) != 2 * n for x in elems):
+        raise DomainError("X does not act on the cover vertex set")
+    if {x[0] for x in elems} != set(range(n)) or {x[n] for x in elems} != set(
+        range(n, 2 * n)
+    ):
+        raise DomainError("X orbits are not the two cover blocks")
+    h_sub = frozenset(x for x in elems if x[0] == 0)
+    k_sub = frozenset(x for x in elems if x[n] == n)
+    return BiCosetFrame(elems, h_sub, k_sub, points=(0, n))
 
 
 def _right_cosets(elements, sub: frozenset) -> list[tuple]:
@@ -288,74 +371,53 @@ def bicoset_graph(spec: BiCosetSpec) -> LabeledGraph:
     Hx is adjacent to Ky iff y x^(-1) is in D; x and y are the cosets'
     least-index representatives.
     """
-    k_reps = [y for y, _ in spec.k_cosets]
-    nh, nk = len(spec.h_cosets), len(k_reps)
-    n = nh + nk
-    rows = [0] * n
-    for a, (x, _) in enumerate(spec.h_cosets):
+    frame, d = spec.frame, spec.d_elements
+    k_reps = [y for y, _ in frame.k_cosets]
+    nh = len(frame.h_reps)
+    rows = [0] * (nh + len(k_reps))
+    for a, x in enumerate(frame.h_reps):
         for b, z in enumerate(map(right_mul(pinv(x)), k_reps)):
-            if z in spec.d_elements:
+            if z in d:
                 rows[a] |= 1 << (nh + b)
                 rows[nh + b] |= 1 << a
-    return LabeledGraph(n, tuple(rows))
+    return LabeledGraph(len(rows), tuple(rows))
 
 
-def verify_bicoset_isomorphism(G: AbelianGroup, S: ConnectionSet, elements) -> bool:
+def verify_bicoset_isomorphism(
+    G: AbelianGroup, S: ConnectionSet, frame: BiCosetFrame
+) -> bool:
     """Check the explicit bi-coset model of a double cover.
 
-    `elements` lists a group X of permutations of the 2n cover vertices,
-    each element once, whose orbits are exactly the + and - blocks. With
-    H and K the stabilizers of 0+ and 0-, and Y the set of x in X sending
-    0- into the neighbourhood of 0+, the map sending
-    (0+)^x to Hx and (0-)^x to Kx must be a graph isomorphism from the
-    cover onto the bi-coset graph of (X, H, K, Y). Also checks the
-    inversion symmetry: K R(g) H inside Y iff K R(-g) H inside Y.
+    `frame` is a `cover_frame` of a group X of permutations of the 2n
+    cover vertices: H and K are the stabilizers of 0+ and 0-. With Y the
+    set of x in X sending 0- into the neighbourhood of 0+, the frame's
+    orbit map, sending (0+)^x to Hx and (0-)^x to Kx, must be a graph
+    isomorphism from the cover onto the bi-coset graph of (X, H, K, Y).
+    Also checks the inversion symmetry: K R(g) H inside Y iff K R(-g) H
+    inside Y. Only Y and what reads it are built per call.
     """
     n = G.order
-    elems = list(elements)
-    if any(len(x) != 2 * n for x in elems):
-        raise DomainError("X does not act on the cover vertex set")
+    if frame.points != (0, n) or len(frame.orbit_map) != 2 * n:
+        raise DomainError("the frame is not that of a double cover of G")
     cover = double_cover(cayley_graph(G, S))
-    plus = frozenset(range(n))
-    if {x[0] for x in elems} != plus or {x[n] for x in elems} != frozenset(
-        range(n, 2 * n)
-    ):
-        raise DomainError("X orbits are not the two cover blocks")
-    h_sub = frozenset(x for x in elems if x[0] == 0)
-    k_sub = frozenset(x for x in elems if x[n] == n)
     nbhd0 = cover.rows[0]
-    y_sub = frozenset(x for x in elems if (nbhd0 >> x[n]) & 1)
-    spec = make_bicoset_spec(elems, h_sub, k_sub, y_sub)
-    model = bicoset_graph(spec)
-    if model.n != 2 * n:
-        return False
-
-    nh = len(spec.h_cosets)
-    phi = [-1] * (2 * n)
-    for a, (_, coset) in enumerate(spec.h_cosets):
-        for x in coset:
-            phi[x[0]] = a
-    for b, (_, coset) in enumerate(spec.k_cosets):
-        for x in coset:
-            phi[x[n]] = nh + b
-    if sorted(phi) != list(range(2 * n)):
-        return False
-    if cover.relabel(phi) != model:
+    y_sub = frozenset(x for x in frame.elements if (nbhd0 >> x[n]) & 1)
+    if cover.relabel(frame.orbit_map) != bicoset_graph(BiCosetSpec(frame, y_sub)):
         return False
 
     # inversion symmetry of Y on translation double cosets
     for g in range(n):
-        if _translation_double_coset_in(G, g, k_sub, h_sub, y_sub) != (
-            _translation_double_coset_in(G, G.neg(g), k_sub, h_sub, y_sub)
+        if _translation_double_coset_in(G, g, y_sub) != (
+            _translation_double_coset_in(G, G.neg(g), y_sub)
         ):
             return False
     return True
 
 
-def _translation_double_coset_in(G, g, k_sub, h_sub, y_sub) -> bool:
+def _translation_double_coset_in(G, g, y_sub) -> bool:
     """Whether the double coset K R(g) H lies inside Y.
 
-    Y is only passed here after the spec validated it as a union of
+    Y is only passed here after a `BiCosetSpec` validated it as a union of
     (K, H) double cosets, so one representative decides membership.
     """
     n = G.order

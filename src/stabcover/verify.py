@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 from .autgrp import automorphism_group
 from .census import check_record, stabilized_count
-from .errors import StabcoverError
+from .errors import DomainError, StabcoverError
 from .graphs import (
     ConnectionSet,
     cayley_graph,
+    cover_frame,
     double_cover,
     is_bipartite,
     is_connected,
@@ -162,23 +163,52 @@ def check_bicoset_model(
 ) -> CheckResult:
     """The cover is the bi-coset graph of (B, H, K, Y) via the orbit map.
 
-    B = R B0 is listed as the products of B0's elements with the
-    translation lifts; sets with |B| over `b_cap` are skipped.
+    The sets are walked as complement pairs (masks[i], masks[-1 - i]) of
+    `inverse_closed_masks`: bit k of its counter selects the k-th negation
+    orbit, so the two counters are bitwise complements and so are the
+    sets. B(S) = B(G - S) (proved in the `census` docstring), and this is
+    checked here, not assumed: B0 is searched for both sets and the two
+    must be the same group, with equal orders and each generator of the
+    first inside the second, so they have the same element set. A
+    mismatch is a failure line. B = R B0 is listed as the products of
+    B0's elements with the translation lifts, and one `cover_frame` of
+    that listing (X, H, K, their coset representatives and the orbit map)
+    serves both sets; only Y and what reads it are built per set. The
+    frame is freed before the next pair's searches. Pairs with |B| over
+    `b_cap` are skipped. A set whose listing or Y the model's validation
+    refuses (`DomainError`) is a failure line with the refusal.
     """
     failures = []
     cases = 0
     for G in all_abelian_groups(max_order):
+        n = G.order
         lifts = group_context(G).translation_lifts
-        for mask in inverse_closed_masks(G):
-            S = ConnectionSet(G, mask)
-            B0 = b0_group(G, S)
-            if G.order * B0.order > b_cap:
+        masks = list(inverse_closed_masks(G))
+        for i in range(len(masks) // 2):
+            pair = (ConnectionSet(G, masks[i]), ConnectionSet(G, masks[-1 - i]))
+            tags = [f"{G.spec()} 0x{S.mask:x}" for S in pair]
+            B0, B0c = (b0_group(G, S) for S in pair)
+            if B0.order != B0c.order or not all(map(B0c.contains, B0.generators)):
+                failures.append(f"{tags[0]}: B0 differs from that of {tags[1]}")
                 continue
-            cases += 1
+            if n * B0.order > b_cap:
+                continue
+            cases += 2
             b0_elems = B0.elements(b_cap)
-            elements = [x for r in lifts for x in map(right_mul(r), b0_elems)]
-            if not verify_bicoset_isomorphism(G, S, elements):
-                failures.append(f"{G.spec()} 0x{mask:x}")
+            try:
+                frame = cover_frame(
+                    n, [x for r in lifts for x in map(right_mul(r), b0_elems)]
+                )
+            except DomainError as e:
+                failures.extend(f"{tag}: {e}" for tag in tags)
+                continue
+            for S, tag in zip(pair, tags):
+                try:
+                    if not verify_bicoset_isomorphism(G, S, frame):
+                        failures.append(tag)
+                except DomainError as e:
+                    failures.append(f"{tag}: {e}")
+            del frame
     return CheckResult("bicoset-model", cases, tuple(failures))
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from stabcover import cli
+from stabcover import cli, verify
 from stabcover.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INDETERMINATE,
@@ -16,7 +16,9 @@ from stabcover.cli import (
     parse_set_literal,
 )
 from stabcover.errors import DomainError
+from stabcover.graphs import ConnectionSet
 from stabcover.groups import make_group
+from stabcover.perms import PermutationGroup, as_perm
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +273,33 @@ def test_check_lemmas_small(capsys):
     assert code == EXIT_OK
     assert "FAIL" not in out
     assert "inverse-closed-count: pass" in out
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_check_lemmas_reports_a_failed_bicoset_check(capsys, monkeypatch, pair):
+    # B0 of C4 {1, 3} gets a generator swapping 1- and 2-, no automorphism.
+    # Alone, it differs from B0 of the complement {0, 2}; given to both
+    # sets of the pair, the frame refuses the listing. Either way the check
+    # fails with exit 1 and the report still has every check's line.
+    real = verify.b0_group
+    C4 = make_group([4])
+    B0 = real(C4, ConnectionSet(C4, 0b1010))
+    swap = list(range(8))
+    swap[5], swap[6] = 6, 5
+    bad = PermutationGroup(8, B0.generators + [as_perm(swap)], B0._base)
+    masks = (0b1010, 0b0101) if pair else (0b1010,)
+
+    def b0_group(G, S, cover=None):
+        return bad if G.spec() == "C4" and S.mask in masks else real(G, S, cover)
+
+    monkeypatch.setattr(verify, "b0_group", b0_group)
+    code, out, err = run_cli(capsys, "check-lemmas", "--order-limit", "4")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    assert "bicoset-model: FAIL" in out
+    assert "C4 0xa: " in out
+    for name, _, _ in verify.ALL_CHECKS:
+        assert f"{name}: " in out
+    assert out.count(": pass") == len(verify.ALL_CHECKS) - 1
 
 
 def test_bad_group_spec(capsys):

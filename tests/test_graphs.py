@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import b_group, has_edge, reference_group
+from stabcover import verify
 from stabcover.errors import DomainError
 from stabcover.graphs import (
     ConnectionSet,
@@ -13,6 +14,7 @@ from stabcover.graphs import (
     bicoset_graph,
     cayley_graph,
     connection_set,
+    cover_frame,
     double_cover,
     is_bipartite,
     is_connected,
@@ -29,7 +31,8 @@ from stabcover.groups import (
     inverse_closed_masks,
     make_group,
 )
-from stabcover.perms import as_perm, pinv, pmul
+from stabcover.perms import as_perm, identity_perm, pinv, pmul, right_mul
+from stabcover.stability import b0_group, group_context
 
 
 def _random_graph(rng, n, p=0.5):
@@ -319,4 +322,64 @@ def test_cosets_match_oracle_on_sym4_subgroups():
 def test_verify_bicoset_isomorphism_pentagon():
     C5 = make_group([5])
     S = ConnectionSet(C5, 0b10010)
-    assert verify_bicoset_isomorphism(C5, S, b_group(C5, S).elements())
+    assert verify_bicoset_isomorphism(C5, S, cover_frame(5, b_group(C5, S).elements()))
+
+
+def _frame_rejects(G, S, listing):
+    try:
+        return not verify_bicoset_isomorphism(G, S, cover_frame(G.order, listing))
+    except DomainError:
+        return True
+
+
+def test_frame_from_listing_of_b_oracle():
+    # every set of order <= 6 with |B(S)| <= 2000: a shuffled listing of
+    # R B0 verifies; dropping one element, or adding a block-preserving
+    # permutation that is no automorphism (a swap of two + vertices with
+    # different rows), is refused
+    rng = random.Random(21)
+    cases = 0
+    for G in all_abelian_groups(6):
+        n = G.order
+        lifts = group_context(G).translation_lifts
+        for mask in inverse_closed_masks(G):
+            S = ConnectionSet(G, mask)
+            B0 = b0_group(G, S)
+            if n * B0.order > 2000:
+                continue
+            cases += 1
+            listing = [x for r in lifts for x in map(right_mul(r), B0.elements())]
+            rng.shuffle(listing)
+            assert verify_bicoset_isomorphism(G, S, cover_frame(n, listing))
+            ident = listing.index(identity_perm(2 * n))
+            for i in {ident, *rng.sample(range(len(listing)), min(3, len(listing)))}:
+                assert _frame_rejects(G, S, listing[:i] + listing[i + 1 :])
+            rows = double_cover(cayley_graph(G, S)).rows
+            other = [v for v in range(n) if rows[v] != rows[0]]
+            if not other:
+                assert mask in (0, (1 << n) - 1)  # the empty and complete covers
+                continue
+            swap = list(range(2 * n))
+            swap[0], swap[other[0]] = other[0], 0
+            pos = rng.randrange(len(listing) + 1)
+            assert _frame_rejects(G, S, listing[:pos] + [as_perm(swap)] + listing[pos:])
+    assert cases == 52
+
+
+def test_frame_refuses_a_frame_of_another_group():
+    C5, C4 = make_group([5]), make_group([4])
+    frame = cover_frame(4, b_group(C4, ConnectionSet(C4, 0b1010)).elements())
+    with pytest.raises(DomainError):
+        verify_bicoset_isomorphism(C5, ConnectionSet(C5, 0b10010), frame)
+
+
+def test_bicoset_check_catches_mispaired_sets(monkeypatch):
+    # rotating the mask list pairs each set with a non-complement, whose
+    # B0 or bi-coset model differs
+    real = verify.inverse_closed_masks
+    monkeypatch.setattr(
+        verify, "inverse_closed_masks", lambda G: (lambda m: m[1:] + m[:1])(list(real(G)))
+    )
+    res = verify.check_bicoset_model(4)
+    assert not res.passed
+    assert any("differs from that of" in f for f in res.failures)

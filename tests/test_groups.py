@@ -130,6 +130,17 @@ def test_inverse_closed_masks_brute():
         assert all(is_inverse_closed(G, m) for m in out)
 
 
+def test_inverse_closed_masks_pair_complements():
+    # bit k of the counter selects the k-th negation orbit, so counters i
+    # and total - 1 - i are bitwise complements, and so are their sets;
+    # `verify.check_bicoset_model` walks the sets as these pairs
+    for G in all_abelian_groups(16):
+        full = (1 << G.order) - 1
+        masks = list(inverse_closed_masks(G))
+        assert len(masks) % 2 == 0
+        assert all(masks[-1 - i] == full ^ m for i, m in enumerate(masks))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))
 def test_group_axioms_random(factors):
