@@ -142,18 +142,20 @@ def double_cover(g: LabeledGraph) -> LabeledGraph:
     return _symmetric_graph(2 * n, tuple(rows), nbrs)
 
 
-def is_connected(g: LabeledGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+def component_mask(g: LabeledGraph, v: int = 0) -> int:
+    """The vertices of the component of v, as a bit mask, by one BFS."""
+    seen = frontier = 1 << v
     while frontier:
         nxt = 0
-        for v in bit_indices(frontier):
-            nxt |= g.rows[v]
+        for u in bit_indices(frontier):
+            nxt |= g.rows[u]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen
+
+
+def is_connected(g: LabeledGraph) -> bool:
+    return g.n == 0 or component_mask(g) == (1 << g.n) - 1
 
 
 def two_coloring(g: LabeledGraph) -> list[int] | None:

@@ -360,22 +360,6 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def close_subgroup(G: AbelianGroup, gens: list[int] | tuple[int, ...]) -> int:
-    """Bitmask of the subgroup generated by the given elements."""
-    mask = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.add(x, g)
-                if not (mask >> y & 1):
-                    mask |= 1 << y
-                    nxt.append(y)
-        frontier = nxt
-    return mask
-
-
 def automorphism_group_of_G(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP) -> list:
     """All automorphisms of G, as `perms.as_perm` image tables.
 

@@ -45,10 +45,11 @@ holds a subgroup R regular on a block of vertices, its order is |R|
 times that of the stabilizer of one point of the block, and the
 stabilizer is searched with the inversion, or its cover lift, as the
 only seed. The translations of G are regular on Cay(G, S), so
-|Aut(Cay(G, S))| = |G| |Aut_0|; the twin quotient of a component is a
-Cayley graph of a quotient group, with its own translations
-(`factored_orders`); and the lifted translations lie in B(S) and are
-regular on the + block, so |B(S)| = |G| |B0| (`b0_group`).
+|Aut(Cay(G, S))| = |G| |Aut_0|, and their lifts lie in B(S) and are
+regular on the + block, so |B(S)| = |G| |B0| (`b0_group`). Every set's
+orders come from `factored_orders`, through the twin quotient of the
+component at 0, a Cayley graph of a quotient group with its own
+translations; an S1 set is its own quotient, whose B0 the S4/S5 scan lists.
 
 Every per-group table (Aut(G) without 1 and -1, the lifted inversion,
 the translation lifts and the fix0 tables that reduce an element of B(S)
@@ -70,18 +71,11 @@ from .graphs import (
     ConnectionSet,
     LabeledGraph,
     cayley_graph,
+    component_mask,
     double_cover,
     is_bipartite,
-    is_connected,
-    is_twin_free,
 )
-from .groups import (
-    AbelianGroup,
-    automorphism_group_of_G,
-    bit_indices,
-    close_subgroup,
-    map_mask,
-)
+from .groups import AbelianGroup, automorphism_group_of_G, bit_indices, map_mask
 from .perms import (
     DEFAULT_ENUM_CAP,
     PermutationGroup,
@@ -130,11 +124,11 @@ class GroupContext:
 
     Aut(G) as permutation tables, for the census's orbit list and
     |Hol(G)|; those tables without 1 and -1 for the S3' test; the lifted
-    inversion, the one seed of `b0_group`; the translation lifts and the
-    fix0 tables of the S4/S5 scan. The scan lists the point stabilizer B0
-    of 0+ that `b0_group` searches, not B(S), though its enumeration cap
-    is still on |B(S)| = |G| |B0|. Each field is built on first use, so
-    a caller needing only the seed never lists Aut(G).
+    inversion, the one seed of every B0 search on the cover of Cay(G, S);
+    the translation lifts and the fix0 tables of the S4/S5 scan. The scan
+    lists the point stabilizer B0 of 0+, not B(S), though its enumeration
+    cap is still on |B(S)| = |G| |B0|. Each field is built on first use,
+    so a caller needing only the seed never lists Aut(G).
     """
 
     G: AbelianGroup
@@ -188,26 +182,29 @@ def b0_group(
 ) -> PermutationGroup:
     """B0, the stabilizer of the vertex 0+ in B(S).
 
-    Computed as the color-respecting automorphism group of the cover with
-    three colors: {0+}, the rest of the + block, and the - block. A map
-    fixing 0+ and the rest of + fixes the + block setwise, so this is
-    exactly the stabilizer of 0+ in B(S). The lifted inversion fixes 0+
-    and is the search's only seed. The translations are cover
-    automorphisms unchecked, since `cayley_graph` builds row i as S + i
-    and `double_cover` lifts rows. They form R, which fixes the + block
-    and is regular on it, so B(S) = R B0 with R and B0 meeting in the
-    identity, and |B(S)| = |G| |B0|: B(S) is never built, and its
-    elements, where needed, are the products of B0's with the
-    `GroupContext.translation_lifts`. A caller that has already built the
-    double cover of Cay(G, S) passes it as `cover`.
+    The lifted translations are cover automorphisms unchecked, since
+    `cayley_graph` builds row i as S + i and `double_cover` lifts rows.
+    They form R, which fixes the + block and is regular on it, so B(S) =
+    R B0 with R and B0 meeting in the identity, and |B(S)| = |G| |B0|:
+    B(S) is never built, and its elements, where needed, are the products
+    of B0's with the `GroupContext.translation_lifts`. A caller that has
+    already built the double cover of Cay(G, S) passes it as `cover`.
     """
-    n = G.order
-    iota = group_context(G).inversion_lift
     if cover is None:
         cover = double_cover(cayley_graph(G, S))
+    return _b0_search(cover, group_context(G).inversion_lift)
+
+
+def _b0_search(cover: LabeledGraph, iota) -> PermutationGroup:
+    """The stabilizer of 0+ in the + block stabilizer of a double cover.
+
+    The cover is colored {0+}, the rest of +, and -; a map fixing 0+ and
+    the rest of + fixes the + block setwise. iota, the lifted inversion,
+    fixes 0+, is the search's only seed, and must lie in the result.
+    """
     B0 = automorphism_group(
         cover,
-        fixed_blocks=[[0], list(range(1, n))],
+        fixed_blocks=[[0], list(range(1, cover.n // 2))],
         known_automorphisms=[iota],
     )
     if not B0.contains(iota):
@@ -318,39 +315,27 @@ def classify(
     S: ConnectionSet,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> StabilityRecord:
-    """Classify one connection set; caps yield indeterminate fields, not errors."""
+    """Classify one connection set; caps yield indeterminate fields, not errors.
+
+    One structure pass gives H = <S> (the component of 0), the twins T of 0
+    in H (row t is S + t), bipartiteness, and twin-freeness over all of G
+    (for S empty every vertex is a twin): rows g and h are equal exactly
+    when rows 0 and h - g are. `factored_orders` takes every order from it.
+    """
     n = G.order
     gam = cayley_graph(G, S)
-    connected = is_connected(gam)
+    rows = gam.rows
+    component = component_mask(gam)
+    twins = [t for t in bit_indices(component) if rows[t] == rows[0]]
+    connected = component == (1 << n) - 1
     bipartite = is_bipartite(gam)
-    twin_free = is_twin_free(gam)
+    twin_free = rows.count(rows[0]) == 1
     exponent_two = G.exponent <= 2
     target = n if exponent_two else 2 * n
 
-    # B(S) is built only for S1; every other set, twins included, has its
-    # three orders from `factored_orders` and is in neither S4 nor S5
-    if connected and not bipartite and twin_free:
-        B0 = b0_group(G, S, double_cover(gam))
-        b_order = n * B0.order
-        # the cover is connected, its full group splits off the block swap
-        cover_aut_order = 2 * b_order
-        # the enumeration cap is on |B| = n |B0|, decided here only
-        b0_elems = B0.elements(enum_cap) if b_order <= enum_cap else None
-        if b0_elems is None:
-            # the translations are regular on Cay(G, S): n times the
-            # stabilizer of 0, which the inversion fixes
-            aut_order = n * automorphism_group(
-                gam, fixed_blocks=[[0]], known_automorphisms=[base_inversion_perm(G)]
-            ).order
-        else:
-            # base automorphisms are exactly the diagonal elements of B;
-            # they hold R, regular on +, so n times those fixing 0+
-            aut_order = n * _diagonal_count(b0_elems, n)
-    else:
-        # disconnected, bipartite or twin graphs factor through the twin
-        # quotient of one component
-        B0 = b0_elems = None
-        aut_order, cover_aut_order, b_order = factored_orders(G, S, gam)
+    aut_order, cover_aut_order, b_order, B0, b0_elems = factored_orders(
+        G, S, gam, component, twins, bipartite, enum_cap
+    )
     stable = cover_aut_order == 2 * aut_order
 
     reasons = []
@@ -364,14 +349,15 @@ def classify(
     in_s1 = connected and not bipartite and twin_free
     in_s2 = in_s1 and b_order == target
     # no S2 set is in S3' (see the module docstring)
-    in_s3prime = not in_s2 and s3prime_membership(G, gam)
+    in_s3prime = not in_s2 and s3prime_membership(G, gam, twin_free)
     # |N_B(R)| = n |Stab_Hol(S)| (see the module docstring)
     in_s3 = in_s1 and in_s3prime
 
-    if B0 is None:
-        in_s4, in_s5 = TriState.NO, TriState.NO
-    else:
+    if in_s1:
+        # the twin quotient is Cay(G, S) itself, and B0 its point stabilizer
         in_s4, in_s5 = s4_s5_membership(G, S, B0, b0_elems)
+    else:
+        in_s4, in_s5 = TriState.NO, TriState.NO
 
     return StabilityRecord(
         set=S,
@@ -393,10 +379,16 @@ def classify(
     )
 
 
-def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tuple[int, int, int]:
-    """(|Aut|, |Aut of cover|, |B|) for a Cayley graph outside S1.
+def factored_orders(
+    G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph, component: int,
+    twins: list[int], bipartite: bool, enum_cap: int = DEFAULT_ENUM_CAP,
+) -> tuple:
+    """(|Aut|, |Aut of cover|, |B|, B0, B0's elements) for gam = Cay(G, S).
 
-    The components of Cay(G, S) are the cosets of H = <S>, all isomorphic
+    component is the vertex mask of H = <S>, twins lists T (below), and
+    bipartite says whether gam is, all from `classify`'s structure pass.
+
+    The components of Cay(G, S) are the cosets of H, all isomorphic
     to the component Gamma_H at the identity, so every order factors
     through Gamma_H:
 
@@ -437,70 +429,84 @@ def factored_orders(G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph) -> tup
         classes contracted, and the kernel, two products of Sym(class),
         fixes both blocks.
 
-    Gamma_H/T is bipartite exactly when Gamma_H is, as a 2-coloring of
-    either is constant on classes and a loop exists in both or in neither.
-    It is the Cayley graph of H/T whose connection set is the image of S
-    (S + T = S), so the translations of H/T are regular on its vertices,
-    and their lifts on the + block of its cover. Both orders are then q
-    times a point stabilizer (see the module docstring): |Aut(Gamma_H/T)|
-    = q |Aut_0| and |B(Gamma_H/T)| = q |B0|, searched with the projected
-    inversion of H, or its lift, as the only seed. The class of 0 is
+    A connected twin-free set, S1 among them, has the trivial quotient:
+    H = G, T = {0}, q = n, f = 1, m = 1, and Gamma_H/T is gam itself.
+
+    Gamma_H/T is bipartite exactly when Gamma_H, or gam, is: a 2-coloring
+    of either is constant on classes and a loop exists in both or in
+    neither. It is the Cayley graph of H/T whose connection set is the
+    image of S (S + T = S), so the translations of H/T are regular on its
+    vertices, and their lifts on the + block of its cover. Both orders
+    are then q times a point stabilizer (see the module docstring):
+    |Aut(Gamma_H/T)| = q |Aut_0| and |B(Gamma_H/T)| = q |B0|, B0 searched
+    by `_b0_search` from the projected inversion of H. The class of 0 is
     vertex 0.
+
+    B0 is returned for Gamma_H non-bipartite, and listed when q |B0| is
+    within enum_cap, else None. The elements of B0 acting alike on both
+    blocks are exactly the lifts of Aut_0, for any graph, so a listing
+    gives |Aut_0| by `_diagonal_count`; otherwise Aut_0 is searched.
     """
     n = G.order
-    members = bit_indices(close_subgroup(G, S.members()))
+    members = bit_indices(component)
     m = n // len(members)
-    twins = [t for t in members if G.translate_mask(S.mask, t) == S.mask]
-    # pos maps each member of H to the index of its twin class; the class
-    # of g is represented by its least member
-    reps: list[int] = []
-    pos: dict[int, int] = {}
-    for g in members:
-        if g not in pos:
-            for t in twins:
-                pos[G.add(g, t)] = len(reps)
-            reps.append(g)
-    q = len(reps)
-    f = math.factorial(len(twins)) ** q
-    rows = []
-    for g in reps:
-        row = 0
-        full = gam.rows[g]
-        for h in members:
-            if full >> h & 1:
-                row |= 1 << pos[h]
-        rows.append(row)
-    quot = LabeledGraph(q, rows)
-    iota = as_perm([pos[G.neg(g)] for g in reps])
-    a_h = f * q * automorphism_group(
-        quot, fixed_blocks=[[0]], known_automorphisms=[iota]
-    ).order
-    fm = math.factorial(m)
-    if not is_bipartite(quot):
-        b_h = f * f * q * automorphism_group(
-            double_cover(quot),
-            fixed_blocks=[[0], list(range(1, q))],
-            known_automorphisms=[cover_lift(iota)],
-        ).order
-        return a_h**m * fm, (2 * b_h) ** m * fm, b_h**m * fm
-    aut_order = a_h**m * fm
-    cover_aut_order = a_h ** (2 * m) * math.factorial(2 * m)
-    if S.mask:
-        b_order = (a_h // 2) ** (2 * m) * math.factorial(2 * m)
+    if m == 1 and len(twins) == 1:
+        # the trivial quotient: gam itself, with G's inversion as the seed
+        q, f, quot = n, 1, gam
+        iota = base_inversion_perm(G)
+        cover_iota = group_context(G).inversion_lift
     else:
-        b_order = fm**2
-    return aut_order, cover_aut_order, b_order
+        # pos maps each member of H to the index of its twin class; the
+        # class of g is represented by its least member
+        reps: list[int] = []
+        pos: dict[int, int] = {}
+        for g in members:
+            if g not in pos:
+                for t in twins:
+                    pos[G.add(g, t)] = len(reps)
+                reps.append(g)
+        q = len(reps)
+        f = math.factorial(len(twins)) ** q
+        rows = []
+        for g in reps:
+            row = 0
+            full = gam.rows[g]
+            for h in members:
+                if full >> h & 1:
+                    row |= 1 << pos[h]
+            rows.append(row)
+        quot = LabeledGraph(q, rows)
+        iota = as_perm([pos[G.neg(g)] for g in reps])
+        cover_iota = cover_lift(iota)
+    fm = math.factorial(m)
+    B0 = b0_elems = None
+    if not bipartite:
+        B0 = _b0_search(double_cover(quot), cover_iota)
+        if q * B0.order <= enum_cap:
+            b0_elems = B0.elements(enum_cap)
+    if b0_elems is None:
+        aut0 = automorphism_group(quot, fixed_blocks=[[0]], known_automorphisms=[iota]).order
+    else:
+        aut0 = _diagonal_count(b0_elems, q)
+    a_h = f * q * aut0
+    aut_order = a_h**m * fm
+    if B0 is not None:
+        b_h = f * f * q * B0.order
+        return aut_order, (2 * b_h) ** m * fm, b_h**m * fm, B0, b0_elems
+    f2m = math.factorial(2 * m)
+    b_order = (a_h // 2) ** (2 * m) * f2m if S.mask else fm**2
+    return aut_order, a_h ** (2 * m) * f2m, b_order, None, None
 
 
-def s3prime_membership(G: AbelianGroup, gam: LabeledGraph) -> bool:
+def s3prime_membership(G: AbelianGroup, gam: LabeledGraph, twin_free: bool) -> bool:
     """True iff some holomorph element besides 1 and inversion fixes S setwise.
 
-    gam is Cay(G, S), whose row 0 is S; the rows rule is proved in the
-    module docstring.
+    gam is Cay(G, S), whose row 0 is S, and twin_free says whether its
+    rows are distinct; the rows rule is proved in the module docstring.
     """
-    rows = set(gam.rows)
-    if len(rows) < G.order:
+    if not twin_free:
         return True
+    rows = set(gam.rows)
     mask = gam.rows[0]
     return any(map_mask(mask, tau) in rows for tau in group_context(G).s3prime_twists)
 
@@ -526,9 +532,9 @@ def s4_s5_membership(
 ) -> tuple[TriState, TriState]:
     """Scan subgroups between the translations and B(S) for S4/S5 witnesses.
 
-    B0 is the stabilizer of 0+ in B(S) from `b0_group`, and elems its list
-    of elements, or None when `classify` found |B(S)| over the enumeration
-    cap; the verdict is then indeterminate.
+    B0 is the stabilizer of 0+ in B(S) from `factored_orders`, and elems
+    its list of elements, or None when |B(S)| is over the enumeration cap;
+    the verdict is then indeterminate.
 
     Every witness X is generated over the translations R by a single
     element: for S4, R is maximal in X, so adjoining any element of X - R
@@ -555,12 +561,12 @@ def s4_s5_membership(
         and the classes met by c_p R c_i are those of c_p times the marked
         elements of class i, products that already lie in B0;
       Aut: the diagonal elements of B contain R, so |Aut(Cay(G, S))| is n
-        times the diagonal elements of B0 (used by `classify`).
+        times the diagonal elements of B0 (used by `factored_orders`).
 
     B0 is searched and listed directly, never filtered out of a list of B,
-    but `classify` still compares the cap with |B| = n |B0|: every verdict,
-    `indeterminate` included, is that of a scan over all of B, and exact
-    whenever |B| is within the cap.
+    but `factored_orders` still compares the cap with |B| = n |B0|: every
+    verdict, `indeterminate` included, is that of a scan over all of B, and
+    exact whenever |B| is within the cap.
     """
     if B0.order == (1 if G.exponent <= 2 else 2):
         # B is the translations extended by inversion; the only candidate

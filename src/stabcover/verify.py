@@ -127,7 +127,10 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
     full cover group is exactly twice the block stabilizer B(S), of order
     |G| |B0| (`b0_group`); the cover group here comes from an
     unconstrained search, independent of how the classifier derives it.
-    For twin-free graphs no non-identity element of B(S) fixes the +
+    The sets are walked as complement pairs, as in `check_bicoset_model`,
+    and B0 is searched at most once per pair, since B(S) = B(G - S): the
+    complement's own unconstrained search is still compared with it. For
+    twin-free graphs no non-identity element of B(S) fixes the +
     block pointwise: the cover automorphisms fixing each + vertex are
     exactly those elements, so a search with every + vertex colored apart
     must find only the identity.
@@ -137,24 +140,27 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
     for G in all_abelian_groups(max_order):
         n = G.order
         plus_points = [[v] for v in range(n)]
-        for mask in inverse_closed_masks(G):
-            S = ConnectionSet(G, mask)
-            gam = cayley_graph(G, S)
-            conn, bip = is_connected(gam), is_bipartite(gam)
-            cover = double_cover(gam)
-            tag = f"{G.spec()} 0x{mask:x}"
-            if conn and not bip:
-                cases += 1
-                b_order = n * b0_group(G, S, cover).order
-                full = automorphism_group(cover)
-                if not is_connected(cover):
-                    failures.append(f"{tag}: cover disconnected")
-                if full.order != 2 * b_order:
-                    failures.append(f"{tag}: |Aut(D)|={full.order}, 2|B|={2 * b_order}")
-            if is_twin_free(gam):
-                cases += 1
-                if automorphism_group(cover, fixed_blocks=plus_points).order != 1:
-                    failures.append(f"{tag}: non-identity element acts trivially on +")
+        masks = list(inverse_closed_masks(G))
+        for i in range(len(masks) // 2):
+            b_order = None
+            for mask in (masks[i], masks[-1 - i]):
+                S = ConnectionSet(G, mask)
+                gam = cayley_graph(G, S)
+                cover = double_cover(gam)
+                tag = f"{G.spec()} 0x{mask:x}"
+                if is_connected(gam) and not is_bipartite(gam):
+                    cases += 1
+                    if b_order is None:
+                        b_order = n * b0_group(G, S, cover).order
+                    full = automorphism_group(cover)
+                    if not is_connected(cover):
+                        failures.append(f"{tag}: cover disconnected")
+                    if full.order != 2 * b_order:
+                        failures.append(f"{tag}: |Aut(D)|={full.order}, 2|B|={2 * b_order}")
+                if is_twin_free(gam):
+                    cases += 1
+                    if automorphism_group(cover, fixed_blocks=plus_points).order != 1:
+                        failures.append(f"{tag}: non-identity element acts trivially on +")
     return CheckResult("cover-block-stabilizer", cases, tuple(failures))
 
 

@@ -3,10 +3,10 @@
 Besides a graph helper, this holds the reference implementations the
 tests compare against: deterministic Schreier-Sims, the whole block
 stabilizer B(S) by one search, Aut(G) by brute force, the subgroup
-lattice and the per-set census records. It also
-holds the sigma statistics on cosets of a subgroup with cyclic quotient
-and the Psi coincidence census, which the acceptance and stability
-tests check against the agreement-count bound.
+generated by given elements, the subgroup lattice and the per-set census
+records. It also holds the sigma statistics on cosets of a subgroup with
+cyclic quotient and the Psi coincidence census, which the acceptance and
+stability tests check against the agreement-count bound.
 """
 
 import itertools
@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 from stabcover.autgrp import automorphism_group
 from stabcover.errors import DomainError
 from stabcover.graphs import ConnectionSet, cayley_graph, double_cover
-from stabcover.groups import (
-    AbelianGroup,
-    c_value,
-    close_subgroup,
-    inverse_closed_masks,
-)
+from stabcover.groups import AbelianGroup, c_value, inverse_closed_masks
 from stabcover.perms import PermutationGroup, as_perm, identity_perm, pinv, pmul
 from stabcover.stability import group_context
 
@@ -31,6 +26,22 @@ def has_edge(g, u: int, v: int) -> bool:
 
 
 # -- reference implementations ------------------------------------------------
+
+
+def close_subgroup(G: AbelianGroup, gens: list[int] | tuple[int, ...]) -> int:
+    """Bitmask of the subgroup generated by the given elements."""
+    mask = 1
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = G.add(x, g)
+                if not (mask >> y & 1):
+                    mask |= 1 << y
+                    nxt.append(y)
+        frontier = nxt
+    return mask
 
 
 def schreier_sims(degree: int, generators) -> tuple[list, list[int]]:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import b_group, has_edge, reference_group
+from helpers import b_group, close_subgroup, has_edge, reference_group
 from stabcover import verify
 from stabcover.errors import DomainError
 from stabcover.graphs import (
@@ -13,6 +13,7 @@ from stabcover.graphs import (
     LabeledGraph,
     bicoset_graph,
     cayley_graph,
+    component_mask,
     connection_set,
     cover_frame,
     double_cover,
@@ -113,18 +114,20 @@ def test_cayley_graphs_and_covers_pass_the_full_check():
     )
 
 
-def _oracle_connected(g):
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
+def _oracle_component(g, v):
+    seen = {v}
+    stack = [v]
     while stack:
-        v = stack.pop()
-        for u in g.nbrs[v]:
+        w = stack.pop()
+        for u in g.nbrs[w]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == g.n
+    return seen
+
+
+def _oracle_connected(g):
+    return g.n == 0 or len(_oracle_component(g, 0)) == g.n
 
 
 def _oracle_bipartite(g):
@@ -153,11 +156,21 @@ def test_predicates_against_oracles():
         n = rng.randint(1, 9)
         g = _random_graph(rng, n, rng.choice([0.15, 0.3, 0.6]))
         assert is_connected(g) == _oracle_connected(g)
+        v = rng.randrange(n)
+        assert component_mask(g, v) == sum(1 << u for u in _oracle_component(g, v))
         assert is_bipartite(g) == _oracle_bipartite(g)
         coloring = two_coloring(g)
         assert (coloring is not None) == _oracle_bipartite(g)
         if coloring is not None:
             assert all(coloring[u] != coloring[v] for v in range(n) for u in g.nbrs[v])
+
+
+def test_component_of_zero_is_the_generated_subgroup():
+    # the component of 0 in Cay(G, S) is <S>, {0} for S empty
+    for G in all_abelian_groups(10):
+        for mask in inverse_closed_masks(G):
+            S = ConnectionSet(G, mask)
+            assert component_mask(cayley_graph(G, S)) == close_subgroup(G, S.members())
 
 
 def test_twin_classes():

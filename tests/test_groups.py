@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_automorphisms, subgroups
+from helpers import brute_automorphisms, close_subgroup, subgroups
 from stabcover.errors import DomainError
 from stabcover.groups import (
     AbelianGroup,
     all_abelian_groups,
     automorphism_group_of_G,
     c_value,
-    close_subgroup,
     count_inverse_closed,
     holomorph,
     inverse_closed_masks,

@@ -88,3 +88,17 @@ def test_groups_take_a_base_and_searches_confirm_at_nodes():
     assert defined == [] and named == []
     assert [where.split(":")[0] for where, _ in calls] == ["autgrp.py"]
     assert [where for where, given in calls if given != 3] == []
+
+
+def test_classify_has_no_s1_branch():
+    # every set's three orders come from `factored_orders`, of which S1 is
+    # the trivial twin quotient; `classify` runs one structure pass and
+    # names no search, diagonal count or repeated predicate of its own
+    trees = dict(_package_trees())
+    named = sorted(
+        name
+        for name in ("b0_group", "automorphism_group", "_diagonal_count", "is_connected",
+                     "is_twin_free", "close_subgroup")
+        if "classify" in _referrers(trees["stability.py"], name)
+    )
+    assert named == []

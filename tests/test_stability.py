@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     b_group,
+    close_subgroup,
     make_sigma_context,
     psi_census,
     reference_group,
@@ -28,12 +29,13 @@ from stabcover.graphs import (
 )
 from stabcover.groups import (
     all_abelian_groups,
+    bit_indices,
     holomorph,
     inverse_closed_masks,
     make_group,
     map_mask,
 )
-from stabcover.perms import identity_perm, left_mul, pinv, pmul
+from stabcover.perms import DEFAULT_ENUM_CAP, identity_perm, left_mul, pinv, pmul
 from stabcover.stability import (
     TriState,
     b0_group,
@@ -124,51 +126,63 @@ FACTORED_GROUPS = [
 ]
 
 
+def _factored(G, S, gam, enum_cap=DEFAULT_ENUM_CAP):
+    """`factored_orders`, with H = <S> from `close_subgroup` and T from translating S."""
+    component = close_subgroup(G, S.members())
+    twins = [t for t in bit_indices(component) if G.translate_mask(S.mask, t) == S.mask]
+    return factored_orders(G, S, gam, component, twins, is_bipartite(gam), enum_cap)
+
+
 def test_factored_orders_against_search():
-    # every set outside S1 (disconnected, bipartite, or connected and
-    # non-bipartite with twins): twin-quotient orders vs unconstrained search
-    twin_sets = 0
+    # every set, S1 (the trivial twin quotient) included: twin-quotient
+    # orders vs unconstrained search
+    kinds = Counter()
     for facs in FACTORED_GROUPS:
         G = make_group(facs)
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
             gam = cayley_graph(G, S)
-            if is_connected(gam) and not is_bipartite(gam) and is_twin_free(gam):
-                continue
-            aut, cover_aut, b = factored_orders(G, S, gam)
+            aut, cover_aut, b, _, _ = _factored(G, S, gam)
             assert aut == automorphism_group(gam).order, (G.spec(), hex(mask))
             full = automorphism_group(double_cover(gam))
             assert cover_aut == full.order, (G.spec(), hex(mask))
             assert b == b_group(G, S).order, (G.spec(), hex(mask))
-            twin_sets += is_connected(gam) and not is_bipartite(gam)
-    assert twin_sets == 94
+            if is_connected(gam) and not is_bipartite(gam):
+                kinds["s1" if is_twin_free(gam) else "twins"] += 1
+    assert kinds == {"s1": 529, "twins": 94}
 
 
-def test_classify_builds_b_group_only_for_s1(monkeypatch):
-    # B(S), searched as its point stabilizer B0, is needed only by the
-    # S4/S5 scan, which only S1 sets reach; every other set has its three
-    # orders from `factored_orders`
+def test_factored_orders_returns_b0_and_builds_no_quotient_for_s1(monkeypatch):
+    # B0 comes back exactly for non-bipartite sets; for S1 sets it is the
+    # group `b0_group` searches (equal orders, generators inside), since
+    # their twin quotient is Cay(G, S) itself, so no quotient graph is built
+    # for them, nor for any connected twin-free set
     built = []
-
-    def s1_only_b0_group(G, S, cover=None):
-        gam = cayley_graph(G, S)
-        assert is_connected(gam) and not is_bipartite(gam) and is_twin_free(gam), (
-            G.spec(), hex(S.mask)
-        )
-        built.append(S)
-        return b0_group(G, S, cover)
-
-    monkeypatch.setattr(stability, "b0_group", s1_only_b0_group)
+    real = stability.LabeledGraph
+    monkeypatch.setattr(stability, "LabeledGraph", lambda n, rows: built.append(n) or real(n, rows))
     kinds = Counter()
     for G in all_abelian_groups(8):
         for mask in inverse_closed_masks(G):
-            rec = classify(G, ConnectionSet(G, mask))
-            if rec.in_s1:
+            S = ConnectionSet(G, mask)
+            gam = cayley_graph(G, S)
+            built.clear()
+            *_, B0, b0_elems = _factored(G, S, gam)
+            tag = (G.spec(), hex(mask))
+            assert (B0 is None) == is_bipartite(gam), tag
+            trivial = is_connected(gam) and is_twin_free(gam)
+            assert len(built) == (0 if trivial else 1), tag
+            if trivial and B0 is not None:
+                want = b0_group(G, S)
+                assert B0.order == want.order and all(map(want.contains, B0.generators)), tag
+                # listed exactly when |B(S)| = n |B0| is within the cap
+                if G.order * B0.order <= DEFAULT_ENUM_CAP:
+                    assert set(b0_elems) == set(want.elements()), tag
+                else:
+                    assert b0_elems is None, tag
                 kinds["s1"] += 1
-            elif rec.connected and not rec.bipartite:
-                kinds["twins"] += 1
-    assert len(built) == kinds["s1"] > 0
-    assert kinds["twins"] > 0
+            elif B0 is not None:
+                kinds["quotient"] += 1
+    assert kinds == {"s1": 194, "quotient": 126}
 
 
 # -- lattice oracle for the normalizer families -------------------------------
@@ -300,8 +314,9 @@ def test_s3prime_from_rows_against_holomorph():
         for mask in inverse_closed_masks(G):
             want = any(map_mask(mask, a) == mask for a in hol)
             gam = cayley_graph(G, ConnectionSet(G, mask))
-            assert stability.s3prime_membership(G, gam) == want, (G.spec(), hex(mask))
-            checked[want, is_twin_free(gam)] += 1
+            twin_free = is_twin_free(gam)
+            assert stability.s3prime_membership(G, gam, twin_free) == want, (G.spec(), hex(mask))
+            checked[want, twin_free] += 1
     # every set with twins is in S3'; both verdicts occur on twin-free sets
     assert sum(checked.values()) == 1002
     assert checked[False, False] == 0
@@ -315,9 +330,9 @@ def test_s2_sets_skip_the_s3prime_scan(monkeypatch):
     real = stability.s3prime_membership
     scanned = []
 
-    def counted(G, gam):
+    def counted(G, gam, twin_free):
         scanned.append(gam.rows[0])
-        return real(G, gam)
+        return real(G, gam, twin_free)
 
     monkeypatch.setattr(stability, "s3prime_membership", counted)
     s2 = 0
@@ -327,7 +342,8 @@ def test_s2_sets_skip_the_s3prime_scan(monkeypatch):
             scanned.clear()
             rec = classify(G, S)
             assert scanned == ([] if rec.in_s2 else [mask]), (G.spec(), hex(mask))
-            want = real(G, cayley_graph(G, S))
+            gam = cayley_graph(G, S)
+            want = real(G, gam, is_twin_free(gam))
             assert rec.in_s3prime == want, (G.spec(), hex(mask))
             s2 += rec.in_s2
     assert s2 == 172
@@ -536,22 +552,34 @@ def test_classify_indeterminate_on_tiny_enum_cap():
     assert not classify(C5, ConnectionSet(C5, 0b11110), enum_cap=120).indeterminate
 
 
-def test_aut_order_over_the_enumeration_cap():
-    # over the cap |Aut(Cay(G, S))| is n times the stabilizer of 0, searched
-    # with the inversion as the only seed; within it, n times the diagonal
-    # elements of B0. Both against an unseeded search of the whole group
-    s1_sets = 0
+def test_aut_order_over_the_enumeration_cap(monkeypatch):
+    # every non-bipartite set, S1 or not: within the cap |Aut(Cay(G, S))|
+    # is q times the diagonal elements of the twin quotient's B0, over it
+    # (enum_cap = 0) q times the stabilizer of 0, searched with the
+    # inversion as the only seed. Both against an unseeded search of the
+    # whole group
+    counted = []
+    real = stability._diagonal_count
+    monkeypatch.setattr(
+        stability, "_diagonal_count", lambda elems, n: counted.append(n) or real(elems, n)
+    )
+    kinds = Counter()
     for G in all_abelian_groups(10):
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
+            counted.clear()
             rec = classify(G, S)
-            if not rec.in_s1:
+            if rec.bipartite:
                 continue
-            s1_sets += 1
+            kinds["s1" if rec.in_s1 else "other"] += 1
+            kinds["diagonal"] += len(counted)
             want = automorphism_group(cayley_graph(G, S)).order
             assert rec.aut_order == want, (G.spec(), hex(mask))
+            counted.clear()
             assert classify(G, S, enum_cap=0).aut_order == want, (G.spec(), hex(mask))
-    assert s1_sets == 279
+            assert counted == [], (G.spec(), hex(mask))
+    # at the default cap the diagonal count serves 418 of the 438 sets
+    assert kinds == {"s1": 279, "other": 159, "diagonal": 418}
 
 
 # -- coset statistics ----------------------------------------------------------
