@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .autgrp import canonical_form
 from .errors import CapExceededError, DomainError, StabcoverError
-from .graphs import ConnectionSet, cayley_graph, is_bipartite, is_connected
+from .graphs import ConnectionSet, cayley_graph, component_of
 from .groups import (
     DEFAULT_SET_CAP,
     AbelianGroup,
@@ -318,6 +318,7 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
     derived from the first when both sets are S1 (see the module
     docstring), and classified otherwise.
     """
+    full = (1 << G.order) - 1
     records, calls = [], 0
     for first_mask, *partner in units:
         first = classify(G, ConnectionSet(G, first_mask), enum_cap=enum_cap)
@@ -325,7 +326,7 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
         calls += 1
         for mask in partner:
             S = ConnectionSet(G, mask)
-            if first.in_s1 and is_connected(gam := cayley_graph(G, S)) and not is_bipartite(gam):
+            if first.in_s1 and component_of(cayley_graph(G, S)) == (full, False):
                 records.append(replace(first, set=S))
             else:
                 records.append(classify(G, S, enum_cap=enum_cap))
@@ -542,8 +543,10 @@ def _complement_units(G: AbelianGroup, orbits: list[list[int]]) -> list[tuple[in
     """The census's units of work, as indices into `orbits`, in orbit order.
 
     Complementation maps the orbit O onto the orbit O^c whose least mask
-    is the least G - S over O (see the module docstring). A unit is (i,)
-    for an orbit that is its own complement's, or (i, j) with i < j for a
+    is the least G - S over O (see the module docstring). Each orbit is
+    sorted and S -> G - S reverses the order of masks, so that least mask
+    is the complement of O's greatest, its last. A unit is (i,) for an
+    orbit that is its own complement's, or (i, j) with i < j for a
     complement pair. Orbits are looked up by least mask only, not by every
     mask.
     """
@@ -554,7 +557,7 @@ def _complement_units(G: AbelianGroup, orbits: list[list[int]]) -> list[tuple[in
     for i, orbit in enumerate(orbits):
         if i in paired:
             continue
-        j = index[min(full ^ mask for mask in orbit)]
+        j = index[full ^ orbit[-1]]
         paired.add(j)
         units.append((i,) if j == i else (i, j))
     return units

@@ -41,13 +41,6 @@ class LabeledGraph:
         """Neighbours of each vertex in increasing order, built once."""
         return tuple(map(bit_indices, self.rows))
 
-    def has_loop(self, v: int) -> bool:
-        return bool((self.rows[v] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        """Neighbour count; a loop contributes once."""
-        return self.rows[v].bit_count()
-
     def relabel(self, perm) -> "LabeledGraph":
         """Graph with vertex v renamed to perm[v]."""
         new_rows = [0] * self.n
@@ -142,62 +135,48 @@ def double_cover(g: LabeledGraph) -> LabeledGraph:
     return _symmetric_graph(2 * n, tuple(rows), nbrs)
 
 
-def component_mask(g: LabeledGraph, v: int = 0) -> int:
-    """The vertices of the component of v, as a bit mask, by one BFS."""
-    seen = frontier = 1 << v
-    while frontier:
+def component_of(g: LabeledGraph, v: int = 0) -> tuple[int, bool]:
+    """The component of v as a bit mask, and whether it is bipartite, by one BFS.
+
+    The BFS runs by layers: layer k holds the vertices at distance k from
+    v, and an edge joins two vertices whose layers differ by at most one.
+    If no edge, loop included, lies inside a layer, coloring each vertex
+    by the parity of its layer is proper. If u ~ w inside layer k, the
+    shortest paths from v to u and to w close with that edge into an odd
+    closed walk of length 2k + 1, so the component has an odd cycle.
+    """
+    rows = g.rows
+    seen = layer = 1 << v
+    odd = 0
+    while layer:
         nxt = 0
-        for u in bit_indices(frontier):
-            nxt |= g.rows[u]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
+        for u in bit_indices(layer):
+            row = rows[u]
+            odd |= row & layer
+            nxt |= row
+        layer = nxt & ~seen
+        seen |= layer
+    return seen, not odd
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    return g.n == 0 or component_mask(g) == (1 << g.n) - 1
-
-
-def two_coloring(g: LabeledGraph) -> list[int] | None:
-    """A proper 2-coloring (color 0 on the least vertex of each component).
-
-    None when the graph is not bipartite; any loop is an odd closed walk,
-    so loops refuse.
-    """
-    if any(g.has_loop(v) for v in range(g.n)):
-        return None
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in bit_indices(g.rows[v]):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    return color
+    return g.n == 0 or component_of(g)[0] == (1 << g.n) - 1
 
 
 def is_bipartite(g: LabeledGraph) -> bool:
-    """Two-colorability (see `two_coloring`)."""
-    return two_coloring(g) is not None
-
-
-def twin_classes(g: LabeledGraph) -> list[list[int]]:
-    """Classes of vertices with identical adjacency rows (loop included)."""
-    by_row: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_row.setdefault(g.rows[v], []).append(v)
-    return sorted(by_row.values())
+    """Whether every component is bipartite, each walked from its least vertex."""
+    rest = (1 << g.n) - 1
+    while rest:
+        mask, bipartite = component_of(g, (rest & -rest).bit_length() - 1)
+        if not bipartite:
+            return False
+        rest &= ~mask
+    return True
 
 
 def is_twin_free(g: LabeledGraph) -> bool:
-    return all(len(c) == 1 for c in twin_classes(g))
+    """Whether the rows, loop bits included, are distinct."""
+    return len(set(g.rows)) == g.n
 
 
 # -- bi-coset graphs ---------------------------------------------------------

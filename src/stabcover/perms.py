@@ -112,7 +112,6 @@ def left_mul(p):
 class _Level:
     point: int
     orbit: dict[int, Perm]  # image -> transversal u with point^u = image
-    orbit_inv_tab: dict  # image -> mul_table of u^-1, for sifting
 
 
 class PermutationGroup:
@@ -148,28 +147,24 @@ class PermutationGroup:
             return self._chain
         chain = self._chain = []
         ident = identity_perm(self.degree)
-        ident_tab = mul_table(ident)
-        # (generator, its table, its inverse) for the generators fixing
-        # the base points passed so far
-        gens = [(s, mul_table(s), pinv(s)) for s in self.generators]
+        # (generator, its table) for the generators fixing the base points
+        # passed so far
+        gens = [(s, mul_table(s)) for s in self.generators]
         for point in self._base:
             if not gens:
                 break
             orbit = {point: ident}
-            orbit_inv_tab = {point: ident_tab}
             pts = [point]
             for pt in pts:
-                u_mul, ui_tab = left_mul(orbit[pt]), orbit_inv_tab[pt]
-                for s, st, si in gens:
+                u_mul = left_mul(orbit[pt])
+                for s, st in gens:
                     img = s[pt]
                     if img in orbit:
                         continue
-                    # the transversal element u s has inverse s^-1 u^-1
                     orbit[img] = u_mul(st)
-                    orbit_inv_tab[img] = mul_table(left_mul(si)(ui_tab))
                     pts.append(img)
             if len(orbit) > 1:
-                chain.append(_Level(point, orbit, orbit_inv_tab))
+                chain.append(_Level(point, orbit))
             gens = [g for g in gens if g[0][point] == point]
         self._order = math.prod(len(lvl.orbit) for lvl in chain)
         return chain
@@ -179,10 +174,10 @@ class PermutationGroup:
             img = g[lvl.point]
             if img == lvl.point:
                 continue
-            t = lvl.orbit_inv_tab.get(img)
-            if t is None:
+            u = lvl.orbit.get(img)
+            if u is None:
                 return g
-            g = left_mul(g)(t)
+            g = pmul(g, pinv(u))
         return g
 
     # -- queries ------------------------------------------------------------

@@ -71,9 +71,8 @@ from .graphs import (
     ConnectionSet,
     LabeledGraph,
     cayley_graph,
-    component_mask,
+    component_of,
     double_cover,
-    is_bipartite,
 )
 from .groups import AbelianGroup, automorphism_group_of_G, bit_indices, map_mask
 from .perms import (
@@ -317,18 +316,21 @@ def classify(
 ) -> StabilityRecord:
     """Classify one connection set; caps yield indeterminate fields, not errors.
 
-    One structure pass gives H = <S> (the component of 0), the twins T of 0
-    in H (row t is S + t), bipartiteness, and twin-freeness over all of G
-    (for S empty every vertex is a twin): rows g and h are equal exactly
-    when rows 0 and h - g are. `factored_orders` takes every order from it.
+    One BFS (`component_of`) gives H = <S>, the component of 0, and
+    whether it is bipartite. The translations are automorphisms of
+    Cay(G, S), so every component is a translate g + H of it, and the
+    graph is bipartite exactly when the component of 0 is. One row count
+    gives the twins T of 0 in H (row t is S + t), and twin-freeness over
+    all of G (for S empty every vertex is a twin): rows g and h are equal
+    exactly when rows 0 and h - g are. `factored_orders` takes every order
+    from this structure pass.
     """
     n = G.order
     gam = cayley_graph(G, S)
     rows = gam.rows
-    component = component_mask(gam)
+    component, bipartite = component_of(gam)
     twins = [t for t in bit_indices(component) if rows[t] == rows[0]]
     connected = component == (1 << n) - 1
-    bipartite = is_bipartite(gam)
     twin_free = rows.count(rows[0]) == 1
     exponent_two = G.exponent <= 2
     target = n if exponent_two else 2 * n
@@ -355,7 +357,7 @@ def classify(
 
     if in_s1:
         # the twin quotient is Cay(G, S) itself, and B0 its point stabilizer
-        in_s4, in_s5 = s4_s5_membership(G, S, B0, b0_elems)
+        in_s4, in_s5 = s4_s5_membership(G, B0, b0_elems)
     else:
         in_s4, in_s5 = TriState.NO, TriState.NO
 
@@ -467,15 +469,8 @@ def factored_orders(
                 reps.append(g)
         q = len(reps)
         f = math.factorial(len(twins)) ** q
-        rows = []
-        for g in reps:
-            row = 0
-            full = gam.rows[g]
-            for h in members:
-                if full >> h & 1:
-                    row |= 1 << pos[h]
-            rows.append(row)
-        quot = LabeledGraph(q, rows)
+        # row g is S + g, inside H for g in H, so pos maps all of it
+        quot = LabeledGraph(q, tuple(map_mask(gam.rows[g], pos) for g in reps))
         iota = as_perm([pos[G.neg(g)] for g in reps])
         cover_iota = cover_lift(iota)
     fm = math.factorial(m)
@@ -525,10 +520,7 @@ def _diagonal_count(elems, n: int) -> int:
 
 
 def s4_s5_membership(
-    G: AbelianGroup,
-    S: ConnectionSet,
-    B0: PermutationGroup,
-    elems,
+    G: AbelianGroup, B0: PermutationGroup, elems
 ) -> tuple[TriState, TriState]:
     """Scan subgroups between the translations and B(S) for S4/S5 witnesses.
 

@@ -164,9 +164,7 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
     return CheckResult("cover-block-stabilizer", cases, tuple(failures))
 
 
-def check_bicoset_model(
-    max_order: int = 8, b_cap: int = 20_000
-) -> CheckResult:
+def check_bicoset_model(max_order: int = 8) -> CheckResult:
     """The cover is the bi-coset graph of (B, H, K, Y) via the orbit map.
 
     The sets are walked as complement pairs (masks[i], masks[-1 - i]) of
@@ -181,8 +179,8 @@ def check_bicoset_model(
     that listing (X, H, K, their coset representatives and the orbit map)
     serves both sets; only Y and what reads it are built per set. The
     frame is freed before the next pair's searches. Pairs with |B| over
-    `b_cap` are skipped. A set whose listing or Y the model's validation
-    refuses (`DomainError`) is a failure line with the refusal.
+    `DEFAULT_ENUM_CAP` are skipped. A set whose listing or Y the model's
+    validation refuses (`DomainError`) is a failure line with the refusal.
     """
     failures = []
     cases = 0
@@ -197,10 +195,10 @@ def check_bicoset_model(
             if B0.order != B0c.order or not all(map(B0c.contains, B0.generators)):
                 failures.append(f"{tags[0]}: B0 differs from that of {tags[1]}")
                 continue
-            if n * B0.order > b_cap:
+            if n * B0.order > DEFAULT_ENUM_CAP:
                 continue
             cases += 2
-            b0_elems = B0.elements(b_cap)
+            b0_elems = B0.elements()
             try:
                 frame = cover_frame(
                     n, [x for r in lifts for x in map(right_mul(r), b0_elems)]
@@ -218,10 +216,7 @@ def check_bicoset_model(
     return CheckResult("bicoset-model", cases, tuple(failures))
 
 
-def check_hierarchy(
-    max_order: int = 10,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> CheckResult:
+def check_hierarchy(max_order: int = 10) -> CheckResult:
     """Per-record invariants of the classification hierarchy.
 
     Runs the full classifier over every set of every group of exponent
@@ -237,7 +232,7 @@ def check_hierarchy(
             continue
         for mask in inverse_closed_masks(G):
             cases += 1
-            rec = classify(G, ConnectionSet(G, mask), enum_cap)
+            rec = classify(G, ConnectionSet(G, mask))
             try:
                 check_record(rec)
             except StabcoverError as e:

@@ -380,6 +380,22 @@ def test_hol_orbit_counts():
     assert len(flat) == len(set(flat)) == count_inverse_closed(make_group([8]))
 
 
+def test_complement_units_pair_complement_orbits():
+    # each unit is an orbit closed under S -> G - S, or two orbits that
+    # this map exchanges; every orbit lies in exactly one unit
+    pairs = 0
+    for G in all_abelian_groups(16):
+        full = (1 << G.order) - 1
+        orbits = hol_orbits(G)
+        units = census._complement_units(G, orbits)
+        assert sorted(i for unit in units for i in unit) == list(range(len(orbits)))
+        for i, *partner in units:
+            j = partner[0] if partner else i
+            assert {full ^ m for m in orbits[i]} == set(orbits[j]), (G.spec(), i, j)
+            pairs += bool(partner)
+    assert pairs
+
+
 def test_unlabeled_census_c5():
     rep = unlabeled_census(exhaustive_census(make_group([5])))
     assert rep.total == 8

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from stabcover.graphs import (
     LabeledGraph,
     bicoset_graph,
     cayley_graph,
-    component_mask,
+    component_of,
     connection_set,
     cover_frame,
     double_cover,
@@ -22,8 +23,6 @@ from stabcover.graphs import (
     is_twin_free,
     _right_cosets,
     make_bicoset_spec,
-    twin_classes,
-    two_coloring,
     verify_bicoset_isomorphism,
 )
 from stabcover.groups import (
@@ -52,8 +51,9 @@ def test_labeled_graph_validation():
     with pytest.raises(DomainError):
         LabeledGraph(2, (0b100, 0b00))  # bit outside range
     g = LabeledGraph(2, (0b11, 0b01))
-    assert g.has_loop(0) and not g.has_loop(1)
-    assert g.degree(0) == 2
+    # a loop is the diagonal bit, counted once in the row
+    assert has_edge(g, 0, 0) and not has_edge(g, 1, 1)
+    assert g.rows[0].bit_count() == 2
 
 
 def test_relabel_is_isomorphism():
@@ -92,7 +92,7 @@ def test_cayley_graph_loops_and_components():
     assert not is_connected(g)
     # the identity in S puts a loop at every vertex
     g = cayley_graph(C6, ConnectionSet(C6, 0b000001))
-    assert all(g.has_loop(v) for v in range(6))
+    assert all(has_edge(g, v, v) for v in range(6))
     # {1, 5} on C6 is an even cycle
     g = cayley_graph(C6, ConnectionSet(C6, 0b100010))
     assert is_bipartite(g)
@@ -150,19 +150,50 @@ def _oracle_bipartite(g):
     return True
 
 
+def _induced(g, vertices):
+    """The subgraph of g induced on the sorted list `vertices`, relabelled 0, 1, ..."""
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [sum(1 << index[u] for u in g.nbrs[v] if u in index) for v in vertices]
+    return LabeledGraph(len(vertices), tuple(rows))
+
+
 def test_predicates_against_oracles():
     rng = random.Random(77)
+    split = Counter()
     for _ in range(60):
         n = rng.randint(1, 9)
         g = _random_graph(rng, n, rng.choice([0.15, 0.3, 0.6]))
+        if rng.random() < 0.2:
+            # a loop, an odd cycle of length one
+            rows = list(g.rows)
+            w = rng.randrange(n)
+            rows[w] |= 1 << w
+            g = LabeledGraph(n, tuple(rows))
         assert is_connected(g) == _oracle_connected(g)
         v = rng.randrange(n)
-        assert component_mask(g, v) == sum(1 << u for u in _oracle_component(g, v))
+        component = sorted(_oracle_component(g, v))
+        mask, bipartite = component_of(g, v)
+        assert mask == sum(1 << u for u in component)
+        assert bipartite == _oracle_bipartite(_induced(g, component))
         assert is_bipartite(g) == _oracle_bipartite(g)
-        coloring = two_coloring(g)
-        assert (coloring is not None) == _oracle_bipartite(g)
-        if coloring is not None:
-            assert all(coloring[u] != coloring[v] for v in range(n) for u in g.nbrs[v])
+        if not _oracle_connected(g):
+            split[bipartite] += 1
+    # graphs with several components, whose component of v is bipartite
+    # and not
+    assert split[True] and split[False]
+
+
+def test_component_of_zero_decides_bipartiteness():
+    # every component of Cay(G, S) is a translate of the component of 0,
+    # so the graph is bipartite exactly when that component is
+    seen = Counter()
+    for G in all_abelian_groups(12):
+        for mask in inverse_closed_masks(G):
+            gam = cayley_graph(G, ConnectionSet(G, mask))
+            bipartite = component_of(gam)[1]
+            assert bipartite == _oracle_bipartite(gam), (G.spec(), hex(mask))
+            seen[is_connected(gam), bipartite] += 1
+    assert len(seen) == 4
 
 
 def test_component_of_zero_is_the_generated_subgroup():
@@ -170,13 +201,14 @@ def test_component_of_zero_is_the_generated_subgroup():
     for G in all_abelian_groups(10):
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
-            assert component_mask(cayley_graph(G, S)) == close_subgroup(G, S.members())
+            assert component_of(cayley_graph(G, S))[0] == close_subgroup(G, S.members())
 
 
 def test_twin_classes():
     C4 = make_group([4])
     g = cayley_graph(C4, ConnectionSet(C4, 0b1010))  # the 4-cycle
-    assert twin_classes(g) == [[0, 2], [1, 3]]
+    # the twin classes are {0, 2} and {1, 3}
+    assert g.rows[0] == g.rows[2] != g.rows[1] == g.rows[3]
     assert not is_twin_free(g)
     # the empty and the all-loops graphs
     assert not is_twin_free(cayley_graph(C4, ConnectionSet(C4, 0)))
@@ -189,7 +221,7 @@ def test_double_cover_shapes():
     # the cover of an odd cycle is the double-length cycle
     assert cover.n == 10
     assert is_connected(cover) and is_bipartite(cover)
-    assert all(cover.degree(v) == 2 for v in range(10))
+    assert all(row.bit_count() == 2 for row in cover.rows)
     C4 = make_group([4])
     cover = double_cover(cayley_graph(C4, ConnectionSet(C4, 0b1010)))
     # the cover of a bipartite graph splits into two copies
@@ -197,7 +229,7 @@ def test_double_cover_shapes():
     # a loop becomes a cover edge between the two sheets
     C2 = make_group([2])
     cover = double_cover(cayley_graph(C2, ConnectionSet(C2, 0b01)))
-    assert has_edge(cover, 0, 2) and not cover.has_loop(0)
+    assert has_edge(cover, 0, 2) and not has_edge(cover, 0, 0)
 
 
 def test_bicoset_graph_by_hand():
@@ -210,7 +242,7 @@ def test_bicoset_graph_by_hand():
     spec = make_bicoset_spec(elems, H, H, H)
     g = bicoset_graph(spec)
     assert g.n == 6
-    assert all(g.degree(v) == 1 for v in range(6))
+    assert all(row.bit_count() == 1 for row in g.rows)
 
 
 def test_bicoset_spec_rejects_partial_double_coset():

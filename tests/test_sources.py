@@ -98,7 +98,7 @@ def test_classify_has_no_s1_branch():
     named = sorted(
         name
         for name in ("b0_group", "automorphism_group", "_diagonal_count", "is_connected",
-                     "is_twin_free", "close_subgroup")
+                     "is_twin_free", "is_bipartite", "component_mask", "close_subgroup")
         if "classify" in _referrers(trees["stability.py"], name)
     )
     assert named == []

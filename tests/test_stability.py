@@ -484,7 +484,7 @@ def test_s4_s5_matches_element_closure_scan(monkeypatch):
                 with monkeypatch.context() as m:
                     m.setattr(stability, "group_context", context)
                     m.setattr(stability, "pinv", lambda p: reps.append(p) or pinv(p))
-                    got = s4_s5_membership(G, S, B0, elems=es)
+                    got = s4_s5_membership(G, B0, elems=es)
                 assert got == want, (G.spec(), hex(mask), type(es[0]))
                 assert len(reps) == classes, (G.spec(), hex(mask), type(es[0]))
             verdicts[tuple(t.value for t in got)] += 1
@@ -532,7 +532,7 @@ def test_s4_s5_tuple_degree(n, elements, b_order, verdict):
     elems = B.elements()
     assert isinstance(elems[0], tuple)
     B0 = b0_group(G, S)
-    got = s4_s5_membership(G, S, B0, B0.elements())
+    got = s4_s5_membership(G, B0, B0.elements())
     assert got == _element_closure_scan(G, B) == verdict
     assert stability._diagonal_count(elems, n) == _brute_diagonal_count(elems, n)
 
