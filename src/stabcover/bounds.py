@@ -78,10 +78,15 @@ def k_delta(r: int, delta: float, precision_bits: int = DEFAULT_PRECISION_BITS):
     """
     h = h_delta(r, delta, precision_bits)
     with mp.workprec(precision_bits):
-        if h >= 1:
-            return None
-        lg = mp.log(mp.mpf(r), 2)
-        return h / (1 - h) * mp.mpf(2) ** (lg * lg + lg)
+        return _k_of_h(h, r)
+
+
+def _k_of_h(h, r: int):
+    """k_delta from h_delta, at the caller's working precision."""
+    if h >= 1:
+        return None
+    lg = mp.log(mp.mpf(r), 2)
+    return h / (1 - h) * mp.mpf(2) ** (lg * lg + lg)
 
 
 @dataclass(frozen=True)
@@ -89,14 +94,17 @@ class BoundProfile:
     """All named bounds at one (r, delta) point, with vacuity flags.
 
     A bound above 1 says nothing about a proportion; such entries are
-    flagged vacuous but reported at face value. component_sum adds the
-    four per-family bounds whose union covers every unstable set, and
-    component_sum_le_h records whether that sum stays below h_delta.
+    flagged vacuous but reported at face value. h_terms are the two
+    summands of h_delta, as `h_delta_terms` gives them; h is their sum and
+    k is read off h. component_sum adds the four per-family bounds whose
+    union covers every unstable set, and component_sum_le_h records
+    whether that sum stays below h_delta.
     """
 
     r: int
     delta: float
     precision_bits: int
+    h_terms: tuple
     h: object
     k: object | None
     bounds: dict
@@ -113,7 +121,7 @@ def lemma_bound_table(
     r: int, delta: float, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> BoundProfile:
     """Evaluate every named per-family bound at one (r, delta) point."""
-    _validate(r, delta, precision_bits)
+    first, second = h_delta_terms(r, delta, precision_bits)
     with mp.workprec(precision_bits):
         rr = mp.mpf(r)
         lg = mp.log(rr, 2)
@@ -134,14 +142,14 @@ def lemma_bound_table(
         }
         vacuous = {name: bool(value > 1) for name, value in bounds.items()}
         component_sum = sum(bounds[name] for name in COMPONENT_SUM_NAMES)
-        h = h_delta(r, delta, precision_bits)
-        k = k_delta(r, delta, precision_bits)
+        h = first + second
         return BoundProfile(
             r=r,
             delta=delta,
             precision_bits=precision_bits,
+            h_terms=(first, second),
             h=h,
-            k=k,
+            k=_k_of_h(h, r),
             bounds=bounds,
             vacuous=vacuous,
             component_sum=component_sum,

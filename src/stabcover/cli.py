@@ -164,7 +164,7 @@ BOUNDS_HEADER = (
 
 def _bounds_row(r: int, delta: float, precision_bits: int) -> list[str]:
     profile = bounds_mod.lemma_bound_table(r, delta, precision_bits)
-    first, second = bounds_mod.h_delta_terms(r, delta, precision_bits)
+    first, second = profile.h_terms
     row = [
         str(r),
         repr(delta),

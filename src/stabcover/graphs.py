@@ -184,47 +184,52 @@ def is_twin_free(g: LabeledGraph) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class BiCosetFrame:
-    """A finite permutation group X with subgroups H and K, without D.
+    """A group X of permutations of the 2n vertices of a double cover, without D.
 
     Everything of a bi-coset graph that does not depend on D lives here,
-    so one frame serves every D over the same (X, H, K). `elements` lists
-    X once, as image arrays; H and K are element sets. Building the frame
-    checks the listing against both right coset partitions from
-    `_right_cosets`: X lists no element twice, every product hx lies in X,
-    and there are |X|/|H| cosets, so by counting they partition X;
-    likewise for K. The frame keeps H's partition as its representatives
-    (`h_reps`, least-index members in listing order) and K's whole, as
-    `k_cosets`, since every D is checked against it. Its members are the
-    listing's own objects, not the products, so the partition holds X no
-    second time. `h_tables` are H's elements prepared as `left_mul`
-    arguments, for the D-side check.
+    so one frame serves every graph whose cover X acts on. `elements`
+    lists X once, as image arrays of length 2n, and its orbits must be
+    exactly the + and - blocks. H and K are the stabilizers of 0+ and
+    0-, filtered out of the listing. Building the frame checks the
+    listing against both right coset partitions from `_right_cosets`: X
+    lists no element twice, every product hx lies in X, and there are
+    |X|/|H| cosets, so by counting they partition X; likewise for K. The
+    frame keeps H's partition as its representatives (`h_reps`,
+    least-index members in listing order) and K's whole, as `k_cosets`,
+    since every D is checked against it. Its members are the listing's
+    own objects, not the products, so the partition holds X no second
+    time. `h_tables` are H's elements prepared as `left_mul` arguments,
+    for the D-side check.
 
-    With `points` = (p, q), H must fix p and K must fix q, and
-    `orbit_map` is the orbit map sending p^x to Hx (index a of the a-th
-    H-coset) and q^x to Kx (index nh + b). Every member of Hx sends p to
-    p^x, so the representatives define it. It is checked to be a
-    bijection from the points onto the nh + nk cosets, and is None
-    without `points`.
+    `orbit_map` sends (0+)^x to Hx (index a of the a-th H-coset) and
+    (0-)^x to Kx (index nh + b). Every member of Hx sends 0+ to (0+)^x,
+    so the representatives define it. It is checked to be a bijection
+    from the 2n vertices onto the nh + nk cosets.
     """
 
+    n: int
     elements: tuple
-    h_elements: frozenset
-    k_elements: frozenset
-    points: tuple[int, int] | None = None
     h_reps: tuple = field(init=False)
     k_cosets: list = field(init=False)
     h_tables: list = field(init=False)
-    orbit_map: tuple[int, ...] | None = field(init=False)
+    orbit_map: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        elems = self.elements
+        n, elems = self.n, tuple(self.elements)
+        object.__setattr__(self, "elements", elems)
+        if any(len(x) != 2 * n for x in elems):
+            raise DomainError("X does not act on the cover vertex set")
+        if {x[0] for x in elems} != set(range(n)) or {x[n] for x in elems} != set(
+            range(n, 2 * n)
+        ):
+            raise DomainError("X orbits are not the two cover blocks")
         listed = {x: x for x in elems}
         if len(listed) != len(elems):
             raise DomainError("X lists an element twice")
+        h_sub = [x for x in elems if x[0] == 0]
+        k_sub = [x for x in elems if x[n] == n]
         partitions = []
-        for name, sub in (("H", self.h_elements), ("K", self.k_elements)):
-            if not listed.keys() >= sub:
-                raise DomainError(f"{name} is not contained in X")
+        for name, sub in (("H", h_sub), ("K", k_sub)):
             # each product is replaced by its listed object, None if unlisted
             cosets = [
                 (x, list(map(listed.get, coset))) for x, coset in _right_cosets(elems, sub)
@@ -233,99 +238,21 @@ class BiCosetFrame:
                 raise DomainError(f"the right cosets of {name} do not partition X")
             partitions.append(cosets)
         del listed
-        object.__setattr__(self, "h_reps", tuple(x for x, _ in partitions[0]))
-        object.__setattr__(self, "k_cosets", partitions[1])
-        object.__setattr__(self, "h_tables", list(map(mul_table, self.h_elements)))
-        phi = None if self.points is None else self._checked_orbit_map()
-        object.__setattr__(self, "orbit_map", phi)
-
-    def _checked_orbit_map(self) -> tuple[int, ...]:
-        p, q = self.points
-        if any(h[p] != p for h in self.h_elements) or any(
-            k[q] != q for k in self.k_elements
-        ):
-            raise DomainError("H does not fix p or K does not fix q")
-        phi = [-1] * len(self.elements[0])
-        nh = len(self.h_reps)
-        for a, x in enumerate(self.h_reps):
-            phi[x[p]] = a
-        for b, (y, _) in enumerate(self.k_cosets):
-            phi[y[q]] = nh + b
-        if sorted(phi) != list(range(len(phi))):
+        h_reps = tuple(x for x, _ in partitions[0])
+        phi = [-1] * (2 * n)
+        for a, x in enumerate(h_reps):
+            phi[x[0]] = a
+        for b, (y, _) in enumerate(partitions[1]):
+            phi[y[n]] = len(h_reps) + b
+        if sorted(phi) != list(range(2 * n)):
             raise DomainError("the orbit map is not a bijection onto the cosets")
-        return tuple(phi)
+        object.__setattr__(self, "h_reps", h_reps)
+        object.__setattr__(self, "k_cosets", partitions[1])
+        object.__setattr__(self, "h_tables", list(map(mul_table, h_sub)))
+        object.__setattr__(self, "orbit_map", tuple(phi))
 
 
-@dataclass(frozen=True, eq=False)
-class BiCosetSpec:
-    """A bi-coset frame (X, H, K) with a subset D of X.
-
-    D must be a union of (K, H) double cosets: KdH = D for every d in D.
-    Only D is checked here; the frame was checked once when it was built
-    and is shared by every spec over it (`verify.check_bicoset_model`
-    serves both sets of a complement pair from one frame). The check is
-    one pass over the frame's partition of X into right K-cosets Ky. Each
-    lies inside D or is disjoint from it, and the cosets inside D hold
-    all of D: so D ⊆ X and KD = D. For each Ky inside D, the left coset
-    yH lies inside D: then DH = D, since every d in D is some ky with
-    dh = k(yh) in KD = D. That is |H| products per K-coset inside D, and
-    no copy of D.
-    """
-
-    frame: BiCosetFrame
-    d_elements: frozenset
-
-    def __post_init__(self):
-        frame, d = self.frame, self.d_elements
-        h_tabs = frame.h_tables
-        inside = 0
-        for y, coset in frame.k_cosets:
-            if d.issuperset(coset):
-                inside += len(coset)
-                if d.issuperset(map(left_mul(y), h_tabs)):
-                    continue
-            elif d.isdisjoint(coset):
-                continue
-            raise DomainError("D is not a union of (K, H) double cosets")
-        if inside != len(d):
-            raise DomainError("D is not contained in X")
-
-    @property
-    def h_cosets(self) -> list[tuple]:
-        """The right H-cosets, recomputed: the frame keeps their representatives."""
-        return _right_cosets(self.frame.elements, self.frame.h_elements)
-
-    @property
-    def k_cosets(self) -> list[tuple]:
-        return self.frame.k_cosets
-
-
-def make_bicoset_spec(x_elements, h_elements, k_elements, d_elements) -> BiCosetSpec:
-    frame = BiCosetFrame(tuple(x_elements), frozenset(h_elements), frozenset(k_elements))
-    return BiCosetSpec(frame, frozenset(d_elements))
-
-
-def cover_frame(n: int, elements) -> BiCosetFrame:
-    """The frame of a group X acting on the double cover of an n-vertex graph.
-
-    `elements` lists X, each element once; its orbits must be exactly the
-    + and - blocks. H and K are the stabilizers of 0+ and 0-, and the
-    orbit map sends (0+)^x to Hx and (0-)^x to Kx. None of this depends on
-    the graph, so one frame serves every graph whose cover X acts on.
-    """
-    elems = tuple(elements)
-    if any(len(x) != 2 * n for x in elems):
-        raise DomainError("X does not act on the cover vertex set")
-    if {x[0] for x in elems} != set(range(n)) or {x[n] for x in elems} != set(
-        range(n, 2 * n)
-    ):
-        raise DomainError("X orbits are not the two cover blocks")
-    h_sub = frozenset(x for x in elems if x[0] == 0)
-    k_sub = frozenset(x for x in elems if x[n] == n)
-    return BiCosetFrame(elems, h_sub, k_sub, points=(0, n))
-
-
-def _right_cosets(elements, sub: frozenset) -> list[tuple]:
+def _right_cosets(elements, sub) -> list[tuple]:
     """Right cosets of `sub` in the group listed by `elements`, as (x, members).
 
     Each coset Hx is one `map(right_mul(x), sub)`. Scanning `elements` in
@@ -346,13 +273,30 @@ def _right_cosets(elements, sub: frozenset) -> list[tuple]:
     return cosets
 
 
-def bicoset_graph(spec: BiCosetSpec) -> LabeledGraph:
-    """Bipartite graph on right H-cosets then right K-cosets.
+def bicoset_graph(frame: BiCosetFrame, d) -> LabeledGraph:
+    """Bipartite graph on right H-cosets then right K-cosets, for a set D.
 
     Hx is adjacent to Ky iff y x^(-1) is in D; x and y are the cosets'
-    least-index representatives.
+    least-index representatives. D must be a union of (K, H) double
+    cosets: KdH = D for every d in D. The check is one pass over the
+    frame's partition of X into right K-cosets Ky. Each lies inside D or
+    is disjoint from it, and the cosets inside D hold all of D: so D ⊆ X
+    and KD = D. For each Ky inside D, the left coset yH lies inside D:
+    then DH = D, since every d in D is some ky with dh = k(yh) in KD = D.
+    That is |H| products per K-coset inside D, and no copy of D.
     """
-    frame, d = spec.frame, spec.d_elements
+    inside = 0
+    for y, coset in frame.k_cosets:
+        if d.issuperset(coset):
+            inside += len(coset)
+            if d.issuperset(map(left_mul(y), frame.h_tables)):
+                continue
+        elif d.isdisjoint(coset):
+            continue
+        raise DomainError("D is not a union of (K, H) double cosets")
+    if inside != len(d):
+        raise DomainError("D is not contained in X")
+
     k_reps = [y for y, _ in frame.k_cosets]
     nh = len(frame.h_reps)
     rows = [0] * (nh + len(k_reps))
@@ -369,7 +313,7 @@ def verify_bicoset_isomorphism(
 ) -> bool:
     """Check the explicit bi-coset model of a double cover.
 
-    `frame` is a `cover_frame` of a group X of permutations of the 2n
+    `frame` is the `BiCosetFrame` of a group X of permutations of the 2n
     cover vertices: H and K are the stabilizers of 0+ and 0-. With Y the
     set of x in X sending 0- into the neighbourhood of 0+, the frame's
     orbit map, sending (0+)^x to Hx and (0-)^x to Kx, must be a graph
@@ -378,12 +322,12 @@ def verify_bicoset_isomorphism(
     inside Y. Only Y and what reads it are built per call.
     """
     n = G.order
-    if frame.points != (0, n) or len(frame.orbit_map) != 2 * n:
+    if frame.n != n:
         raise DomainError("the frame is not that of a double cover of G")
     cover = double_cover(cayley_graph(G, S))
     nbhd0 = cover.rows[0]
     y_sub = frozenset(x for x in frame.elements if (nbhd0 >> x[n]) & 1)
-    if cover.relabel(frame.orbit_map) != bicoset_graph(BiCosetSpec(frame, y_sub)):
+    if cover.relabel(frame.orbit_map) != bicoset_graph(frame, y_sub):
         return False
 
     # inversion symmetry of Y on translation double cosets
@@ -398,8 +342,8 @@ def verify_bicoset_isomorphism(
 def _translation_double_coset_in(G, g, y_sub) -> bool:
     """Whether the double coset K R(g) H lies inside Y.
 
-    Y is only passed here after a `BiCosetSpec` validated it as a union of
-    (K, H) double cosets, so one representative decides membership.
+    Y is only passed here after `bicoset_graph` validated it as a union
+    of (K, H) double cosets, so one representative decides membership.
     """
     n = G.order
     r = [G.add(v, g) for v in range(n)]

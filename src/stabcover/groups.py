@@ -360,7 +360,7 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def automorphism_group_of_G(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP) -> list:
+def automorphism_group_of_G(G: AbelianGroup) -> list:
     """All automorphisms of G, as `perms.as_perm` image tables.
 
     A backtrack over the images of the canonical generators e_1, ..., e_k,
@@ -374,8 +374,8 @@ def automorphism_group_of_G(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP) -> li
     c tau(e_i) with 0 < c < d_i lies in H. Each leaf is then an injective
     homomorphism on G, a bijection, and every automorphism is one leaf.
     """
-    if G.order > cap:
-        raise CapExceededError("automorphism enumeration", G.order, cap)
+    if G.order > DEFAULT_GROUP_CAP:
+        raise CapExceededError("automorphism enumeration", G.order, DEFAULT_GROUP_CAP)
     facs = G.invariant_factors
     candidates = [[x for x in G.elements() if G.scalar_mul(d, x) == 0] for d in facs]
     rows = [[G.add(a, x) for x in G.elements()] for a in G.elements()]
@@ -402,11 +402,11 @@ def automorphism_group_of_G(G: AbelianGroup, cap: int = DEFAULT_GROUP_CAP) -> li
     return out
 
 
-def holomorph(G: AbelianGroup, cap: int = HOLOMORPH_CAP) -> list:
+def holomorph(G: AbelianGroup) -> list:
     """All elements of Hol(G) = R(G) x| Aut(G): the tables of x -> tau(x + g)."""
     auts = automorphism_group_of_G(G)
     size = G.order * len(auts)
-    if size > cap:
-        raise CapExceededError("holomorph enumeration", size, cap)
+    if size > HOLOMORPH_CAP:
+        raise CapExceededError("holomorph enumeration", size, HOLOMORPH_CAP)
     shifts = [as_perm([G.add(x, g) for x in G.elements()]) for g in G.elements()]
     return [pmul(shift, tau) for tau in auts for shift in shifts]

@@ -15,9 +15,9 @@ from .autgrp import automorphism_group
 from .census import check_record, stabilized_count
 from .errors import DomainError, StabcoverError
 from .graphs import (
+    BiCosetFrame,
     ConnectionSet,
     cayley_graph,
-    cover_frame,
     double_cover,
     is_bipartite,
     is_connected,
@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .groups import (
     all_abelian_groups,
-    automorphism_group_of_G,
     count_inverse_closed,
     inverse_closed_masks,
 )
@@ -98,7 +97,7 @@ def check_fixed_point_cosets(max_order: int = 12) -> CheckResult:
     failures = []
     cases = 0
     for G in all_abelian_groups(max_order):
-        for tau in automorphism_group_of_G(G):
+        for tau in group_context(G).automorphisms:
             fix_tau = sum(1 << x for x in G.elements() if tau[x] == x)
             fixed_total = 0
             for g in G.elements():
@@ -175,7 +174,7 @@ def check_bicoset_model(max_order: int = 8) -> CheckResult:
     must be the same group, with equal orders and each generator of the
     first inside the second, so they have the same element set. A
     mismatch is a failure line. B = R B0 is listed as the products of
-    B0's elements with the translation lifts, and one `cover_frame` of
+    B0's elements with the translation lifts, and one `BiCosetFrame` of
     that listing (X, H, K, their coset representatives and the orbit map)
     serves both sets; only Y and what reads it are built per set. The
     frame is freed before the next pair's searches. Pairs with |B| over
@@ -200,7 +199,7 @@ def check_bicoset_model(max_order: int = 8) -> CheckResult:
             cases += 2
             b0_elems = B0.elements()
             try:
-                frame = cover_frame(
+                frame = BiCosetFrame(
                     n, [x for r in lifts for x in map(right_mul(r), b0_elems)]
                 )
             except DomainError as e:

@@ -3,6 +3,7 @@
 import mpmath as mp
 import pytest
 
+from stabcover import bounds
 from stabcover.bounds import (
     BOUND_NAMES,
     GRID_DELTA,
@@ -108,6 +109,23 @@ def test_reproducible_bit_for_bit():
     b = lemma_bound_table(12345, 0.07)
     assert a.h == b.h and a.k == b.k
     assert all(a.bounds[n] == b.bounds[n] for n in BOUND_NAMES)
+
+
+def test_profile_evaluates_h_delta_once(monkeypatch):
+    # one evaluation of the two terms gives h, k and the CSV's term columns
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return h_delta_terms(*args)
+
+    monkeypatch.setattr(bounds, "h_delta_terms", counted)
+    for r, delta in ((64, 0.1), (1 << 200, 0.1)):  # k undefined, then defined
+        calls.clear()
+        profile = lemma_bound_table(r, delta)
+        assert len(calls) == 1
+        assert profile.h_terms == h_delta_terms(r, delta)
+        assert profile.h == h_delta(r, delta) and profile.k == k_delta(r, delta)
 
 
 def test_smallest_domain_point():

@@ -10,19 +10,18 @@ from helpers import b_group, close_subgroup, has_edge, reference_group
 from stabcover import verify
 from stabcover.errors import DomainError
 from stabcover.graphs import (
+    BiCosetFrame,
     ConnectionSet,
     LabeledGraph,
     bicoset_graph,
     cayley_graph,
     component_of,
     connection_set,
-    cover_frame,
     double_cover,
     is_bipartite,
     is_connected,
     is_twin_free,
     _right_cosets,
-    make_bicoset_spec,
     verify_bicoset_isomorphism,
 )
 from stabcover.groups import (
@@ -232,30 +231,46 @@ def test_double_cover_shapes():
     assert has_edge(cover, 0, 2) and not has_edge(cover, 0, 0)
 
 
+def _diagonal_frame(n):
+    # X = Sym(n) acting alike on both blocks: B(S) of S = {0} in Cn, whose
+    # cover is the perfect matching v+ ~ v-. H = K is the stabilizer of 0
+    listing = [
+        as_perm(p + tuple(n + v for v in p)) for p in itertools.permutations(range(n))
+    ]
+    return BiCosetFrame(n, listing)
+
+
+def _stabilizers(frame):
+    n = frame.n
+    return (
+        [x for x in frame.elements if x[0] == 0],
+        [x for x in frame.elements if x[n] == n],
+    )
+
+
 def test_bicoset_graph_by_hand():
-    # X = Sym(3) on 3 points, H = K = <(0 1)>, D = H: the coset graph is
-    # a perfect matching between equal cosets
-    gens = [as_perm([1, 0, 2]), as_perm([1, 2, 0])]
-    X = reference_group(3, gens)
-    elems = X.elements()
-    H = frozenset([as_perm([0, 1, 2]), as_perm([1, 0, 2])])
-    spec = make_bicoset_spec(elems, H, H, H)
-    g = bicoset_graph(spec)
-    assert g.n == 6
-    assert all(row.bit_count() == 1 for row in g.rows)
+    # the frame of the cover of Cay(C3, {0}): H = K = <(1 2)> on both
+    # blocks, so D = H gives the perfect matching between equal cosets,
+    # which is the cover itself, and D = X the complete bipartite graph
+    frame = _diagonal_frame(3)
+    h_sub, k_sub = _stabilizers(frame)
+    assert len(frame.elements) == 6 and len(h_sub) == 2 and h_sub == k_sub
+    g = bicoset_graph(frame, frozenset(h_sub))
+    assert g.rows == (0b001000, 0b010000, 0b100000, 0b001, 0b010, 0b100)
+    g = bicoset_graph(frame, frozenset(frame.elements))
+    assert g.rows == (0b111000,) * 3 + (0b111,) * 3
+    C3 = make_group([3])
+    assert verify_bicoset_isomorphism(C3, ConnectionSet(C3, 0b001), frame)
 
 
-def test_bicoset_spec_rejects_partial_double_coset():
-    gens = [as_perm([1, 0, 2]), as_perm([1, 2, 0])]
-    X = reference_group(3, gens)
-    elems = X.elements()
-    H = frozenset([as_perm([0, 1, 2]), as_perm([1, 0, 2])])
-    with pytest.raises(DomainError):
-        make_bicoset_spec(elems, H, H, frozenset([as_perm([1, 0, 2])]))
-
-
-def _sym(n):
-    return [as_perm(p) for p in itertools.permutations(range(n))]
+def test_bicoset_graph_refuses_bad_d():
+    frame = _diagonal_frame(3)
+    # half of the double coset KH = H
+    with pytest.raises(DomainError, match="double cosets"):
+        bicoset_graph(frame, frozenset([as_perm([0, 2, 1, 3, 5, 4])]))
+    outside = as_perm([1, 0, 2, 3, 4, 5])  # moves the + block alone
+    with pytest.raises(DomainError, match="not contained in X"):
+        bicoset_graph(frame, frozenset(frame.elements) | {outside})
 
 
 def _left_k_closed(k_sub, d):
@@ -266,28 +281,51 @@ def _right_h_closed(d, h_sub):
     return all(pmul(x, h) in d for x in d for h in h_sub)
 
 
-def test_bicoset_spec_validates_each_side():
-    # X = Sym(3), H = <(0 1)> and K = <(0 2)>, so each side of KDH = D
-    # can fail on its own
-    elems = _sym(3)
-    ident = as_perm([0, 1, 2])
-    H = frozenset([ident, as_perm([1, 0, 2])])
-    K = frozenset([ident, as_perm([2, 1, 0])])
+def test_bicoset_graph_checks_each_side_of_d():
+    # the cover of the empty graph on C3: X = Sym(3) x Sym(3), one factor
+    # per block, H = Sym(2) x Sym(3) and K = Sym(3) x Sym(2), so each side
+    # of KDH = D can fail on its own
+    C3 = make_group([3])
+    frame = BiCosetFrame(3, b_group(C3, ConnectionSet(C3, 0)).elements())
+    h_sub, k_sub = map(frozenset, _stabilizers(frame))
+    assert len(frame.elements) == 36 and len(h_sub) == len(k_sub) == 12
+    assert h_sub != k_sub
     # D = H is closed under right H but is no union of right K-cosets
-    assert _right_h_closed(H, H) and not _left_k_closed(K, H)
-    with pytest.raises(DomainError):
-        make_bicoset_spec(elems, H, K, H)
+    assert _right_h_closed(h_sub, h_sub) and not _left_k_closed(k_sub, h_sub)
+    with pytest.raises(DomainError, match="double cosets"):
+        bicoset_graph(frame, h_sub)
     # D = K is a union of right K-cosets but not closed under right H
-    assert _left_k_closed(K, K) and not _right_h_closed(K, H)
-    with pytest.raises(DomainError):
-        make_bicoset_spec(elems, H, K, K)
-    # the double coset KH and its complement are accepted
-    kh = frozenset(pmul(k, h) for k in K for h in H)
-    assert len(kh) == 4
-    for d in (kh, frozenset(elems) - kh):
-        assert _left_k_closed(K, d) and _right_h_closed(d, H)
-        g = bicoset_graph(make_bicoset_spec(elems, H, K, d))
+    assert _left_k_closed(k_sub, k_sub) and not _right_h_closed(k_sub, h_sub)
+    with pytest.raises(DomainError, match="double cosets"):
+        bicoset_graph(frame, k_sub)
+    # the double coset KH, all of X here, and its complement are accepted
+    kh = frozenset(pmul(k, h) for k in k_sub for h in h_sub)
+    assert kh == frozenset(frame.elements)
+    for d, edges in ((kh, 9), (frozenset(), 0)):
+        assert _left_k_closed(k_sub, d) and _right_h_closed(d, h_sub)
+        g = bicoset_graph(frame, d)
         assert g.n == 6 and is_bipartite(g)
+        assert sum(row.bit_count() for row in g.rows) == 2 * edges
+
+
+def test_frame_refuses_bad_listings():
+    # every refusal of a listing, each on its own
+    listing = list(_diagonal_frame(3).elements)
+    with pytest.raises(DomainError, match="vertex set"):
+        BiCosetFrame(2, listing)
+    with pytest.raises(DomainError, match="two cover blocks"):
+        BiCosetFrame(3, [x for x in listing if x[0] == 0])
+    with pytest.raises(DomainError, match="twice"):
+        BiCosetFrame(3, listing + listing[-1:])
+    # without the 3-cycle, some product hx is unlisted
+    with pytest.raises(DomainError, match="do not partition"):
+        BiCosetFrame(3, [x for x in listing if x != as_perm([1, 2, 0, 4, 5, 3])])
+    # no group: H and K are trivial and every coset partition holds, but
+    # (c, c) and (c, c^2) send 0+ to the same vertex
+    ident, c, c2 = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+    pairs = ((ident, ident), (c, c), (c2, c2), (c, c2))
+    with pytest.raises(DomainError, match="orbit map"):
+        BiCosetFrame(3, [as_perm(a + tuple(3 + v for v in b)) for a, b in pairs])
 
 
 def _oracle_right_cosets(elements, sub):
@@ -319,28 +357,36 @@ def _oracle_bicoset_graph(elements, h_sub, k_sub, d):
     return LabeledGraph(len(rows), tuple(rows))
 
 
-def _assert_cosets_match_oracle(elements, h_sub, k_sub, d):
-    spec = make_bicoset_spec(elements, h_sub, k_sub, d)
-    for sub, got in ((h_sub, spec.h_cosets), (k_sub, spec.k_cosets)):
-        want = _oracle_right_cosets(elements, sub)
-        assert got == _right_cosets(elements, sub)
-        assert [rep for rep, _ in got] == [c[0] for c in want]
-        assert [sorted(c) for _, c in got] == [sorted(c) for c in want]
-    assert bicoset_graph(spec) == _oracle_bicoset_graph(elements, h_sub, k_sub, d)
+def _assert_cosets_match_oracle(got, elements, sub):
+    want = _oracle_right_cosets(elements, sub)
+    assert [rep for rep, _ in got] == [c[0] for c in want]
+    assert [sorted(c) for _, c in got] == [sorted(c) for c in want]
 
 
 def test_cosets_match_oracle_on_block_stabilizers():
     cases = [([5], [1]), ([2, 4], [1, 4]), ([2, 4], [1, 2]), ([2, 2, 2], [1, 2, 4])]
+    rng = random.Random(13)
     for factors, gens in cases:
         G = make_group(factors)
         S = connection_set(G, gens, symmetrize=True)
         n = G.order
-        elems = b_group(G, S).elements()
+        shuffled = b_group(G, S).elements()
+        rng.shuffle(shuffled)
         nbhd0 = double_cover(cayley_graph(G, S)).rows[0]
-        h_sub = frozenset(x for x in elems if x[0] == 0)
-        k_sub = frozenset(x for x in elems if x[n] == n)
-        y_sub = frozenset(x for x in elems if (nbhd0 >> x[n]) & 1)
-        _assert_cosets_match_oracle(elems, h_sub, k_sub, y_sub)
+        for elems in (b_group(G, S).elements(), shuffled):
+            frame = BiCosetFrame(n, elems)
+            h_sub, k_sub = _stabilizers(frame)
+            h_cosets = _oracle_right_cosets(elems, h_sub)
+            k_cosets = _oracle_right_cosets(elems, k_sub)
+            assert list(frame.h_reps) == [c[0] for c in h_cosets]
+            _assert_cosets_match_oracle(frame.k_cosets, elems, k_sub)
+            # the orbit map sends (0+)^x to the H-coset of x, (0-)^x to its K-coset
+            phi = frame.orbit_map
+            assert [{phi[x[0]] for x in c} for c in h_cosets] == [{a} for a in range(n)]
+            assert [{phi[x[n]] for x in c} for c in k_cosets] == [{n + b} for b in range(n)]
+            y_sub = frozenset(x for x in elems if (nbhd0 >> x[n]) & 1)
+            want = _oracle_bicoset_graph(elems, h_sub, k_sub, y_sub)
+            assert bicoset_graph(frame, y_sub) == want
 
 
 def test_cosets_match_oracle_on_sym4_subgroups():
@@ -355,24 +401,20 @@ def test_cosets_match_oracle_on_sym4_subgroups():
     shuffled = X.elements()
     rng.shuffle(shuffled)
     for elems in (X.elements(), shuffled):
-        for Hg, Kg in itertools.product(subgroups, repeat=2):
-            h_sub, k_sub = frozenset(Hg.elements()), frozenset(Kg.elements())
-            # a union of two (K, H) double cosets
-            d = frozenset(
-                pmul(pmul(k, x), h) for x in rng.sample(elems, 2) for k in k_sub for h in h_sub
-            )
-            _assert_cosets_match_oracle(elems, h_sub, k_sub, d)
+        for Hg in subgroups:
+            sub = Hg.elements()
+            _assert_cosets_match_oracle(_right_cosets(elems, sub), elems, sub)
 
 
 def test_verify_bicoset_isomorphism_pentagon():
     C5 = make_group([5])
     S = ConnectionSet(C5, 0b10010)
-    assert verify_bicoset_isomorphism(C5, S, cover_frame(5, b_group(C5, S).elements()))
+    assert verify_bicoset_isomorphism(C5, S, BiCosetFrame(5, b_group(C5, S).elements()))
 
 
 def _frame_rejects(G, S, listing):
     try:
-        return not verify_bicoset_isomorphism(G, S, cover_frame(G.order, listing))
+        return not verify_bicoset_isomorphism(G, S, BiCosetFrame(G.order, listing))
     except DomainError:
         return True
 
@@ -395,7 +437,7 @@ def test_frame_from_listing_of_b_oracle():
             cases += 1
             listing = [x for r in lifts for x in map(right_mul(r), B0.elements())]
             rng.shuffle(listing)
-            assert verify_bicoset_isomorphism(G, S, cover_frame(n, listing))
+            assert verify_bicoset_isomorphism(G, S, BiCosetFrame(n, listing))
             ident = listing.index(identity_perm(2 * n))
             for i in {ident, *rng.sample(range(len(listing)), min(3, len(listing)))}:
                 assert _frame_rejects(G, S, listing[:i] + listing[i + 1 :])
@@ -413,7 +455,7 @@ def test_frame_from_listing_of_b_oracle():
 
 def test_frame_refuses_a_frame_of_another_group():
     C5, C4 = make_group([5]), make_group([4])
-    frame = cover_frame(4, b_group(C4, ConnectionSet(C4, 0b1010)).elements())
+    frame = BiCosetFrame(4, b_group(C4, ConnectionSet(C4, 0b1010)).elements())
     with pytest.raises(DomainError):
         verify_bicoset_isomorphism(C5, ConnectionSet(C5, 0b10010), frame)
 

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_automorphisms, close_subgroup, subgroups
-from stabcover.errors import DomainError
+from stabcover.errors import CapExceededError, DomainError
 from stabcover.groups import (
+    DEFAULT_GROUP_CAP,
+    HOLOMORPH_CAP,
     AbelianGroup,
     all_abelian_groups,
     automorphism_group_of_G,
@@ -235,6 +237,17 @@ def test_holomorph_size_and_action():
         assert len(hol) == G.order * len(automorphism_group_of_G(G))
         perms = {tuple(h[x] for x in G.elements()) for h in hol}
         assert len(perms) == len(hol)
+
+
+def test_listing_caps_are_the_module_constants():
+    # |G| = 513 is refused before any listing; |Hol(C2^4)| = 16 * 20160
+    # is refused once Aut(G) is listed
+    with pytest.raises(CapExceededError) as exc:
+        automorphism_group_of_G(make_group([DEFAULT_GROUP_CAP + 1]))
+    assert (exc.value.needed, exc.value.cap) == (DEFAULT_GROUP_CAP + 1, DEFAULT_GROUP_CAP)
+    with pytest.raises(CapExceededError) as exc:
+        holomorph(make_group([2, 2, 2, 2]))
+    assert (exc.value.needed, exc.value.cap) == (322_560, HOLOMORPH_CAP)
 
 
 def test_parse_group_spec():
