@@ -353,7 +353,8 @@ def automorphism_group(
     seeds = [as_perm(s, graph.n) for s in known_automorphisms or ()]
     seeds = [s for s in seeds if s != ident]
     for s in seeds:
-        assert_preserves(graph, s)
+        if not preserves(graph, s):
+            raise DomainError("generator does not preserve adjacency")
         _assert_respects_blocks(s, fixed_blocks)
     search = _Search(graph, colors, canonical=False, seeds=seeds)
     search.run()
@@ -383,12 +384,6 @@ def preserves(graph: LabeledGraph, g) -> bool:
         if img != rows[g[v]]:
             return False
     return True
-
-
-def assert_preserves(graph: LabeledGraph, g):
-    """Raise DomainError unless the permutation g is an automorphism of graph."""
-    if not preserves(graph, g):
-        raise DomainError("generator does not preserve adjacency")
 
 
 def canonical_form(graph: LabeledGraph) -> CanonicalForm:

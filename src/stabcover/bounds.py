@@ -62,43 +62,19 @@ def h_delta_terms(r: int, delta: float, precision_bits: int = DEFAULT_PRECISION_
         return first, second
 
 
-def h_delta(r: int, delta: float, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Bound on the proportion of inverse-closed sets with unstable graph."""
-    first, second = h_delta_terms(r, delta, precision_bits)
-    with mp.workprec(precision_bits):
-        return first + second
-
-
-def k_delta(r: int, delta: float, precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Unlabeled-count correction factor h/(1-h) * 2^((log2 r)^2 + log2 r).
-
-    Returns None when h >= 1: the formula divides by 1-h, so the bound
-    carries no information there and is reported as undefined rather
-    than clamped or negated.
-    """
-    h = h_delta(r, delta, precision_bits)
-    with mp.workprec(precision_bits):
-        return _k_of_h(h, r)
-
-
-def _k_of_h(h, r: int):
-    """k_delta from h_delta, at the caller's working precision."""
-    if h >= 1:
-        return None
-    lg = mp.log(mp.mpf(r), 2)
-    return h / (1 - h) * mp.mpf(2) ** (lg * lg + lg)
-
-
 @dataclass(frozen=True)
 class BoundProfile:
     """All named bounds at one (r, delta) point, with vacuity flags.
 
     A bound above 1 says nothing about a proportion; such entries are
     flagged vacuous but reported at face value. h_terms are the two
-    summands of h_delta, as `h_delta_terms` gives them; h is their sum and
-    k is read off h. component_sum adds the four per-family bounds whose
-    union covers every unstable set, and component_sum_le_h records
-    whether that sum stays below h_delta.
+    summands of h_delta, as `h_delta_terms` gives them; h is their sum.
+    k = h/(1-h) * 2^((log2 r)^2 + log2 r) is the unlabeled-count
+    correction factor, None when h >= 1: the formula divides by 1-h, so
+    the bound carries no information there and is reported as undefined
+    rather than clamped or negated. component_sum adds the four
+    per-family bounds whose union covers every unstable set, and
+    component_sum_le_h records whether that sum stays below h_delta.
     """
 
     r: int
@@ -143,13 +119,14 @@ def lemma_bound_table(
         vacuous = {name: bool(value > 1) for name, value in bounds.items()}
         component_sum = sum(bounds[name] for name in COMPONENT_SUM_NAMES)
         h = first + second
+        k = None if h >= 1 else h / (1 - h) * two ** (lg * lg + lg)
         return BoundProfile(
             r=r,
             delta=delta,
             precision_bits=precision_bits,
             h_terms=(first, second),
             h=h,
-            k=_k_of_h(h, r),
+            k=k,
             bounds=bounds,
             vacuous=vacuous,
             component_sum=component_sum,

@@ -62,7 +62,6 @@ from .groups import (
     AbelianGroup,
     count_inverse_closed,
     inverse_closed_masks,
-    involution_set,
     make_group,
     map_mask,
     mask_union,
@@ -88,40 +87,6 @@ BUCKETS = (
     "nontrivially-unstable",
     "indeterminate",
 )
-
-
-def stabilized_count(G: AbelianGroup, z: int) -> tuple[int, int | float]:
-    """Subsets of G invariant under both translation by z and negation.
-
-    Returns (exact count, 2^(r/4 + |I(G)|/2)): the invariant subsets are
-    the unions of orbits of the group generated by x -> x + z and x -> -x.
-    The two agree exactly when z is a square in G; otherwise the second
-    value is only an upper bound (and can be a non-integer power of 2),
-    because no subset orbit pairs x with xz = -x.
-    """
-    if z == 0 or G.add(z, z) != 0:
-        raise DomainError("z must be an involution")
-    n = G.order
-    # invariant subsets are exactly the unions of orbits of <x+z, -x>
-    seen = 0
-    orbits = 0
-    for x in G.elements():
-        if seen >> x & 1:
-            continue
-        orbits += 1
-        frontier = [x]
-        seen |= 1 << x
-        while frontier:
-            y = frontier.pop()
-            for w in (G.add(y, z), G.neg(y)):
-                if not seen >> w & 1:
-                    seen |= 1 << w
-                    frontier.append(w)
-    count = 1 << orbits
-    quarters = n + 2 * involution_set(G).bit_count()
-    if quarters % 4 == 0:
-        return count, 1 << (quarters // 4)
-    return count, 2.0 ** (quarters / 4)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ argument checks are the library's own. Every command is deterministic
 given its flags: both census modes classify fixed shards of masks, so
 reports are identical for any `--workers` value, the only worker setting.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on parse
-or precondition errors, 3 when --strict is set and capped searches left
+or precondition errors (an `--out` or `--records` path that cannot be
+written among them), 3 when --strict is set and capped searches left
 indeterminate fields in the output.
 """
 
@@ -267,7 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (DomainError, CapExceededError) as e:
+    except (DomainError, CapExceededError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
     except StabcoverError as e:

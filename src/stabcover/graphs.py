@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError
-from .groups import AbelianGroup, bit_indices, is_inverse_closed
+from .groups import AbelianGroup, bit_indices
 from .perms import as_perm, left_mul, mul_table, pinv, right_mul
 
 
@@ -65,11 +65,8 @@ class ConnectionSet:
     def __post_init__(self):
         if self.mask < 0 or self.mask >> self.group.order:
             raise DomainError("connection set bits outside the group")
-        if not is_inverse_closed(self.group, self.mask):
+        if self.group.neg_mask(self.mask) != self.mask:
             raise DomainError("connection set is not inverse-closed")
-
-    def members(self) -> list[int]:
-        return bit_indices(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -155,9 +155,6 @@ class AbelianGroup:
     def neg(self, i: int) -> int:
         return self._neg[i]
 
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self._neg[j])
-
     def scalar_mul(self, k: int, i: int) -> int:
         return self.index(tuple(k * c for c in self._coords[i]))
 
@@ -280,23 +277,14 @@ def involution_set(G: AbelianGroup) -> int:
     return mask
 
 
-def is_inverse_closed(G: AbelianGroup, mask: int) -> bool:
-    return G.neg_mask(mask) == mask
-
-
-def c_value(G: AbelianGroup, mask: int) -> int:
-    """(|T| + |I(T)|) / 2 for an inverse-closed subset T."""
-    if not is_inverse_closed(G, mask):
-        raise DomainError("subset is not inverse-closed")
-    inv = involution_set(G) & mask
-    total = mask.bit_count() + inv.bit_count()
-    return total // 2
-
-
 def count_inverse_closed(G: AbelianGroup) -> int:
-    """2^{c(G)}, the number of inverse-closed subsets of G."""
-    full = (1 << G.order) - 1
-    return 1 << c_value(G, full)
+    """2^{c(G)}, the number of inverse-closed subsets of G.
+
+    c(G) = (|G| + |I(G)|) / 2 counts the orbits of x -> -x: the
+    involutions and 0 are fixed, every other element pairs with its
+    negative.
+    """
+    return 1 << (G.order + involution_set(G).bit_count()) // 2
 
 
 def negation_orbits(G: AbelianGroup) -> list[tuple[int, ...]]:

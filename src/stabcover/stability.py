@@ -51,10 +51,10 @@ orders come from `factored_orders`, through the twin quotient of the
 component at 0, a Cayley graph of a quotient group with its own
 translations; an S1 set is its own quotient, whose B0 the S4/S5 scan lists.
 
-Every per-group table (Aut(G) without 1 and -1, the lifted inversion,
-the translation lifts and the fix0 tables that reduce an element of B(S)
-to the stabilizer of 0+) lives in one `GroupContext`, built once per
-group by `group_context`.
+Every per-group table (Aut(G) without 1 and -1, the inversion and its
+lift, the translation lifts and the fix0 tables that reduce an element
+of B(S) to the stabilizer of 0+) lives in one `GroupContext`, built once
+per group by `group_context`.
 """
 
 from __future__ import annotations
@@ -97,17 +97,6 @@ class TriState(Enum):
         raise TypeError("TriState is not a boolean; compare explicitly")
 
 
-# -- permutations realizing the always-present cover symmetries --------------
-
-
-def base_translation_perm(G: AbelianGroup, g: int):
-    return as_perm([G.add(v, g) for v in range(G.order)])
-
-
-def base_inversion_perm(G: AbelianGroup):
-    return as_perm([G.neg(v) for v in range(G.order)])
-
-
 def cover_lift(perm):
     """Diagonal action on the 2n cover vertices of a permutation of n."""
     n = len(perm)
@@ -122,12 +111,13 @@ class GroupContext:
     """The tables every classification of sets in one group reads.
 
     Aut(G) as permutation tables, for the census's orbit list and
-    |Hol(G)|; those tables without 1 and -1 for the S3' test; the lifted
-    inversion, the one seed of every B0 search on the cover of Cay(G, S);
-    the translation lifts and the fix0 tables of the S4/S5 scan. The scan
+    |Hol(G)|; those tables without 1 and -1 for the S3' test; the
+    inversion, the seed of an Aut_0 search on Cay(G, S), and its lift,
+    the one seed of every B0 search on the cover of Cay(G, S); the
+    translation lifts and the fix0 tables of the S4/S5 scan. The scan
     lists the point stabilizer B0 of 0+, not B(S), though its enumeration
     cap is still on |B(S)| = |G| |B0|. Each field is built on first use,
-    so a caller needing only the seed never lists Aut(G).
+    so a caller needing only a seed never lists Aut(G).
     """
 
     G: AbelianGroup
@@ -138,22 +128,27 @@ class GroupContext:
         return automorphism_group_of_G(self.G)
 
     @cached_property
+    def inversion(self):
+        """x -> -x, the seed of an Aut_0 search on Cay(G, S)."""
+        return as_perm([self.G.neg(v) for v in self.G.elements()])
+
+    @cached_property
     def s3prime_twists(self) -> tuple:
         """Aut(G) without the identity and the inversion (one table at exponent two)."""
-        G = self.G
-        trivial = (identity_perm(G.order), base_inversion_perm(G))
+        trivial = (identity_perm(self.G.order), self.inversion)
         return tuple(tau for tau in self.automorphisms if tau not in trivial)
 
     @cached_property
     def inversion_lift(self):
         """Cover lift of the inversion: the one seed of every B0 search."""
-        return cover_lift(base_inversion_perm(self.G))
+        return cover_lift(self.inversion)
 
     @cached_property
     def translation_lifts(self) -> tuple:
         """Cover lifts of all |G| translations, by translation element."""
         G = self.G
-        return tuple(cover_lift(base_translation_perm(G, g)) for g in G.elements())
+        elements = G.elements()
+        return tuple(cover_lift(as_perm([G.add(v, g) for v in elements])) for g in elements)
 
     @cached_property
     def fix0_tables(self) -> tuple:
@@ -262,10 +257,6 @@ class StabilityRecord:
     @property
     def trivially_unstable(self) -> bool:
         return bool(self.trivial_instability_reasons)
-
-    @property
-    def nontrivially_unstable(self) -> bool:
-        return not self.stable and not self.trivially_unstable
 
     @property
     def indeterminate(self) -> bool:
@@ -455,8 +446,8 @@ def factored_orders(
     if m == 1 and len(twins) == 1:
         # the trivial quotient: gam itself, with G's inversion as the seed
         q, f, quot = n, 1, gam
-        iota = base_inversion_perm(G)
-        cover_iota = group_context(G).inversion_lift
+        ctx = group_context(G)
+        iota, cover_iota = ctx.inversion, ctx.inversion_lift
     else:
         # pos maps each member of H to the index of its twin class; the
         # class of g is represented by its least member

@@ -12,22 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autgrp import automorphism_group
-from .census import check_record, stabilized_count
+from .census import check_record
 from .errors import DomainError, StabcoverError
 from .graphs import (
     BiCosetFrame,
     ConnectionSet,
     cayley_graph,
+    component_of,
     double_cover,
-    is_bipartite,
-    is_connected,
-    is_twin_free,
     verify_bicoset_isomorphism,
 )
 from .groups import (
+    AbelianGroup,
     all_abelian_groups,
     count_inverse_closed,
     inverse_closed_masks,
+    involution_set,
 )
 from .stability import b0_group, classify, group_context
 from .perms import DEFAULT_ENUM_CAP, right_mul
@@ -57,6 +57,40 @@ def check_subset_count(max_order: int = 16) -> CheckResult:
         if brute != count_inverse_closed(G):
             failures.append(f"{G.spec()}: {brute} != {count_inverse_closed(G)}")
     return CheckResult("inverse-closed-count", cases, tuple(failures))
+
+
+def stabilized_count(G: AbelianGroup, z: int) -> tuple[int, int | float]:
+    """Subsets of G invariant under both translation by z and negation.
+
+    Returns (exact count, 2^(r/4 + |I(G)|/2)): the invariant subsets are
+    the unions of orbits of the group generated by x -> x + z and x -> -x.
+    The two agree exactly when z is a square in G; otherwise the second
+    value is only an upper bound (and can be a non-integer power of 2),
+    because no subset orbit pairs x with xz = -x.
+    """
+    if z == 0 or G.add(z, z) != 0:
+        raise DomainError("z must be an involution")
+    n = G.order
+    # invariant subsets are exactly the unions of orbits of <x+z, -x>
+    seen = 0
+    orbits = 0
+    for x in G.elements():
+        if seen >> x & 1:
+            continue
+        orbits += 1
+        frontier = [x]
+        seen |= 1 << x
+        while frontier:
+            y = frontier.pop()
+            for w in (G.add(y, z), G.neg(y)):
+                if not seen >> w & 1:
+                    seen |= 1 << w
+                    frontier.append(w)
+    count = 1 << orbits
+    quarters = n + 2 * involution_set(G).bit_count()
+    if quarters % 4 == 0:
+        return count, 1 << (quarters // 4)
+    return count, 2.0 ** (quarters / 4)
 
 
 def check_stabilized_counts(max_order: int = 16) -> CheckResult:
@@ -126,6 +160,8 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
     full cover group is exactly twice the block stabilizer B(S), of order
     |G| |B0| (`b0_group`); the cover group here comes from an
     unconstrained search, independent of how the classifier derives it.
+    Connectivity and bipartiteness come from one BFS of the component
+    of 0, and twin-freeness from a count of row 0, as in `classify`.
     The sets are walked as complement pairs, as in `check_bicoset_model`,
     and B0 is searched at most once per pair, since B(S) = B(G - S): the
     complement's own unconstrained search is still compared with it. For
@@ -138,6 +174,7 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
     cases = 0
     for G in all_abelian_groups(max_order):
         n = G.order
+        vertices = (1 << n) - 1
         plus_points = [[v] for v in range(n)]
         masks = list(inverse_closed_masks(G))
         for i in range(len(masks) // 2):
@@ -147,16 +184,17 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
                 gam = cayley_graph(G, S)
                 cover = double_cover(gam)
                 tag = f"{G.spec()} 0x{mask:x}"
-                if is_connected(gam) and not is_bipartite(gam):
+                component, bipartite = component_of(gam)
+                if component == vertices and not bipartite:
                     cases += 1
                     if b_order is None:
                         b_order = n * b0_group(G, S, cover).order
                     full = automorphism_group(cover)
-                    if not is_connected(cover):
+                    if component_of(cover)[0] != (1 << 2 * n) - 1:
                         failures.append(f"{tag}: cover disconnected")
                     if full.order != 2 * b_order:
                         failures.append(f"{tag}: |Aut(D)|={full.order}, 2|B|={2 * b_order}")
-                if is_twin_free(gam):
+                if gam.rows.count(gam.rows[0]) == 1:
                     cases += 1
                     if automorphism_group(cover, fixed_blocks=plus_points).order != 1:
                         failures.append(f"{tag}: non-identity element acts trivially on +")

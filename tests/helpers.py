@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from stabcover.autgrp import automorphism_group
 from stabcover.errors import DomainError
 from stabcover.graphs import ConnectionSet, cayley_graph, double_cover
-from stabcover.groups import AbelianGroup, c_value, inverse_closed_masks
+from stabcover.groups import AbelianGroup, inverse_closed_masks, negation_orbits
 from stabcover.perms import PermutationGroup, as_perm, identity_perm, pinv, pmul
 from stabcover.stability import group_context
 
@@ -283,6 +283,6 @@ def psi_census(
                 break
         else:
             count += 1
-    full = (1 << G.order) - 1
-    bound = 2.0 ** (c_value(G, full) - 2 * ctx.b / 25 + 1)
+    # c(G) is the number of negation orbits
+    bound = 2.0 ** (len(negation_orbits(G)) - 2 * ctx.b / 25 + 1)
     return count, bound

@@ -19,7 +19,6 @@ from stabcover.census import (
     exhaustive_census,
     hol_orbits,
     monte_carlo_census,
-    stabilized_count,
     unlabeled_census,
 )
 from stabcover.errors import DomainError, StabcoverError
@@ -31,6 +30,7 @@ from stabcover.groups import (
     make_group,
 )
 from stabcover.stability import classify, group_context
+from stabcover.verify import stabilized_count
 
 # tallies confirmed by the per-set classifications tested against the
 # subgroup-lattice and automorphism brute-force oracles

@@ -189,6 +189,16 @@ def test_census_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["total"] == 8
 
 
+@pytest.mark.parametrize("option", ["--out", "--records"])
+def test_unwritable_output_path_is_a_precondition_error(tmp_path, capsys, option):
+    # a missing directory and a path that is a directory: exit 2 with one
+    # error line, not a traceback and the exit code of a failed check
+    for path in (tmp_path / "missing" / "x", tmp_path):
+        code, _, err = run_cli(capsys, "census", "C3", option, str(path))
+        assert code == EXIT_PRECONDITION
+        assert err.startswith("error: ") and str(path) in err
+
+
 def test_census_monte_carlo_stream_is_pinned(capsys):
     # each of the 32 shard ranges of the samples draws from its own
     # random.Random(seed ^ shard); these tallies pin that stream

@@ -15,12 +15,10 @@ from stabcover.groups import (
     AbelianGroup,
     all_abelian_groups,
     automorphism_group_of_G,
-    c_value,
     count_inverse_closed,
     holomorph,
     inverse_closed_masks,
     involution_set,
-    is_inverse_closed,
     make_group,
     negation_orbits,
     normalize_invariant_factors,
@@ -98,22 +96,16 @@ def test_involutions_and_c_value():
     V = make_group([2, 2])
     assert involution_set(V) == 0b1111
     C5 = make_group([5])
-    full = (1 << 5) - 1
-    assert c_value(C5, full) == 3
+    # c(C5) = (5 + 1) / 2 = 3 negation orbits: {0}, {1, 4}, {2, 3}
+    assert len(negation_orbits(C5)) == 3
     assert count_inverse_closed(C5) == 8
     assert count_inverse_closed(V) == 16
-
-
-def test_c_value_rejects_asymmetric():
-    C5 = make_group([5])
-    with pytest.raises(DomainError):
-        c_value(C5, 0b10)
 
 
 def test_negation_orbits_cover_group():
     for G in all_abelian_groups(12):
         orbits = negation_orbits(G)
-        assert len(orbits) == c_value(G, (1 << G.order) - 1)
+        assert 1 << len(orbits) == count_inverse_closed(G)
         flat = sorted(x for orb in orbits for x in orb)
         assert flat == list(G.elements())
 
@@ -128,7 +120,7 @@ def test_inverse_closed_masks_brute():
         assert len(out) == len(set(out))
         assert set(out) == brute
         assert len(out) == count_inverse_closed(G)
-        assert all(is_inverse_closed(G, m) for m in out)
+        assert all(G.neg_mask(m) == m for m in out)
 
 
 def test_inverse_closed_masks_pair_complements():
@@ -151,7 +143,7 @@ def test_group_axioms_random(factors):
     for a in G.elements():
         for b in G.elements():
             assert G.add(a, b) == G.add(b, a)
-            assert G.sub(G.add(a, b), b) == a
+            assert G.add(G.add(a, b), G.neg(b)) == a
 
 
 def test_subgroup_lattice_c6():

@@ -102,3 +102,50 @@ def test_classify_has_no_s1_branch():
         if "classify" in _referrers(trees["stability.py"], name)
     )
     assert named == []
+
+
+# public names that no package module calls, each kept for a reason
+UNCALLED_PUBLIC = {
+    "groups.holomorph": "the benchmark's set-up lists Hol(G) with it",
+    "graphs.is_connected": "the benchmark's graphs.predicates trace layer wraps it",
+    "graphs.is_bipartite": "the benchmark's graphs.predicates trace layer wraps it",
+    "graphs.is_twin_free": "the benchmark's graphs.predicates trace layer wraps it",
+}
+
+
+def _uncalled_public(trees: dict) -> list[str]:
+    """module.name of each public module-level function or class that no
+    package module names outside the name's own definition."""
+    named = []  # (top-level statement, name) per name or attribute read
+    for tree in trees.values():
+        for top in tree.body:
+            for node in ast.walk(top):
+                ref = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(ref, str):
+                    named.append((top, ref))
+    out = []
+    for fname, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if top.name.startswith("_"):
+                continue
+            if not any(ref == top.name and where is not top for where, ref in named):
+                out.append(f"{fname.removesuffix('.py')}.{top.name}")
+    return out
+
+
+def test_uncalled_public_scan_sees_them():
+    trees = {
+        "a.py": ast.parse("def f():\n    f()\ndef g(): pass\nclass _H: pass\nclass K: pass\n"),
+        "b.py": ast.parse("from a import f, K\ng()\nx = K\n"),
+    }
+    assert _uncalled_public(trees) == ["a.f"]
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class that nothing in the package calls is dead
+    # API; only the names above, which the benchmark reaches from outside
+    # the package, are kept without a caller
+    trees = dict(_package_trees())
+    assert sorted(_uncalled_public(trees)) == sorted(UNCALLED_PUBLIC)
