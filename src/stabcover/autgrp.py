@@ -101,11 +101,15 @@ def _refine(rows, cells: list[int], splitters: list[int] | None = None) -> list[
     skipped. Explicit splitters restore equitability after individualizing
     v in an equitable partition: the counts into v's old cell were uniform,
     so pushing [1 << v] alone suffices.
+
+    The loop stops early once every cell is a singleton: a discrete
+    partition has no cell to split, so the remaining splitters would
+    change nothing.
     """
     cells = list(cells)
     stack = list(cells) if splitters is None else list(splitters)
     pending = set(stack)
-    while stack:
+    while stack and len(cells) < len(rows):
         s = stack.pop()
         if s not in pending:
             continue  # split after it was pushed: its parts are pending

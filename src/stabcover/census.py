@@ -51,7 +51,6 @@ import random
 import time
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 from .autgrp import canonical_form
@@ -325,6 +324,10 @@ def _run_shards(G: AbelianGroup, shard, jobs: list[tuple], workers: int) -> Iter
         for job in jobs:
             yield shard(G, *job)
         return
+    # imported here: the pool machinery (multiprocessing, logging) is a
+    # sizeable share of the start-up of a one-worker run that never uses it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for job in jobs:

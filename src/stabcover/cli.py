@@ -6,8 +6,9 @@ given its flags: both census modes classify fixed shards of masks, so
 reports are identical for any `--workers` value, the only worker setting.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on parse
 or precondition errors (an `--out` or `--records` path that cannot be
-written among them), 3 when --strict is set and capped searches left
-indeterminate fields in the output.
+written among them, checked before the command runs), 3 when --strict
+is set and capped searches left indeterminate fields in the output.
+Only `cmd_bounds` imports mpmath, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ import ast
 import csv
 import io
 import json
+import os
 import sys
 
-import mpmath as mp
-
-from . import bounds as bounds_mod
 from .census import exhaustive_census, monte_carlo_census, unlabeled_census
 from .errors import CapExceededError, DomainError, StabcoverError
 from .graphs import connection_set
@@ -82,10 +81,6 @@ def _write_csv(out_path: str | None, header, rows) -> None:
     w.writerow(header)
     w.writerows(rows)
     _write(out_path, buf.getvalue())
-
-
-def _mp_str(x) -> str:
-    return mp.nstr(x, 12, strip_zeros=False)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -155,48 +150,46 @@ def cmd_check_lemmas(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-BOUNDS_HEADER = (
-    ["r", "delta", "h", "h_first_term", "h_second_term", "k", "k_undefined"]
-    + list(bounds_mod.BOUND_NAMES)
-    + [f"{name}_vacuous" for name in bounds_mod.BOUND_NAMES]
-    + ["component_sum", "component_sum_le_h"]
-)
-
-
-def _bounds_row(r: int, delta: float, precision_bits: int) -> list[str]:
-    profile = bounds_mod.lemma_bound_table(r, delta, precision_bits)
-    first, second = profile.h_terms
-    row = [
-        str(r),
-        repr(delta),
-        _mp_str(profile.h),
-        _mp_str(first),
-        _mp_str(second),
-        "" if profile.k is None else _mp_str(profile.k),
-        "true" if profile.k_undefined else "false",
-    ]
-    row += [_mp_str(profile.bounds[name]) for name in bounds_mod.BOUND_NAMES]
-    row += [
-        "true" if profile.vacuous[name] else "false" for name in bounds_mod.BOUND_NAMES
-    ]
-    row += [
-        _mp_str(profile.component_sum),
-        "true" if profile.component_sum_le_h else "false",
-    ]
-    return row
-
-
 def cmd_bounds(args) -> int:
+    # only this subcommand loads mpmath, so no other run pays for importing it
+    import mpmath as mp
+
+    from . import bounds
+
     if args.grid:
         if (args.r, args.delta) != (None, None):
             raise DomainError("--grid excludes --r and --delta")
-        points = bounds_mod.default_grid()
+        points = bounds.default_grid()
     else:
         if args.r is None or args.delta is None:
             raise DomainError("either --grid or both --r and --delta are required")
         points = [(args.r, args.delta)]
-    rows = [_bounds_row(r, delta, args.precision_bits) for r, delta in points]
-    _write_csv(args.out, BOUNDS_HEADER, rows)
+    bits = bounds.DEFAULT_PRECISION_BITS if args.precision_bits is None else args.precision_bits
+    names = bounds.BOUND_NAMES
+
+    def num(x) -> str:
+        return mp.nstr(x, 12, strip_zeros=False)
+
+    def flag(b: bool) -> str:
+        return "true" if b else "false"
+
+    header = (
+        ["r", "delta", "h", "h_first_term", "h_second_term", "k", "k_undefined"]
+        + list(names)
+        + [f"{name}_vacuous" for name in names]
+        + ["component_sum", "component_sum_le_h"]
+    )
+    rows = []
+    for r, delta in points:
+        p = bounds.lemma_bound_table(r, delta, bits)
+        rows.append(
+            [str(r), repr(delta), num(p.h), *map(num, p.h_terms)]
+            + ["" if p.k is None else num(p.k), flag(p.k_undefined)]
+            + [num(p.bounds[name]) for name in names]
+            + [flag(p.vacuous[name]) for name in names]
+            + [num(p.component_sum), flag(p.component_sum_le_h)]
+        )
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -250,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--grid", action="store_true", help="emit the default (r, delta) grid")
-    p.add_argument("--precision-bits", type=int,
-                   default=bounds_mod.DEFAULT_PRECISION_BITS)
+    p.add_argument("--precision-bits", type=int, default=None,
+                   help="working precision in bits, at least 53 "
+                        "(default: bounds.DEFAULT_PRECISION_BITS)")
     return parser
 
 
@@ -263,16 +257,38 @@ COMMANDS = {
 }
 
 
+def _probe_outputs(args, created: list[str]) -> None:
+    """Open every output path for appending, so an unwritable one fails now.
+
+    Append mode truncates no existing file. A missing file is created,
+    and its path is added to `created`.
+    """
+    for path in (args.out, getattr(args, "records", None)):
+        if path is None:
+            continue
+        try:
+            open(path, "x").close()
+            created.append(path)
+        except FileExistsError:
+            open(path, "a").close()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created: list[str] = []
     try:
+        # before the work, not after it
+        _probe_outputs(args, created)
         return COMMANDS[args.command](args)
-    except (DomainError, CapExceededError, OSError) as e:
+    except (StabcoverError, OSError) as e:
+        # a refused command leaves no empty file behind
+        for path in created:
+            if os.path.getsize(path) == 0:
+                os.remove(path)
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except StabcoverError as e:
-        print(f"error: {e}", file=sys.stderr)
+        if isinstance(e, (DomainError, CapExceededError, OSError)):
+            return EXIT_PRECONDITION
         return EXIT_CHECK_FAILED
 
 

@@ -317,13 +317,22 @@ def verify_bicoset_isomorphism(
     isomorphism from the cover onto the bi-coset graph of (X, H, K, Y).
     Also checks the inversion symmetry: K R(g) H inside Y iff K R(-g) H
     inside Y. Only Y and what reads it are built per call.
+
+    Y is read off the frame's right K-cosets, one test per coset. Every
+    member of Ky sends 0- to (0-)^y, since K fixes 0-; and a member x of
+    another coset Ky' has (0-)^x = (0-)^y' ≠ (0-)^y, as the orbit map is
+    a bijection. The cosets partition X, so Ky is exactly the fibre
+    {x : (0-)^x = (0-)^y}, and Y is the union of the cosets whose
+    representative y sends 0- into N(0+).
     """
     n = G.order
     if frame.n != n:
         raise DomainError("the frame is not that of a double cover of G")
     cover = double_cover(cayley_graph(G, S))
     nbhd0 = cover.rows[0]
-    y_sub = frozenset(x for x in frame.elements if (nbhd0 >> x[n]) & 1)
+    y_sub = frozenset(
+        x for y, coset in frame.k_cosets if (nbhd0 >> y[n]) & 1 for x in coset
+    )
     if cover.relabel(frame.orbit_map) != bicoset_graph(frame, y_sub):
         return False
 

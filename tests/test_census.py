@@ -313,7 +313,7 @@ def test_monte_carlo_memory_is_bounded_per_shard(monkeypatch):
     G = make_group([2, 10])
     rec = classify(G, ConnectionSet(G, (1 << G.order) - 1))
     monkeypatch.setattr(census, "classify", lambda G, S, enum_cap: rec)
-    monkeypatch.setattr(census, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     tracemalloc.start()
     try:
         report = monte_carlo_census(G, samples=100_000, seed=1, workers=2)

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabcover
 from stabcover import cli, verify
 from stabcover.cli import (
     EXIT_CHECK_FAILED,
@@ -197,6 +202,66 @@ def test_unwritable_output_path_is_a_precondition_error(tmp_path, capsys, option
         code, _, err = run_cli(capsys, "census", "C3", option, str(path))
         assert code == EXIT_PRECONDITION
         assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [(["census", "C2xC2xC2xC2"], "exhaustive_census"),
+     (["check-lemmas"], "run_all_checks")],
+    ids=["census", "check-lemmas"],
+)
+def test_unwritable_output_path_is_refused_before_the_work(
+    tmp_path, capsys, monkeypatch, argv, work
+):
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
+    assert (code, out, calls) == (EXIT_PRECONDITION, "", [])
+    assert err.startswith("error: ")
+
+
+def test_output_probe_truncates_nothing_and_leaves_no_empty_file(tmp_path, capsys):
+    # the probe appends: a refused command keeps an existing file's bytes,
+    # and removes the empty file it created for a missing path
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    made = tmp_path / "made.jsonl"
+    code, _, _ = run_cli(
+        capsys, "census", "C7", "--samples", "4", "--out", str(kept), "--records", str(made)
+    )
+    assert code == EXIT_PRECONDITION
+    assert kept.read_text() == "old\n" and not made.exists()
+
+
+# runs in a fresh interpreter: which modules the commands load
+_IMPORT_PROBE = """
+import json, os, sys
+from stabcover.cli import main
+
+def loaded():
+    names = ("mpmath", "concurrent.futures", "multiprocessing")
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+
+assert main(["census", "C2xC4", "--out", os.devnull]) == 0
+assert main(["check-lemmas", "--order-limit", "4", "--out", os.devnull]) == 0
+before = loaded()
+assert main(["bounds", "--r", "1024", "--delta", "0.05", "--out", os.devnull]) == 0
+print(json.dumps([before, loaded()]))
+"""
+
+
+def test_census_and_check_lemmas_load_neither_mpmath_nor_the_process_pool():
+    # only `bounds` needs mpmath and only --workers N > 1 the process
+    # pool, so a one-worker census or check-lemmas run imports neither;
+    # the bounds run shows that the probe sees a loaded mpmath
+    src = str(Path(stabcover.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    before, after = json.loads(run.stdout.splitlines()[-1])
+    assert before == []
+    assert "mpmath" in after
 
 
 def test_census_monte_carlo_stream_is_pinned(capsys):
