@@ -17,7 +17,8 @@ its goodness off the exhaustive census's record for that orbit.
 The only cap that can leave a field indeterminate, the enumeration cap
 on |B(S)|, is an orbit invariant too, so no orbit needs a second look.
 
-A complement pair of orbits is classified once when both halves are S1.
+A complement pair of orbits is classified once when both halves are S1,
+or when the later half alone is and |B| is over the enumeration cap.
 Write S^c = G - S, inverse-closed with S. In the cover x+ ~ y- exactly
 when y - x lies in S, so the cover of S^c is that of S with every pair
 between the blocks complemented; a permutation fixing both blocks keeps
@@ -33,14 +34,29 @@ Cay(G, S^c) is connected and non-bipartite, S^c is in S1 too, and every
 field of its record but the set is one of the shared objects: |Aut|,
 |B|, the cover order 2|B|, stability, S2, S3' and S3 (from
 Stab_Hol), S4 and S5 (a scan of the subgroups of B over R, under the
-same cap on |B|), and no trivial-instability reason. Complementation
-commutes with Aut(G), so it carries each orbit O onto an orbit O^c with
-least mask min(G - S for S in O). The census classifies the earlier
-orbit of each pair {O, O^c}, in orbit order; if its record is S1 and
+same cap on |B|), and no trivial-instability reason.
+
+Twin-freeness is shared too, so when S is twin-free but not S1 and
+Cay(G, S^c) is connected and non-bipartite, S^c is in S1, and its record
+follows from that of S once |B| is over the enumeration cap. |Aut| and
+|B| carry over; the cover of S^c is connected, so its order is 2|B|,
+and S^c is stable exactly when |B| = |Aut|. S^c is in S2 exactly when
+|B| is n at exponent two and 2n otherwise. S is not S2, so its S3'
+verdict is that Stab_Hol(S) holds more than 1 and -1; the stabilizer is
+shared, and no S2 set is in S3' (see `stability`), so S^c has the same
+S3' verdict and is in S3 exactly when S is in S3'. B0 is not listed
+over the cap, and the S4/S5 scan then says no for an S2 set and
+indeterminate otherwise. Under the cap the scan needs B0's elements, so
+S^c is classified.
+
+Complementation commutes with Aut(G), so it carries each orbit O onto
+an orbit O^c with least mask min(G - S for S in O). The census
+classifies the earlier orbit of each pair {O, O^c}, in orbit order. When
 the graph of O^c's least mask is connected and non-bipartite, O^c's
-record is that record with O^c's least mask, and otherwise O^c is
-classified too. `check_record` runs on every record.
-`CensusReport.classified` counts the `classify` calls a census made.
+record is derived as above if O's record is S1, or twin-free with |B|
+over the cap; otherwise O^c is classified too. `check_record` runs on
+every record. `CensusReport.classified` counts the `classify` calls a
+census made.
 """
 
 from __future__ import annotations
@@ -97,9 +113,9 @@ class CensusReport:
     unstable, so the four outcome buckets always add up to `examined`.
     `classified` is the number of `classify` calls behind the tallies:
     for an exhaustive census one per Aut(G)-orbit, less one per
-    complement pair of S1 orbits; `examined` for a Monte-Carlo one. It
-    is left out of `signature()`. An exhaustive
-    census keeps each orbit, as its masks, with its record in
+    complement pair with a derived record (see the module docstring);
+    `examined` for a Monte-Carlo one. It is left out of `signature()`.
+    An exhaustive census keeps each orbit, as its masks, with its record in
     `orbit_records`, the input of `record_lines` and `unlabeled_census`;
     that field is left out of the JSON, the signature and equality.
     """
@@ -278,23 +294,37 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
     """Checked records of each unit of work in turn, and the `classify` calls made.
 
     A unit is one mask, or a complement pair: the least masks of two
-    orbits O, O^c, the earlier first. The second record of a pair is
-    derived from the first when both sets are S1 (see the module
-    docstring), and classified otherwise.
+    orbits O, O^c, the earlier first. The second set of a pair is S1
+    when its graph is connected and non-bipartite and the first set is
+    twin-free. Its record is then derived from the first (see the module
+    docstring): the first with the second set, if the first is S1 too,
+    or the S1 fields rebuilt from the shared |Aut|, |B| and S3', if |B|
+    is over enum_cap. Otherwise it is classified.
     """
     full = (1 << G.order) - 1
     records, calls = [], 0
+    target = G.order if G.exponent <= 2 else 2 * G.order
     for first_mask, *partner in units:
         first = classify(G, ConnectionSet(G, first_mask), enum_cap=enum_cap)
         records.append(first)
         calls += 1
         for mask in partner:
             S = ConnectionSet(G, mask)
-            if first.in_s1 and component_of(cayley_graph(G, S)) == (full, False):
-                records.append(replace(first, set=S))
-            else:
+            derivable = first.in_s1 or (first.twin_free and first.b_order > enum_cap)
+            if not derivable or component_of(cayley_graph(G, S)) != (full, False):
                 records.append(classify(G, S, enum_cap=enum_cap))
                 calls += 1
+            elif first.in_s1:
+                records.append(replace(first, set=S))
+            else:
+                in_s2 = first.b_order == target
+                s45 = TriState.NO if in_s2 else TriState.INDETERMINATE
+                records.append(replace(
+                    first, set=S, connected=True, bipartite=False,
+                    trivial_instability_reasons=(), cover_aut_order=2 * first.b_order,
+                    stable=first.b_order == first.aut_order, in_s1=True, in_s2=in_s2,
+                    in_s3=first.in_s3prime, in_s4=s45, in_s5=s45,
+                ))
     for rec in records:
         check_record(rec)
     return records, calls
@@ -359,8 +389,8 @@ def exhaustive_census(
     """Classify every inverse-closed subset of G and tally the buckets.
 
     One set per Aut(G)-orbit is classified, or one per complement pair
-    of orbits when both are S1 (see the module docstring); the report
-    keeps each orbit with its record in `orbit_records`.
+    of orbits whose second record is derived (see the module docstring);
+    the report keeps each orbit with its record in `orbit_records`.
     """
     start = time.monotonic()
     total = count_inverse_closed(G)

@@ -40,8 +40,9 @@ def parse_set_literal(G: AbelianGroup, text: str) -> list[int]:
 
     Tuples are coordinate vectors in the invariant-factor order; plain
     integers are only accepted for cyclic groups, where they are the
-    single coordinate. Coordinates are reduced modulo the factor sizes.
-    Blank text is the empty set.
+    single coordinate, and for the trivial group C1 (rank 0), where every
+    integer is the identity `()`. Coordinates are reduced modulo the
+    factor sizes. Blank text is the empty set.
     """
     if not text.strip():
         return []
@@ -51,19 +52,22 @@ def parse_set_literal(G: AbelianGroup, text: str) -> list[int]:
         raise DomainError(f"cannot parse set literal {text!r}") from e
     out = []
     for item in parsed:
+        coords = item
         if isinstance(item, int):
             if G.rank > 1:
                 raise DomainError(
                     f"element {item} is a bare integer; rank-{G.rank} groups need tuples"
                 )
-            item = (item,)
+            coords = (item,) * G.rank
         if not (
-            isinstance(item, tuple)
-            and len(item) == G.rank
-            and all(isinstance(c, int) for c in item)
+            isinstance(coords, tuple)
+            and len(coords) == G.rank
+            and all(isinstance(c, int) for c in coords)
         ):
-            raise DomainError(f"element {item!r} is not a length-{G.rank} integer tuple")
-        out.append(G.index(item))
+            raise DomainError(
+                f"element {item!r} of {text!r} is not a length-{G.rank} integer tuple"
+            )
+        out.append(G.index(coords))
     return out
 
 

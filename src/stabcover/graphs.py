@@ -110,11 +110,18 @@ def cayley_graph(G: AbelianGroup, S: ConnectionSet) -> LabeledGraph:
 
     Row i is S + i, a subset of G. The rows are symmetric because S is
     inverse-closed (`ConnectionSet` checks it): j - i in S iff i - j in S.
+    Where G has an addition table, the neighbours of i are S + i read
+    through row i of it, sorted.
     """
     if S.group is not G and S.group != G:
         raise DomainError("connection set belongs to a different group")
     rows = tuple(G.translate_mask(S.mask, i) for i in range(G.order))
-    return _symmetric_graph(G.order, rows)
+    table = G.addition_rows()
+    if table is None:
+        return _symmetric_graph(G.order, rows)
+    members = bit_indices(S.mask)
+    nbrs = tuple(sorted(map(row.__getitem__, members)) for row in table)
+    return _symmetric_graph(G.order, rows, nbrs)
 
 
 def double_cover(g: LabeledGraph) -> LabeledGraph:

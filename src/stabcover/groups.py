@@ -114,14 +114,17 @@ class AbelianGroup:
         return idx
 
     def add(self, i: int, j: int) -> int:
-        tab = self._sum
+        tab = self._sum or self.addition_rows()
         if tab is None:
-            if self.order > 1024:
-                a, b = self._coords[i], self._coords[j]
-                return self.index(tuple(x + y for x, y in zip(a, b)))
-            tab = self._addition_table()
-            object.__setattr__(self, "_sum", tab)
+            a, b = self._coords[i], self._coords[j]
+            return self.index(tuple(x + y for x, y in zip(a, b)))
         return tab[i][j]
+
+    def addition_rows(self) -> list[list[int]] | None:
+        """The addition table, row a listing a + x for every x; None above order 1024."""
+        if self._sum is None and self.order <= 1024:
+            object.__setattr__(self, "_sum", self._addition_table())
+        return self._sum
 
     def _addition_table(self) -> list[list[int]]:
         """Row a lists a + x for every x; built once, for small groups.

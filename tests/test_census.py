@@ -136,9 +136,9 @@ def test_exhaustive_census_worker_independence():
     # C2xC6, C2xC8 and C2xC10 have a nontrivial Aut(G), so the orbit list
     # spans many shards; the records come back from the workers, so the
     # per-set records and the unlabeled report must not depend on their
-    # number. At C2xC10, 199 complement pairs have a derived record, and
+    # number. At C2xC10, 224 complement pairs have a derived record, and
     # the workers must find them too: `classified` counts their calls
-    for facs, classified in (([7], 6), ([2, 6], 65), ([2, 8], 232), ([2, 10], 337)):
+    for facs, classified in (([7], 6), ([2, 6], 58), ([2, 8], 204), ([2, 10], 312)):
         G = make_group(facs)
         reps = [exhaustive_census(G, workers=w) for w in (1, 2, 3)]
         assert {(r.signature(), r.classified) for r in reps} == {
@@ -162,9 +162,12 @@ def _per_set_oracle(G, **caps):
     return records, counts
 
 
-def _counted_census(monkeypatch, G, **kwargs):
-    """An exhaustive census of G and the `classify` calls it made here."""
-    calls = []
+def _counted_census(monkeypatch, G, seen=None, **kwargs):
+    """An exhaustive census of G and the `classify` calls it made here.
+
+    The mask of each call is appended to `seen`, when given.
+    """
+    calls = [] if seen is None else seen
 
     def counted(*args, **kw):
         calls.append(args[1].mask)
@@ -176,8 +179,8 @@ def _counted_census(monkeypatch, G, **kwargs):
     return report, len(calls)
 
 
-def _orbit_census_against_oracle(monkeypatch, G, **caps):
-    report, calls = _counted_census(monkeypatch, G, **caps)
+def _orbit_census_against_oracle(monkeypatch, G, seen=None, **caps):
+    report, calls = _counted_census(monkeypatch, G, seen, **caps)
     assert report.classified == calls, G.spec()
     records = list(set_records(report))
     oracle, oracle_counts = _per_set_oracle(G, **caps)
@@ -193,8 +196,31 @@ def test_orbit_census_matches_per_set_oracle(monkeypatch):
         report, oracle_counts = _orbit_census_against_oracle(monkeypatch, G)
         assert report.counts == oracle_counts, G.spec()
         classified[G.spec()] = report.classified
-    # one call per Aut(G)-orbit, less one per complement pair of S1 orbits
-    assert (classified["C7"], classified["C12"]) == (6, 72)
+    # one call per Aut(G)-orbit, less one per derived complement partner
+    assert (classified["C7"], classified["C12"]) == (6, 67)
+
+
+def test_orbit_census_derives_s1_partners_over_the_cap(monkeypatch):
+    # at enum_cap 0 every |B| is over the cap, so the S1 partner of every
+    # twin-free first orbit is derived, S2 partners of non-S1 orbits among
+    # them; at the default cap 2n is within the cap and none of those is
+    derived_s2 = 0
+    for G in all_abelian_groups(12):
+        seen = []
+        report, oracle_counts = _orbit_census_against_oracle(monkeypatch, G, seen, enum_cap=0)
+        assert report.counts == oracle_counts, G.spec()
+        orbits = [orbit for orbit, _ in report.orbit_records]
+        records = [rec for _, rec in report.orbit_records]
+        derived = 0
+        for first, *partner in census._complement_units(G, orbits):
+            for j in partner:
+                rec = records[j]
+                if rec.in_s1 and records[first].twin_free:
+                    assert rec.set.mask not in seen, (G.spec(), hex(rec.set.mask))
+                    derived += 1
+                    derived_s2 += rec.in_s2 and not records[first].in_s1
+        assert report.classified == len(orbits) - derived, G.spec()
+    assert derived_s2 > 0
 
 
 @pytest.mark.parametrize(
@@ -213,9 +239,9 @@ def test_orbit_census_under_enum_cap(monkeypatch, facs, indeterminate):
 def test_exhaustive_census_order_16(monkeypatch):
     report, calls = _counted_census(monkeypatch, make_group([2, 2, 4]))
     assert report.counts == C2XC2XC4_COUNTS
-    assert report.classified == calls == 206
+    assert report.classified == calls == 163
     report, calls = _counted_census(monkeypatch, make_group([4, 4]))
-    assert report.classified == calls == 91
+    assert report.classified == calls == 77
 
 
 def test_exhaustive_census_builds_aut_g_once(monkeypatch):
@@ -475,7 +501,7 @@ def test_unlabeled_census_matches_per_set_oracle():
 def test_unlabeled_census_classifies_once_per_orbit(monkeypatch, tmp_path):
     # `census --unlabeled` reads goodness off the labeled pass's records:
     # one orbit listing and at most one `classify` call per orbit in all,
-    # one per complement pair of S1 orbits
+    # none for a derived complement partner
     calls = {"classify": 0, "hol_orbits": 0}
 
     def counted(name):
@@ -493,7 +519,7 @@ def test_unlabeled_census_classifies_once_per_orbit(monkeypatch, tmp_path):
     assert cli.main(["census", "C2xC8", "--unlabeled", "--format", "jsonl",
                      "--out", str(out)]) == cli.EXIT_OK
     assert json.loads(out.read_text().splitlines()[1])["hol_orbit_count"] == 304
-    assert calls == {"classify": 232, "hol_orbits": 1}  # of 304 orbits, 1 024 sets
+    assert calls == {"classify": 204, "hol_orbits": 1}  # of 304 orbits, 1 024 sets
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["two-good", "good-and-not"])

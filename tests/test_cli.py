@@ -45,6 +45,21 @@ def test_parse_set_literal():
         parse_set_literal(C5, "(1,2)")  # wrong arity
     with pytest.raises(DomainError):
         parse_set_literal(C5, "nonsense(")
+    # rank 0: C1's one element is (), and an integer reduces to it
+    C1 = make_group([])
+    assert parse_set_literal(C1, "0") == parse_set_literal(C1, "()") == [0]
+    assert parse_set_literal(C1, "3,()") == [0, 0]
+    with pytest.raises(DomainError, match=r"element \(1, 2\) of '\(1, 2\)' is not"):
+        parse_set_literal(C5, "(1, 2)")  # the error quotes the literal as written
+    with pytest.raises(DomainError, match="element 'a' of"):
+        parse_set_literal(C5, "'a'")
+
+
+def test_classify_trivial_group_reads_an_integer_as_the_identity(capsys):
+    code, out, _ = run_cli(capsys, "classify", "C1", "0")
+    assert code == EXIT_OK
+    assert run_cli(capsys, "classify", "C1", "()") == (EXIT_OK, out, "")
+    assert json.loads(out)["set"] == "0x1"
 
 
 def test_classify_stable(capsys):

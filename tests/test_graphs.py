@@ -30,6 +30,8 @@ from stabcover.groups import (
     count_inverse_closed,
     inverse_closed_masks,
     make_group,
+    mask_union,
+    negation_orbits,
 )
 from stabcover.perms import as_perm, identity_perm, pinv, pmul, right_mul
 from stabcover.stability import b0_group, group_context
@@ -112,6 +114,21 @@ def test_cayley_graphs_and_covers_pass_the_full_check():
     assert built == 2 * sum(
         count_inverse_closed(G) for G in all_abelian_groups(12)
     )
+
+
+def test_cayley_graph_neighbour_lists_match_its_rows():
+    # cayley_graph reads the neighbour lists off the addition table, where
+    # G has one; they must be the sorted members of each row
+    cases = [(G, mask) for G in all_abelian_groups(12) for mask in inverse_closed_masks(G)]
+    rng = random.Random(7)
+    for order, count in ((256, 5), (1031, 1)):  # above 1024 there is no table
+        G = make_group([order])
+        orbits = [sum(1 << x for x in orb) for orb in negation_orbits(G)]
+        cases += [(G, mask_union(orbits, rng.getrandbits(len(orbits)))) for _ in range(count)]
+    assert make_group([1031]).addition_rows() is None
+    for G, mask in cases:
+        g = cayley_graph(G, ConnectionSet(G, mask))
+        assert g.nbrs == tuple(map(bit_indices, g.rows)), (G.spec(), hex(mask))
 
 
 def _oracle_component(g, v):
