@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .errors import DomainError
 from .groups import AbelianGroup, bit_indices
-from .perms import as_perm, left_mul, mul_table, pinv, right_mul
+from .perms import as_perm, left_mul, mul_each, mul_table, pinv
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,13 @@ class LabeledGraph:
 
     @cached_property
     def nbrs(self) -> tuple[list[int], ...]:
-        """Neighbours of each vertex in increasing order, built once."""
+        """Neighbours of each vertex in increasing order, built on first read.
+
+        A graph from `_symmetric_graph` may carry its own builder for them.
+        """
+        build = self.__dict__.pop("_build_nbrs", None)
+        if build is not None:
+            return build()
         return tuple(map(bit_indices, self.rows))
 
     def relabel(self, perm) -> "LabeledGraph":
@@ -88,20 +96,22 @@ def connection_set(G: AbelianGroup, elements, symmetrize: bool = False) -> Conne
     return ConnectionSet(G, mask)
 
 
-def _symmetric_graph(n: int, rows: tuple[int, ...], nbrs=None) -> LabeledGraph:
+def _symmetric_graph(n: int, rows: tuple[int, ...], build_nbrs=None) -> LabeledGraph:
     """A `LabeledGraph` whose caller has proved its rows symmetric.
 
     Skips the validation in `LabeledGraph.__post_init__`, whose symmetry
     check costs one probe per edge. Only `cayley_graph` and
     `double_cover`, whose docstrings carry the proofs, call it; a
-    source-scan test keeps it so. A caller that already holds the rows'
-    neighbour lists, in increasing order, passes them as `nbrs`.
+    source-scan test keeps it so. A caller that can list the rows'
+    neighbours, in increasing order, faster than by reading their bits
+    passes a function that does so as `build_nbrs`; `nbrs` calls it on
+    first read, so a graph whose lists are never read never builds them.
     """
     g = object.__new__(LabeledGraph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
-    if nbrs is not None:
-        object.__setattr__(g, "nbrs", nbrs)
+    if build_nbrs is not None:
+        object.__setattr__(g, "_build_nbrs", build_nbrs)
     return g
 
 
@@ -111,7 +121,7 @@ def cayley_graph(G: AbelianGroup, S: ConnectionSet) -> LabeledGraph:
     Row i is S + i, a subset of G. The rows are symmetric because S is
     inverse-closed (`ConnectionSet` checks it): j - i in S iff i - j in S.
     Where G has an addition table, the neighbours of i are S + i read
-    through row i of it, sorted.
+    through row i of it, sorted, when they are first read.
     """
     if S.group is not G and S.group != G:
         raise DomainError("connection set belongs to a different group")
@@ -119,9 +129,12 @@ def cayley_graph(G: AbelianGroup, S: ConnectionSet) -> LabeledGraph:
     table = G.addition_rows()
     if table is None:
         return _symmetric_graph(G.order, rows)
-    members = bit_indices(S.mask)
-    nbrs = tuple(sorted(map(row.__getitem__, members)) for row in table)
-    return _symmetric_graph(G.order, rows, nbrs)
+
+    def build_nbrs():
+        members = bit_indices(S.mask)
+        return tuple(sorted(map(row.__getitem__, members)) for row in table)
+
+    return _symmetric_graph(G.order, rows, build_nbrs)
 
 
 def double_cover(g: LabeledGraph) -> LabeledGraph:
@@ -130,13 +143,17 @@ def double_cover(g: LabeledGraph) -> LabeledGraph:
     u+ ~ v- iff u ~ v in the base graph; no edges inside a block. A loop at v
     becomes the edge v+ ~ v-. The rows are symmetric because g's are:
     v- is in the row of u+ iff v ~ u iff u ~ v iff u+ is in the row of v-.
-    The neighbour lists are lifted the same way: u+ has n + v for each
-    neighbour v of u, and u- has the base list of u, both increasing.
+    The neighbour lists, built when first read, are lifted the same way:
+    u+ has n + v for each neighbour v of u, and u- has the base list of u,
+    both increasing.
     """
     n = g.n
     rows = [row << n for row in g.rows] + list(g.rows)
-    nbrs = tuple([n + v for v in nb] for nb in g.nbrs) + g.nbrs
-    return _symmetric_graph(2 * n, tuple(rows), nbrs)
+
+    def build_nbrs():
+        return tuple([n + v for v in nb] for nb in g.nbrs) + g.nbrs
+
+    return _symmetric_graph(2 * n, tuple(rows), build_nbrs)
 
 
 def component_of(g: LabeledGraph, v: int = 0) -> tuple[int, bool]:
@@ -209,6 +226,13 @@ class BiCosetFrame:
     (0-)^x to Kx (index nh + b). Every member of Hx sends 0+ to (0+)^x,
     so the representatives define it. It is checked to be a bijection
     from the 2n vertices onto the nh + nk cosets.
+
+    The per-element passes run in C: the length and block checks map
+    `len` and `itemgetter` over the listing, the lookup is
+    `dict(zip(elements, elements))`, and each coset is one `mul_each`,
+    which maps `bytes.translate` with one padded table; a method caller
+    per element would look `translate` up by name on every product, at
+    more than twice the cost.
     """
 
     n: int
@@ -221,13 +245,13 @@ class BiCosetFrame:
     def __post_init__(self):
         n, elems = self.n, tuple(self.elements)
         object.__setattr__(self, "elements", elems)
-        if any(len(x) != 2 * n for x in elems):
+        if not set(map(len, elems)) <= {2 * n}:
             raise DomainError("X does not act on the cover vertex set")
-        if {x[0] for x in elems} != set(range(n)) or {x[n] for x in elems} != set(
-            range(n, 2 * n)
-        ):
+        if set(map(itemgetter(0), elems)) != set(range(n)) or set(
+            map(itemgetter(n), elems)
+        ) != set(range(n, 2 * n)):
             raise DomainError("X orbits are not the two cover blocks")
-        listed = {x: x for x in elems}
+        listed = dict(zip(elems, elems))
         if len(listed) != len(elems):
             raise DomainError("X lists an element twice")
         h_sub = [x for x in elems if x[0] == 0]
@@ -259,19 +283,20 @@ class BiCosetFrame:
 def _right_cosets(elements, sub) -> list[tuple]:
     """Right cosets of `sub` in the group listed by `elements`, as (x, members).
 
-    Each coset Hx is one `map(right_mul(x), sub)`. Scanning `elements` in
-    order, the first element x not yet covered is the least-index member
-    of its coset: a member listed before x would have been scanned first
-    and its coset, which is Hx, would already cover x. So the
-    representative x is the coset's least-index member, and the cosets
-    come out ordered by it.
+    Each coset Hx is one `mul_each(sub, x)`: one C-level `bytes.translate`
+    per product, where a method caller would look `translate` up by name
+    on every call. Scanning `elements` in order, the first element x not
+    yet covered is the least-index member of its coset: a member listed
+    before x would have been scanned first and its coset, which is Hx,
+    would already cover x. So the representative x is the coset's
+    least-index member, and the cosets come out ordered by it.
     """
     covered: set = set()
     cosets = []
     for x in elements:
         if x in covered:
             continue
-        coset = list(map(right_mul(x), sub))
+        coset = list(mul_each(sub, x))
         covered.update(coset)
         cosets.append((x, coset))
     return cosets
@@ -305,7 +330,7 @@ def bicoset_graph(frame: BiCosetFrame, d) -> LabeledGraph:
     nh = len(frame.h_reps)
     rows = [0] * (nh + len(k_reps))
     for a, x in enumerate(frame.h_reps):
-        for b, z in enumerate(map(right_mul(pinv(x)), k_reps)):
+        for b, z in enumerate(mul_each(k_reps, pinv(x))):
             if z in d:
                 rows[a] |= 1 << (nh + b)
                 rows[nh + b] |= 1 << a
@@ -338,7 +363,7 @@ def verify_bicoset_isomorphism(
     cover = double_cover(cayley_graph(G, S))
     nbhd0 = cover.rows[0]
     y_sub = frozenset(
-        x for y, coset in frame.k_cosets if (nbhd0 >> y[n]) & 1 for x in coset
+        chain.from_iterable(coset for y, coset in frame.k_cosets if (nbhd0 >> y[n]) & 1)
     )
     if cover.relabel(frame.orbit_map) != bicoset_graph(frame, y_sub):
         return False

@@ -3,10 +3,17 @@
 Permutations are stored as image arrays: `bytes` up to degree 256, so
 products compile down to `bytes.translate`, and tuples above that. Only
 `as_perm` and `identity_perm` choose the representation, and only the
-product primitives `pmul`, `pinv`, `right_mul`, `mul_table` and
+product primitives `pmul`, `pinv`, `mul_each`, `mul_table` and
 `left_mul` read it (`pad_table` is their helper). Every other piece of
 code, `PermutationGroup` included, multiplies through these primitives
 and runs unchanged on either representation.
+
+`mul_each(ps, q)` is the one right product of a whole sequence by a
+fixed q: `map(bytes.translate, ps, repeat(table))` with q's table padded
+once, so each product is one C call with no Python frame. Mapping a
+method caller of `translate` over ps instead costs more than twice as
+much per product, since every call looks `translate` up by name and
+builds a bound method.
 
 Groups carry a lazily-built stabilizer chain giving order, membership,
 and bounded element enumeration. A group is always built from a base
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import methodcaller
+from itertools import chain, repeat
 
 from .errors import CapExceededError, DomainError
 
@@ -80,16 +87,16 @@ def pinv(p):
     return bytes(out) if isinstance(p, bytes) else tuple(out)
 
 
-def right_mul(q):
-    """The map p -> pmul(p, q), with q's translate table built once.
+def mul_each(ps, q):
+    """The products pmul(p, q) for p in ps, in order, as an iterator.
 
-    For loops that multiply many elements by one fixed q on the right:
-    `map(right_mul(q), ps)` pads q once instead of once per product.
+    For bytes, q's translate table is padded once and the products run as
+    one `map(bytes.translate, ...)` (see the module docstring).
     """
     if isinstance(q, bytes):
-        return methodcaller("translate", pad_table(q))
+        return map(bytes.translate, ps, repeat(pad_table(q)))
     image = q.__getitem__
-    return lambda p: tuple(map(image, p))
+    return (tuple(map(image, p)) for p in ps)
 
 
 def mul_table(q):
@@ -145,7 +152,7 @@ class PermutationGroup:
         """
         if self._chain is not None:
             return self._chain
-        chain = self._chain = []
+        levels = self._chain = []
         ident = identity_perm(self.degree)
         # (generator, its table) for the generators fixing the base points
         # passed so far
@@ -164,10 +171,10 @@ class PermutationGroup:
                     orbit[img] = u_mul(st)
                     pts.append(img)
             if len(orbit) > 1:
-                chain.append(_Level(point, orbit))
+                levels.append(_Level(point, orbit))
             gens = [g for g in gens if g[0][point] == point]
-        self._order = math.prod(len(lvl.orbit) for lvl in chain)
-        return chain
+        self._order = math.prod(len(lvl.orbit) for lvl in levels)
+        return levels
 
     def _sift(self, g: Perm) -> Perm:
         for lvl in self._build():
@@ -195,10 +202,9 @@ class PermutationGroup:
         """All elements via transversal products, each exactly once."""
         if self.order > cap:
             raise CapExceededError("group enumeration", self.order, cap)
-        chain = self._build()
         out = [identity_perm(self.degree)]
-        for lvl in reversed(chain):
+        for lvl in reversed(self._build()):
             transversal = [lvl.orbit[pt] for pt in sorted(lvl.orbit)]
-            out = [s for t in transversal for s in map(right_mul(t), out)]
+            out = list(chain.from_iterable(mul_each(out, t) for t in transversal))
         return out
 

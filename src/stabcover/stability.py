@@ -81,10 +81,10 @@ from .perms import (
     as_perm,
     identity_perm,
     left_mul,
+    mul_each,
     mul_table,
     pinv,
     pmul,
-    right_mul,
 )
 
 
@@ -580,7 +580,7 @@ def s4_s5_membership(
         if all(pmul(pmul(ci, t), c) in r_set for t in r_gens):
             norm_mask |= 1 << i
         marked = dict.fromkeys(
-            [left_mul(ac)(fix0[ac[0]]) for ac in map(right_mul(c), r_list)], i
+            [left_mul(ac)(fix0[ac[0]]) for ac in mul_each(r_list, c)], i
         )
         cls.update(marked)
         lefts.append(left_mul(c))

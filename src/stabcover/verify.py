@@ -10,6 +10,7 @@ offending group and certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .autgrp import automorphism_group
 from .census import check_record
@@ -30,7 +31,7 @@ from .groups import (
     involution_set,
 )
 from .stability import b0_group, classify, group_context
-from .perms import DEFAULT_ENUM_CAP, right_mul
+from .perms import DEFAULT_ENUM_CAP, mul_each
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ def check_bicoset_model(max_order: int = 8) -> CheckResult:
             b0_elems = B0.elements()
             try:
                 frame = BiCosetFrame(
-                    n, [x for r in lifts for x in map(right_mul(r), b0_elems)]
+                    n, tuple(chain.from_iterable(mul_each(b0_elems, r) for r in lifts))
                 )
             except DomainError as e:
                 failures.extend(f"{tag}: {e}" for tag in tags)

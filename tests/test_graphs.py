@@ -33,7 +33,7 @@ from stabcover.groups import (
     mask_union,
     negation_orbits,
 )
-from stabcover.perms import as_perm, identity_perm, pinv, pmul, right_mul
+from stabcover.perms import as_perm, identity_perm, mul_each, pinv, pmul
 from stabcover.stability import b0_group, group_context
 
 
@@ -331,8 +331,18 @@ def test_frame_refuses_bad_listings():
     listing = list(_diagonal_frame(3).elements)
     with pytest.raises(DomainError, match="vertex set"):
         BiCosetFrame(2, listing)
+    # one element of length 7 among the valid ones
+    with pytest.raises(DomainError, match="vertex set"):
+        BiCosetFrame(3, listing[:3] + [as_perm(range(7))] + listing[3:])
     with pytest.raises(DomainError, match="two cover blocks"):
         BiCosetFrame(3, [x for x in listing if x[0] == 0])
+    with pytest.raises(DomainError, match="two cover blocks"):
+        BiCosetFrame(3, [])
+    # the + images are all of 0..2, but no element sends 0- to 2-
+    perms3 = list(itertools.permutations(range(3)))
+    half = [as_perm(p + tuple(3 + v for v in q)) for p in perms3 for q in perms3 if q[0] != 2]
+    with pytest.raises(DomainError, match="two cover blocks"):
+        BiCosetFrame(3, half)
     with pytest.raises(DomainError, match="twice"):
         BiCosetFrame(3, listing + listing[-1:])
     # without the 3-cycle, some product hx is unlisted
@@ -453,7 +463,7 @@ def test_frame_from_listing_of_b_oracle():
             if n * B0.order > 2000:
                 continue
             cases += 1
-            listing = [x for r in lifts for x in map(right_mul(r), B0.elements())]
+            listing = [x for r in lifts for x in mul_each(B0.elements(), r)]
             rng.shuffle(listing)
             assert verify_bicoset_isomorphism(G, S, BiCosetFrame(n, listing))
             ident = listing.index(identity_perm(2 * n))

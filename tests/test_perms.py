@@ -17,10 +17,10 @@ from stabcover.perms import (
     as_perm,
     identity_perm,
     left_mul,
+    mul_each,
     mul_table,
     pinv,
     pmul,
-    right_mul,
 )
 
 
@@ -107,15 +107,22 @@ def test_elements_deterministic():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.sampled_from([7, 256, 300]), st.randoms(use_true_random=False))
-def test_right_mul_matches_pmul(degree, rng):
-    # bytes perms up to degree 256, tuple perms above
-    p = as_perm(rng.sample(range(degree), degree))
+@given(
+    st.sampled_from([7, 256, 300]),
+    st.integers(min_value=0, max_value=5),
+    st.randoms(use_true_random=False),
+)
+def test_mul_each_matches_pmul(degree, count, rng):
+    # bytes perms up to degree 256, tuple perms above; count 0 is the
+    # empty input
+    ps = [as_perm(rng.sample(range(degree), degree)) for _ in range(count)]
     q = as_perm(rng.sample(range(degree), degree))
-    assert isinstance(p, bytes) == (degree <= 256)
-    assert right_mul(q)(p) == pmul(p, q)
-    # the same product with p fixed on the left, over q's table
-    assert left_mul(p)(mul_table(q)) == pmul(p, q)
+    assert isinstance(q, bytes) == (degree <= 256)
+    got = list(mul_each(ps, q))
+    assert got == [pmul(p, q) for p in ps]
+    assert all(type(x) is type(q) for x in got)
+    # the same products with p fixed on the left, over q's table
+    assert [left_mul(p)(mul_table(q)) for p in ps] == got
 
 
 def test_elements_tuple_degree():

@@ -66,6 +66,30 @@ def test_only_cayley_graph_and_double_cover_skip_the_symmetry_check():
     assert callers == {"graphs.py:cayley_graph", "graphs.py:double_cover"}
 
 
+def _names(tree: ast.Module) -> set[str]:
+    """Every name the module imports or reads as a name or an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+        ref = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(ref, str):
+            names.add(ref)
+    return names
+
+
+def test_one_right_product_path():
+    # `perms.mul_each` is the one right product of a listing: no module
+    # names `methodcaller`, imported or as `operator.methodcaller`, and
+    # only perms.py names `translate` (the bytes product), so no second
+    # product path grows elsewhere
+    probe = ast.parse("from operator import methodcaller\nimport operator\nb''.translate(t)\n")
+    assert _names(probe) == {"methodcaller", "operator", "translate", "t"}
+    trees = dict(_package_trees())
+    assert [name for name, tree in trees.items() if "methodcaller" in _names(tree)] == []
+    assert [name for name, tree in trees.items() if "translate" in _names(tree)] == ["perms.py"]
+
+
 def test_groups_take_a_base_and_searches_confirm_at_nodes():
     # Schreier-Sims lives in the tests' helpers, and automorphisms are
     # confirmed at search nodes, never read off a first leaf; so no package
