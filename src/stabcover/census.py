@@ -49,14 +49,13 @@ over the cap, and the S4/S5 scan then says no for an S2 set and
 indeterminate otherwise. Under the cap the scan needs B0's elements, so
 S^c is classified.
 
-Complementation commutes with Aut(G), so it carries each orbit O onto
-an orbit O^c with least mask min(G - S for S in O). The census
-classifies the earlier orbit of each pair {O, O^c}, in orbit order. When
-the graph of O^c's least mask is connected and non-bipartite, O^c's
-record is derived as above if O's record is S1, or twin-free with |B|
-over the cap; otherwise O^c is classified too. `check_record` runs on
-every record. `CensusReport.classified` counts the `classify` calls a
-census made.
+`hol_orbits` lists the orbits as complement pairs O, O^c, O the one met
+first (no orbit is its own complement's: see there). The census
+classifies O's least mask. When the graph of O^c's least mask is
+connected and non-bipartite, O^c's record is derived as above if O's
+record is S1, or twin-free with |B| over the cap; otherwise O^c is
+classified too. `check_record` runs on every record.
+`CensusReport.classified` counts the `classify` calls a census made.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from .groups import (
     negation_orbits,
 )
 from .perms import DEFAULT_ENUM_CAP
-from .stability import StabilityRecord, TriState, classify, group_context
+from .stability import StabilityRecord, TriState, classify, group_context, minimal_b_order
 
 FIXED_SHARD_COUNT = 32
 
@@ -254,7 +253,7 @@ def _tally(counts: dict[str, int], rec: StabilityRecord, weight: int = 1) -> Non
 
 def check_record(rec: StabilityRecord) -> None:
     """Structural cross-checks every classification record must satisfy."""
-    target = rec.set.group.order if rec.exponent_two else 2 * rec.set.group.order
+    target = minimal_b_order(rec.set.group)
     checks = [
         (rec.in_s1 == (rec.connected and not rec.bipartite and rec.twin_free),
          "s1 must match its defining properties"),
@@ -297,13 +296,14 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
     orbits O, O^c, the earlier first. The second set of a pair is S1
     when its graph is connected and non-bipartite and the first set is
     twin-free. Its record is then derived from the first (see the module
-    docstring): the first with the second set, if the first is S1 too,
-    or the S1 fields rebuilt from the shared |Aut|, |B| and S3', if |B|
-    is over enum_cap. Otherwise it is classified.
+    docstring): the S1 fields rebuilt from the shared |Aut|, |B| and S3',
+    with the first's S4/S5 verdicts if the first is S1 too, and
+    otherwise, as |B| is then over enum_cap, no when |B| is minimal and
+    indeterminate when not. Otherwise it is classified.
     """
     full = (1 << G.order) - 1
     records, calls = [], 0
-    target = G.order if G.exponent <= 2 else 2 * G.order
+    minimal = minimal_b_order(G)
     for first_mask, *partner in units:
         first = classify(G, ConnectionSet(G, first_mask), enum_cap=enum_cap)
         records.append(first)
@@ -314,17 +314,19 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
             if not derivable or component_of(cayley_graph(G, S)) != (full, False):
                 records.append(classify(G, S, enum_cap=enum_cap))
                 calls += 1
-            elif first.in_s1:
-                records.append(replace(first, set=S))
+                continue
+            in_s2 = first.b_order == minimal
+            if first.in_s1:
+                s4, s5 = first.in_s4, first.in_s5
             else:
-                in_s2 = first.b_order == target
-                s45 = TriState.NO if in_s2 else TriState.INDETERMINATE
-                records.append(replace(
-                    first, set=S, connected=True, bipartite=False,
-                    trivial_instability_reasons=(), cover_aut_order=2 * first.b_order,
-                    stable=first.b_order == first.aut_order, in_s1=True, in_s2=in_s2,
-                    in_s3=first.in_s3prime, in_s4=s45, in_s5=s45,
-                ))
+                # |B| is over the cap, so B0 is not listed
+                s4 = s5 = TriState.NO if in_s2 else TriState.INDETERMINATE
+            records.append(replace(
+                first, set=S, connected=True, bipartite=False,
+                trivial_instability_reasons=(), cover_aut_order=2 * first.b_order,
+                stable=first.b_order == first.aut_order, in_s1=True, in_s2=in_s2,
+                in_s3=first.in_s3prime, in_s4=s4, in_s5=s5,
+            ))
     for rec in records:
         check_record(rec)
     return records, calls
@@ -399,17 +401,14 @@ def exhaustive_census(
     if workers < 1:
         raise DomainError("worker count must be at least 1")
     orbits = hol_orbits(G)
-    units = _complement_units(G, orbits)
     jobs = [
-        ([tuple(orbits[i][0] for i in unit) for unit in units[lo:hi]], enum_cap)
-        for lo, hi in _shard_ranges(len(units))
+        ([(orbits[2 * k][0], orbits[2 * k + 1][0]) for k in range(lo, hi)], enum_cap)
+        for lo, hi in _shard_ranges(len(orbits) // 2)
     ]
-    records: list = [None] * len(orbits)
-    order = (i for unit in units for i in unit)
+    records = []
     classified = 0
     for part, calls in _run_shards(G, _units_shard, jobs, workers):
-        for rec in part:
-            records[next(order)] = rec
+        records += part
         classified += calls
     counts = _empty_counts()
     for orbit, rec in zip(orbits, records):
@@ -522,43 +521,29 @@ def hol_orbits(G: AbelianGroup) -> list[list[int]]:
     acting with its automorphism part only (translations centralize each
     other), so the classes are the Aut(G)-orbits: each is the set of
     images of one inverse-closed mask through the tables of
-    `GroupContext.automorphisms`, sorted, and the orbits come in the order
-    `inverse_closed_masks` first meets them.
+    `GroupContext.automorphisms`, sorted.
+
+    The orbits come in complement pairs: orbits[2k] is an orbit O, the
+    one `inverse_closed_masks` meets first, and orbits[2k + 1] is
+    O^c = {G - S : S in O}. An automorphism is a bijection, so
+    tau(G - S) = G - tau(S) and O^c is an orbit; it fixes 0, so whether 0
+    lies in S is an orbit invariant, and complementing flips it. So
+    O^c != O, every orbit lies in exactly one pair, and O^c is read off O
+    without mapping: S -> G - S reverses the order of masks, so O^c is O
+    complemented and reversed.
     """
     auts = group_context(G).automorphisms
+    full = (1 << G.order) - 1
     orbits = []
     seen: set[int] = set()
     for mask in inverse_closed_masks(G):
         if mask in seen:
             continue
         orbit = sorted({map_mask(mask, tau) for tau in auts})
-        seen.update(orbit)
-        orbits.append(orbit)
+        complement = [full ^ m for m in reversed(orbit)]
+        seen.update(orbit, complement)
+        orbits += orbit, complement
     return orbits
-
-
-def _complement_units(G: AbelianGroup, orbits: list[list[int]]) -> list[tuple[int, ...]]:
-    """The census's units of work, as indices into `orbits`, in orbit order.
-
-    Complementation maps the orbit O onto the orbit O^c whose least mask
-    is the least G - S over O (see the module docstring). Each orbit is
-    sorted and S -> G - S reverses the order of masks, so that least mask
-    is the complement of O's greatest, its last. A unit is (i,) for an
-    orbit that is its own complement's, or (i, j) with i < j for a
-    complement pair. Orbits are looked up by least mask only, not by every
-    mask.
-    """
-    full = (1 << G.order) - 1
-    index = {orbit[0]: i for i, orbit in enumerate(orbits)}
-    units = []
-    paired: set[int] = set()
-    for i, orbit in enumerate(orbits):
-        if i in paired:
-            continue
-        j = index[full ^ orbit[-1]]
-        paired.add(j)
-        units.append((i,) if j == i else (i, j))
-    return units
 
 
 def unlabeled_census(report: CensusReport) -> UnlabeledReport:
@@ -571,7 +556,7 @@ def unlabeled_census(report: CensusReport) -> UnlabeledReport:
     if not report.orbit_records:
         raise DomainError("the unlabeled census needs an exhaustive census report")
     G = report.orbit_records[0][1].set.group
-    target = G.order if G.exponent <= 2 else 2 * G.order
+    target = minimal_b_order(G)
     hol_order = G.order * len(group_context(G).automorphisms)
     classes: dict[bytes, set[bool]] = {}
     good_sizes = []

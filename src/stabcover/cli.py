@@ -280,6 +280,10 @@ def _probe_outputs(args, created: list[str]) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact orders print in full: the empty set's cover order at C780 is
+    # 1560!, past the default int -> str limit of 4300 digits (3.10.7 on)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     created: list[str] = []
     try:
         # before the work, not after it

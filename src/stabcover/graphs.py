@@ -384,5 +384,5 @@ def _translation_double_coset_in(G, g, y_sub) -> bool:
     of (K, H) double cosets, so one representative decides membership.
     """
     n = G.order
-    r = [G.add(v, g) for v in range(n)]
+    r = G.addition_rows()[g]
     return as_perm(r + [n + v for v in r]) in y_sub

@@ -369,7 +369,7 @@ def automorphism_group_of_G(G: AbelianGroup) -> list:
         raise CapExceededError("automorphism enumeration", G.order, DEFAULT_GROUP_CAP)
     facs = G.invariant_factors
     candidates = [[x for x in G.elements() if G.scalar_mul(d, x) == 0] for d in facs]
-    rows = [[G.add(a, x) for x in G.elements()] for a in G.elements()]
+    rows = G.addition_rows()
     out = []
 
     def extend(i: int, table: list[int]) -> None:
@@ -399,5 +399,5 @@ def holomorph(G: AbelianGroup) -> list:
     size = G.order * len(auts)
     if size > HOLOMORPH_CAP:
         raise CapExceededError("holomorph enumeration", size, HOLOMORPH_CAP)
-    shifts = [as_perm([G.add(x, g) for x in G.elements()]) for g in G.elements()]
+    shifts = [as_perm(row) for row in G.addition_rows()]
     return [pmul(shift, tau) for tau in auts for shift in shifts]

@@ -145,10 +145,12 @@ class GroupContext:
 
     @cached_property
     def translation_lifts(self) -> tuple:
-        """Cover lifts of all |G| translations, by translation element."""
-        G = self.G
-        elements = G.elements()
-        return tuple(cover_lift(as_perm([G.add(v, g) for v in elements])) for g in elements)
+        """Cover lifts of all |G| translations, by translation element.
+
+        The translation by g is row g of the addition table, which exists up
+        to order 1024, past the cover search's limit.
+        """
+        return tuple(map(cover_lift, self.G.addition_rows()))
 
     @cached_property
     def fix0_tables(self) -> tuple:
@@ -160,6 +162,11 @@ class GroupContext:
         """
         G, lifts = self.G, self.translation_lifts
         return tuple(mul_table(lifts[G.neg(v)]) for v in G.elements())
+
+
+def minimal_b_order(G: AbelianGroup) -> int:
+    """|G| |{1, -1}|: the translations extended by inversion, the least B(S)."""
+    return G.order * (1 if G.exponent <= 2 else 2)
 
 
 @lru_cache(maxsize=64)
@@ -323,8 +330,6 @@ def classify(
     twins = [t for t in bit_indices(component) if rows[t] == rows[0]]
     connected = component == (1 << n) - 1
     twin_free = rows.count(rows[0]) == 1
-    exponent_two = G.exponent <= 2
-    target = n if exponent_two else 2 * n
 
     aut_order, cover_aut_order, b_order, B0, b0_elems = factored_orders(
         G, S, gam, component, twins, bipartite, enum_cap
@@ -340,7 +345,7 @@ def classify(
         reasons.append("twins")
 
     in_s1 = connected and not bipartite and twin_free
-    in_s2 = in_s1 and b_order == target
+    in_s2 = in_s1 and b_order == minimal_b_order(G)
     # no S2 set is in S3' (see the module docstring)
     in_s3prime = not in_s2 and s3prime_membership(G, gam, twin_free)
     # |N_B(R)| = n |Stab_Hol(S)| (see the module docstring)
@@ -367,7 +372,7 @@ def classify(
         in_s3prime=in_s3prime,
         in_s4=in_s4,
         in_s5=in_s5,
-        exponent_two=exponent_two,
+        exponent_two=G.exponent <= 2,
         trivial_instability_reasons=tuple(reasons),
     )
 
@@ -551,7 +556,7 @@ def s4_s5_membership(
     verdict, `indeterminate` included, is that of a scan over all of B, and
     exact whenever |B| is within the cap.
     """
-    if B0.order == (1 if G.exponent <= 2 else 2):
+    if G.order * B0.order == minimal_b_order(G):
         # B is the translations extended by inversion; the only candidate
         # X is B itself, whose translation-normalizer is all of X
         return TriState.NO, TriState.NO

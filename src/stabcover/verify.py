@@ -9,6 +9,7 @@ offending group and certificate.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -46,6 +47,16 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+def complement_pairs(G: AbelianGroup) -> Iterator[tuple[int, int]]:
+    """(S, G - S) as masks, for each inverse-closed S without 0, in turn.
+
+    G - S is inverse-closed with S, and exactly one of the two holds 0,
+    so every inverse-closed set lies in exactly one pair.
+    """
+    full = (1 << G.order) - 1
+    return ((mask, full ^ mask) for mask in inverse_closed_masks(G) if not mask & 1)
 
 
 def check_subset_count(max_order: int = 16) -> CheckResult:
@@ -163,13 +174,13 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
     unconstrained search, independent of how the classifier derives it.
     Connectivity and bipartiteness come from one BFS of the component
     of 0, and twin-freeness from a count of row 0, as in `classify`.
-    The sets are walked as complement pairs, as in `check_bicoset_model`,
-    and B0 is searched at most once per pair, since B(S) = B(G - S): the
-    complement's own unconstrained search is still compared with it. For
-    twin-free graphs no non-identity element of B(S) fixes the +
-    block pointwise: the cover automorphisms fixing each + vertex are
-    exactly those elements, so a search with every + vertex colored apart
-    must find only the identity.
+    The sets are walked as `complement_pairs`, and B0 is searched at most
+    once per pair, since B(S) = B(G - S): the complement's own
+    unconstrained search is still compared with it. For twin-free graphs
+    no non-identity element of B(S) fixes the + block pointwise: the
+    cover automorphisms fixing each + vertex are exactly those elements,
+    so a search with every + vertex colored apart must find only the
+    identity.
     """
     failures = []
     cases = 0
@@ -177,10 +188,9 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
         n = G.order
         vertices = (1 << n) - 1
         plus_points = [[v] for v in range(n)]
-        masks = list(inverse_closed_masks(G))
-        for i in range(len(masks) // 2):
+        for pair in complement_pairs(G):
             b_order = None
-            for mask in (masks[i], masks[-1 - i]):
+            for mask in pair:
                 S = ConnectionSet(G, mask)
                 gam = cayley_graph(G, S)
                 cover = double_cover(gam)
@@ -205,29 +215,26 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
 def check_bicoset_model(max_order: int = 8) -> CheckResult:
     """The cover is the bi-coset graph of (B, H, K, Y) via the orbit map.
 
-    The sets are walked as complement pairs (masks[i], masks[-1 - i]) of
-    `inverse_closed_masks`: bit k of its counter selects the k-th negation
-    orbit, so the two counters are bitwise complements and so are the
-    sets. B(S) = B(G - S) (proved in the `census` docstring), and this is
-    checked here, not assumed: B0 is searched for both sets and the two
-    must be the same group, with equal orders and each generator of the
-    first inside the second, so they have the same element set. A
-    mismatch is a failure line. B = R B0 is listed as the products of
-    B0's elements with the translation lifts, and one `BiCosetFrame` of
-    that listing (X, H, K, their coset representatives and the orbit map)
-    serves both sets; only Y and what reads it are built per set. The
-    frame is freed before the next pair's searches. Pairs with |B| over
-    `DEFAULT_ENUM_CAP` are skipped. A set whose listing or Y the model's
-    validation refuses (`DomainError`) is a failure line with the refusal.
+    The sets are walked as `complement_pairs`. B(S) = B(G - S) (proved in
+    the `census` docstring), and this is checked here, not assumed: B0 is
+    searched for both sets and the two must be the same group, with equal
+    orders and each generator of the first inside the second, so they have
+    the same element set. A mismatch is a failure line. B = R B0 is listed
+    as the products of B0's elements with the translation lifts, and one
+    `BiCosetFrame` of that listing (X, H, K, their coset representatives
+    and the orbit map) serves both sets; only Y and what reads it are built
+    per set. The frame is freed before the next pair's searches. Pairs
+    with |B| over `DEFAULT_ENUM_CAP` are skipped. A set whose listing or Y
+    the model's validation refuses (`DomainError`) is a failure line with
+    the refusal.
     """
     failures = []
     cases = 0
     for G in all_abelian_groups(max_order):
         n = G.order
         lifts = group_context(G).translation_lifts
-        masks = list(inverse_closed_masks(G))
-        for i in range(len(masks) // 2):
-            pair = (ConnectionSet(G, masks[i]), ConnectionSet(G, masks[-1 - i]))
+        for masks in complement_pairs(G):
+            pair = [ConnectionSet(G, mask) for mask in masks]
             tags = [f"{G.spec()} 0x{S.mask:x}" for S in pair]
             B0, B0c = (b0_group(G, S) for S in pair)
             if B0.order != B0c.order or not all(map(B0c.contains, B0.generators)):

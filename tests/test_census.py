@@ -209,17 +209,15 @@ def test_orbit_census_derives_s1_partners_over_the_cap(monkeypatch):
         seen = []
         report, oracle_counts = _orbit_census_against_oracle(monkeypatch, G, seen, enum_cap=0)
         assert report.counts == oracle_counts, G.spec()
-        orbits = [orbit for orbit, _ in report.orbit_records]
         records = [rec for _, rec in report.orbit_records]
         derived = 0
-        for first, *partner in census._complement_units(G, orbits):
-            for j in partner:
-                rec = records[j]
-                if rec.in_s1 and records[first].twin_free:
-                    assert rec.set.mask not in seen, (G.spec(), hex(rec.set.mask))
-                    derived += 1
-                    derived_s2 += rec.in_s2 and not records[first].in_s1
-        assert report.classified == len(orbits) - derived, G.spec()
+        # hol_orbits lists each complement pair as orbits 2k and 2k + 1
+        for first, rec in zip(records[::2], records[1::2]):
+            if rec.in_s1 and first.twin_free:
+                assert rec.set.mask not in seen, (G.spec(), hex(rec.set.mask))
+                derived += 1
+                derived_s2 += rec.in_s2 and not first.in_s1
+        assert report.classified == len(records) - derived, G.spec()
     assert derived_s2 > 0
 
 
@@ -406,20 +404,20 @@ def test_hol_orbit_counts():
     assert len(flat) == len(set(flat)) == count_inverse_closed(make_group([8]))
 
 
-def test_complement_units_pair_complement_orbits():
-    # each unit is an orbit closed under S -> G - S, or two orbits that
-    # this map exchanges; every orbit lies in exactly one unit
-    pairs = 0
+def test_hol_orbits_come_in_complement_pairs():
+    # orbits 2k and 2k + 1 are exchanged by S -> G - S, exactly one of them
+    # holds 0, the first is the one inverse_closed_masks meets first, and
+    # together the orbits partition the inverse-closed sets
     for G in all_abelian_groups(16):
         full = (1 << G.order) - 1
+        position = {m: i for i, m in enumerate(inverse_closed_masks(G))}
         orbits = hol_orbits(G)
-        units = census._complement_units(G, orbits)
-        assert sorted(i for unit in units for i in unit) == list(range(len(orbits)))
-        for i, *partner in units:
-            j = partner[0] if partner else i
-            assert {full ^ m for m in orbits[i]} == set(orbits[j]), (G.spec(), i, j)
-            pairs += bool(partner)
-    assert pairs
+        assert sorted(m for orbit in orbits for m in orbit) == sorted(position), G.spec()
+        for k in range(0, len(orbits), 2):
+            first, second = orbits[k], orbits[k + 1]
+            assert second == [full ^ m for m in reversed(first)], (G.spec(), k)
+            assert (first[0] & 1) + (second[0] & 1) == 1, (G.spec(), k)
+            assert min(map(position.get, first)) < min(map(position.get, second))
 
 
 def test_unlabeled_census_c5():

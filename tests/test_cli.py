@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +91,18 @@ def test_classify_empty_set_matches_census_record(capsys, tmp_path):
     assert code == EXIT_OK
     recs = [json.loads(line) for line in path.read_text().splitlines()]
     assert json.loads(out) == next(r for r in recs if r["set"] == "0x0")
+
+
+def test_classify_prints_exact_orders_past_the_digit_limit(capsys):
+    # the empty set's cover group at C780 is Sym(1560), and 1560! has more
+    # than the 4300 digits Python converts to text by default
+    code, out, _ = run_cli(capsys, "classify", "C780", "")
+    assert code == EXIT_OK
+    assert json.loads(out)["cover_aut_order"] == math.factorial(1560)
+    code, out, _ = run_cli(capsys, "classify", "C780", "", "--format", "csv")
+    assert code == EXIT_OK
+    header, row = csv.reader(io.StringIO(out))
+    assert int(dict(zip(header, row))["cover_aut_order"]) == math.factorial(1560)
 
 
 def test_classify_trivially_unstable_csv(capsys):

@@ -489,12 +489,15 @@ def test_frame_refuses_a_frame_of_another_group():
 
 
 def test_bicoset_check_catches_mispaired_sets(monkeypatch):
-    # rotating the mask list pairs each set with a non-complement, whose
-    # B0 or bi-coset model differs
-    real = verify.inverse_closed_masks
-    monkeypatch.setattr(
-        verify, "inverse_closed_masks", lambda G: (lambda m: m[1:] + m[:1])(list(real(G)))
-    )
+    # rotating the complements by one pair pairs each set with a
+    # non-complement, whose B0 or bi-coset model differs
+    real = verify.complement_pairs
+
+    def mispaired(G):
+        pairs = list(real(G))
+        return [(S, Sc) for (S, _), (_, Sc) in zip(pairs, pairs[1:] + pairs[:1])]
+
+    monkeypatch.setattr(verify, "complement_pairs", mispaired)
     res = verify.check_bicoset_model(4)
     assert not res.passed
     assert any("differs from that of" in f for f in res.failures)
