@@ -29,25 +29,22 @@ complements G - (S + g) of those of Cay(G, S), so the two graphs have
 the same automorphisms and the same twins; and tau(S) + g = S exactly
 when tau(S^c) + g = S^c, so Stab_Hol(S) = Stab_Hol(S^c). Connectivity
 and bipartiteness are not shared: the complement of S = G - {0} is {0}.
-S1 is connected, non-bipartite and twin-free, so when S is in S1 and
-Cay(G, S^c) is connected and non-bipartite, S^c is in S1 too, and every
-field of its record but the set is one of the shared objects: |Aut|,
-|B|, the cover order 2|B|, stability, S2, S3' and S3 (from
-Stab_Hol), S4 and S5 (a scan of the subgroups of B over R, under the
-same cap on |B|), and no trivial-instability reason.
 
-Twin-freeness is shared too, so when S is twin-free but not S1 and
-Cay(G, S^c) is connected and non-bipartite, S^c is in S1, and its record
-follows from that of S once |B| is over the enumeration cap. |Aut| and
-|B| carry over; the cover of S^c is connected, so its order is 2|B|,
-and S^c is stable exactly when |B| = |Aut|. S^c is in S2 exactly when
-|B| is n at exponent two and 2n otherwise. S is not S2, so its S3'
-verdict is that Stab_Hol(S) holds more than 1 and -1; the stabilizer is
-shared, and no S2 set is in S3' (see `stability`), so S^c has the same
-S3' verdict and is in S3 exactly when S is in S3'. B0 is not listed
-over the cap, and the S4/S5 scan then says no for an S2 set and
-indeterminate otherwise. Under the cap the scan needs B0's elements, so
-S^c is classified.
+So when S is twin-free and Cay(G, S^c) is connected and non-bipartite,
+S^c is in S1, and its record can be derived: the facts of S's record with
+S^c's own set and structure (connected, not bipartite), the cover order
+2|B| (the cover of S^c is connected), and S^c's own S4/S5 verdicts.
+`StabilityRecord` derives every other verdict from those facts. |Aut|,
+|B| and twin-freeness carry over as shared, and so does the S3' verdict:
+it says whether Stab_Hol(S) holds more than 1 and -1, except that
+`classify` skips it for an S2 set, which is not in S3' (see
+`stability`), and S^c, S1 with the same |B|, is then S2 as well. The
+S4/S5 verdicts are those of S when S is S1 too, as both scan the
+subgroups of B over R under the same cap on |B|. When S is not S1, they
+are derived only when |B| is over the enumeration cap: B0 is then not
+listed, and `stability.s4_s5_membership` answers for an unlisted B0 (no
+for a minimal |B|, indeterminate otherwise). Under the cap the scan
+needs B0's elements, so S^c is classified.
 
 `hol_orbits` lists the orbits as complement pairs O, O^c, O the one met
 first (no orbit is its own complement's: see there). The census
@@ -82,7 +79,14 @@ from .groups import (
     negation_orbits,
 )
 from .perms import DEFAULT_ENUM_CAP
-from .stability import StabilityRecord, TriState, classify, group_context, minimal_b_order
+from .stability import (
+    StabilityRecord,
+    TriState,
+    classify,
+    group_context,
+    minimal_b_order,
+    s4_s5_membership,
+)
 
 FIXED_SHARD_COUNT = 32
 
@@ -296,14 +300,13 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
     orbits O, O^c, the earlier first. The second set of a pair is S1
     when its graph is connected and non-bipartite and the first set is
     twin-free. Its record is then derived from the first (see the module
-    docstring): the S1 fields rebuilt from the shared |Aut|, |B| and S3',
-    with the first's S4/S5 verdicts if the first is S1 too, and
-    otherwise, as |B| is then over enum_cap, no when |B| is minimal and
-    indeterminate when not. Otherwise it is classified.
+    docstring): the first's facts with its own set, structure, cover
+    order 2|B| and S4/S5 verdicts, those of the first if the first is S1
+    too, and otherwise, as B0 is then not listed, the scan's answer for
+    an unlisted B0. Otherwise it is classified.
     """
     full = (1 << G.order) - 1
     records, calls = [], 0
-    minimal = minimal_b_order(G)
     for first_mask, *partner in units:
         first = classify(G, ConnectionSet(G, first_mask), enum_cap=enum_cap)
         records.append(first)
@@ -315,17 +318,14 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
                 records.append(classify(G, S, enum_cap=enum_cap))
                 calls += 1
                 continue
-            in_s2 = first.b_order == minimal
             if first.in_s1:
                 s4, s5 = first.in_s4, first.in_s5
             else:
                 # |B| is over the cap, so B0 is not listed
-                s4 = s5 = TriState.NO if in_s2 else TriState.INDETERMINATE
+                s4, s5 = s4_s5_membership(G, first.b_order, None)
             records.append(replace(
                 first, set=S, connected=True, bipartite=False,
-                trivial_instability_reasons=(), cover_aut_order=2 * first.b_order,
-                stable=first.b_order == first.aut_order, in_s1=True, in_s2=in_s2,
-                in_s3=first.in_s3prime, in_s4=s4, in_s5=s5,
+                cover_aut_order=2 * first.b_order, in_s4=s4, in_s5=s5,
             ))
     for rec in records:
         check_record(rec)
@@ -339,7 +339,7 @@ def _samples_shard(
 
     One fair bit per negation orbit gives the exact uniform distribution.
     """
-    orbit_masks = [sum(1 << x for x in orb) for orb in negation_orbits(G)]
+    orbit_masks = negation_orbits(G)
     rng = random.Random(seed ^ shard)
     units = ((mask_union(orbit_masks, rng.getrandbits(len(orbit_masks))),) for _ in range(count))
     return _units_shard(G, units, enum_cap)

@@ -96,7 +96,8 @@ def cmd_classify(args) -> int:
     S = connection_set(G, elements, symmetrize=args.symmetrize)
     rec = classify(G, S, args.enum_cap)
     if args.fmt == "csv":
-        _write_csv(args.out, rec.CSV_COLUMNS, [rec.to_csv_row()])
+        row = rec.to_csv_dict()
+        _write_csv(args.out, row, [row.values()])
     else:
         _write(args.out, json.dumps(rec.to_json_dict(), indent=2) + "\n")
     if args.strict and rec.indeterminate:

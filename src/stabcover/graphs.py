@@ -156,6 +156,16 @@ def double_cover(g: LabeledGraph) -> LabeledGraph:
     return _symmetric_graph(2 * n, tuple(rows), build_nbrs)
 
 
+def cover_lift(perm):
+    """A permutation of the n base vertices, acting alike on both cover blocks.
+
+    In the layout of `double_cover`, the lift sends v+ = v to perm(v) and
+    v- = n + v to n + perm(v).
+    """
+    n = len(perm)
+    return as_perm(list(perm) + [n + v for v in perm])
+
+
 def component_of(g: LabeledGraph, v: int = 0) -> tuple[int, bool]:
     """The component of v as a bit mask, and whether it is bipartite, by one BFS.
 
@@ -383,6 +393,4 @@ def _translation_double_coset_in(G, g, y_sub) -> bool:
     Y is only passed here after `bicoset_graph` validated it as a union
     of (K, H) double cosets, so one representative decides membership.
     """
-    n = G.order
-    r = G.addition_rows()[g]
-    return as_perm(r + [n + v for v in r]) in y_sub
+    return cover_lift(G.addition_rows()[g]) in y_sub

@@ -290,19 +290,20 @@ def count_inverse_closed(G: AbelianGroup) -> int:
     return 1 << (G.order + involution_set(G).bit_count()) // 2
 
 
-def negation_orbits(G: AbelianGroup) -> list[tuple[int, ...]]:
-    """Orbits of x -> -x on G: singletons for involutions (and 0), else pairs.
+def negation_orbits(G: AbelianGroup) -> list[int]:
+    """Orbits of x -> -x on G, as bit masks.
 
-    Ordered by smallest member; their count is c(G).
+    Singletons for involutions (and 0), else pairs, ordered by smallest
+    member; their count is c(G).
     """
     orbits = []
     seen = 0
     for x in G.elements():
         if seen >> x & 1:
             continue
-        y = G.neg(x)
-        orbits.append((x,) if y == x else (x, y))
-        seen |= (1 << x) | (1 << y)
+        orbit = (1 << x) | (1 << G.neg(x))
+        orbits.append(orbit)
+        seen |= orbit
     return orbits
 
 
@@ -316,9 +317,8 @@ def inverse_closed_masks(G: AbelianGroup, cap: int = DEFAULT_SET_CAP):
     total = 1 << len(orbits)
     if total > cap:
         raise CapExceededError("inverse-closed enumeration", total, cap)
-    orbit_masks = [sum(1 << x for x in orb) for orb in orbits]
     for idx in range(total):
-        yield mask_union(orbit_masks, idx)
+        yield mask_union(orbits, idx)
 
 
 def mask_union(masks: list[int], selector: int) -> int:

@@ -59,7 +59,7 @@ per group by `group_context`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -72,6 +72,7 @@ from .graphs import (
     LabeledGraph,
     cayley_graph,
     component_of,
+    cover_lift,
     double_cover,
 )
 from .groups import AbelianGroup, automorphism_group_of_G, bit_indices, map_mask
@@ -95,12 +96,6 @@ class TriState(Enum):
 
     def __bool__(self):  # guard against accidental truthiness
         raise TypeError("TriState is not a boolean; compare explicitly")
-
-
-def cover_lift(perm):
-    """Diagonal action on the 2n cover vertices of a permutation of n."""
-    n = len(perm)
-    return as_perm(list(perm) + [n + perm[v] for v in range(n)])
 
 
 # -- per-group tables ----------------------------------------------------------
@@ -218,7 +213,23 @@ def _b0_search(cover: LabeledGraph, iota) -> PermutationGroup:
 
 @dataclass(frozen=True)
 class StabilityRecord:
-    """Full classification verdict for one connection set."""
+    """The computed facts about one connection set, and the verdicts they decide.
+
+    A record is built from its ten facts: the set, the orders |Aut|,
+    |Aut of the cover| and |B|, whether Cay(G, S) is connected, bipartite
+    and twin-free, the S3' verdict (Stab_Hol(S) holds more than 1 and -1)
+    and the S4/S5 scan's verdicts. Every other verdict is derived from
+    them here, once, in `__post_init__`, and nowhere else, so no record
+    carries a verdict that contradicts its facts:
+
+      stable: |Aut of the cover| = 2 |Aut|;
+      in_s1: connected, non-bipartite and twin-free;
+      in_s2: S1 with |B| = `minimal_b_order`;
+      in_s3: S1 and S3' (see the module docstring);
+      exponent_two: G has exponent at most two;
+      trivial_instability_reasons: disconnected, bipartite with a
+        nontrivial automorphism, twins.
+    """
 
     set: ConnectionSet
     aut_order: int
@@ -227,35 +238,35 @@ class StabilityRecord:
     connected: bool
     bipartite: bool
     twin_free: bool
-    stable: bool
-    in_s1: bool
-    in_s2: bool
-    in_s3: bool
     in_s3prime: bool
     in_s4: TriState
     in_s5: TriState
-    exponent_two: bool
-    trivial_instability_reasons: tuple[str, ...]
+    stable: bool = field(init=False)
+    in_s1: bool = field(init=False)
+    in_s2: bool = field(init=False)
+    in_s3: bool = field(init=False)
+    exponent_two: bool = field(init=False)
+    trivial_instability_reasons: tuple[str, ...] = field(init=False)
 
-    CSV_COLUMNS = (
-        "group",
-        "set",
-        "aut_order",
-        "cover_aut_order",
-        "b_order",
-        "connected",
-        "bipartite",
-        "twin_free",
-        "stable",
-        "in_s1",
-        "in_s2",
-        "in_s3prime",
-        "exponent_two",
-        "reasons",
-        "in_s3",
-        "in_s4",
-        "in_s5",
-    )
+    def __post_init__(self):
+        G = self.set.group
+        in_s1 = self.connected and not self.bipartite and self.twin_free
+        reasons = []
+        if not self.connected:
+            reasons.append("disconnected")
+        if self.bipartite and self.aut_order > 1:
+            reasons.append("bipartite-with-nontrivial-aut")
+        if not self.twin_free:
+            reasons.append("twins")
+        # the fields are frozen, so the derived ones are set in __dict__
+        self.__dict__.update(
+            stable=self.cover_aut_order == 2 * self.aut_order,
+            in_s1=in_s1,
+            in_s2=in_s1 and self.b_order == minimal_b_order(G),
+            in_s3=in_s1 and self.in_s3prime,
+            exponent_two=G.exponent <= 2,
+            trivial_instability_reasons=tuple(reasons),
+        )
 
     @property
     def group(self) -> str:
@@ -292,16 +303,17 @@ class StabilityRecord:
             "in_s5": self.in_s5.value,
         }
 
-    def to_csv_row(self) -> list[str]:
-        """`to_json_dict` over `CSV_COLUMNS`: bools as true/false, reasons joined by ;."""
+    def to_csv_dict(self) -> dict[str, str]:
+        """`to_json_dict` without `set_size`, as CSV cells: bools as true/false, reasons joined by ;."""
         d = self.to_json_dict()
+        del d["set_size"]
 
         def cell(v) -> str:
             if isinstance(v, bool):
                 return "true" if v else "false"
             return ";".join(v) if isinstance(v, list) else str(v)
 
-        return [cell(d[col]) for col in self.CSV_COLUMNS]
+        return {col: cell(v) for col, v in d.items()}
 
 
 # -- the classification pipeline ---------------------------------------------
@@ -322,6 +334,11 @@ def classify(
     all of G (for S empty every vertex is a twin): rows g and h are equal
     exactly when rows 0 and h - g are. `factored_orders` takes every order
     from this structure pass.
+
+    Only facts are computed here; `StabilityRecord` derives the verdicts.
+    A first record of the structure and the orders, with S3', S4 and S5
+    left at no, says whether S is S2, which skips the S3' rows rule, and
+    whether it is S1, which runs the S4/S5 scan.
     """
     n = G.order
     gam = cayley_graph(G, S)
@@ -331,57 +348,25 @@ def classify(
     connected = component == (1 << n) - 1
     twin_free = rows.count(rows[0]) == 1
 
-    aut_order, cover_aut_order, b_order, B0, b0_elems = factored_orders(
+    aut_order, cover_aut_order, b_order, b0_elems = factored_orders(
         G, S, gam, component, twins, bipartite, enum_cap
     )
-    stable = cover_aut_order == 2 * aut_order
-
-    reasons = []
-    if not connected:
-        reasons.append("disconnected")
-    if bipartite and aut_order > 1:
-        reasons.append("bipartite-with-nontrivial-aut")
-    if not twin_free:
-        reasons.append("twins")
-
-    in_s1 = connected and not bipartite and twin_free
-    in_s2 = in_s1 and b_order == minimal_b_order(G)
+    facts = (S, aut_order, cover_aut_order, b_order, connected, bipartite, twin_free)
+    first = StabilityRecord(*facts, False, TriState.NO, TriState.NO)
     # no S2 set is in S3' (see the module docstring)
-    in_s3prime = not in_s2 and s3prime_membership(G, gam, twin_free)
-    # |N_B(R)| = n |Stab_Hol(S)| (see the module docstring)
-    in_s3 = in_s1 and in_s3prime
-
-    if in_s1:
-        # the twin quotient is Cay(G, S) itself, and B0 its point stabilizer
-        in_s4, in_s5 = s4_s5_membership(G, B0, b0_elems)
-    else:
-        in_s4, in_s5 = TriState.NO, TriState.NO
-
-    return StabilityRecord(
-        set=S,
-        aut_order=aut_order,
-        cover_aut_order=cover_aut_order,
-        b_order=b_order,
-        connected=connected,
-        bipartite=bipartite,
-        twin_free=twin_free,
-        stable=stable,
-        in_s1=in_s1,
-        in_s2=in_s2,
-        in_s3=in_s3,
-        in_s3prime=in_s3prime,
-        in_s4=in_s4,
-        in_s5=in_s5,
-        exponent_two=G.exponent <= 2,
-        trivial_instability_reasons=tuple(reasons),
-    )
+    in_s3prime = not first.in_s2 and s3prime_membership(G, gam, twin_free)
+    in_s4 = in_s5 = TriState.NO
+    if first.in_s1:
+        # the twin quotient is Cay(G, S) itself, and b0_elems lists its B0
+        in_s4, in_s5 = s4_s5_membership(G, b_order, b0_elems)
+    return StabilityRecord(*facts, in_s3prime, in_s4, in_s5)
 
 
 def factored_orders(
     G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph, component: int,
     twins: list[int], bipartite: bool, enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple:
-    """(|Aut|, |Aut of cover|, |B|, B0, B0's elements) for gam = Cay(G, S).
+    """(|Aut|, |Aut of cover|, |B|, B0's elements) for gam = Cay(G, S).
 
     component is the vertex mask of H = <S>, twins lists T (below), and
     bipartite says whether gam is, all from `classify`'s structure pass.
@@ -440,10 +425,12 @@ def factored_orders(
     by `_b0_search` from the projected inversion of H. The class of 0 is
     vertex 0.
 
-    B0 is returned for Gamma_H non-bipartite, and listed when q |B0| is
-    within enum_cap, else None. The elements of B0 acting alike on both
-    blocks are exactly the lifts of Aut_0, for any graph, so a listing
-    gives |Aut_0| by `_diagonal_count`; otherwise Aut_0 is searched.
+    B0, that of Gamma_H/T, is listed when Gamma_H is not bipartite and
+    q |B0| is within enum_cap; otherwise the listing is None. The elements
+    of B0 acting alike on both blocks are exactly the lifts of Aut_0, for
+    any graph, so a listing gives |Aut_0| by `_diagonal_count`; otherwise
+    Aut_0 is searched. For an S1 set the listing is that of its own B0,
+    the input of the S4/S5 scan.
     """
     n = G.order
     members = bit_indices(component)
@@ -470,7 +457,7 @@ def factored_orders(
         iota = as_perm([pos[G.neg(g)] for g in reps])
         cover_iota = cover_lift(iota)
     fm = math.factorial(m)
-    B0 = b0_elems = None
+    b0_elems = None
     if not bipartite:
         B0 = _b0_search(double_cover(quot), cover_iota)
         if q * B0.order <= enum_cap:
@@ -481,12 +468,12 @@ def factored_orders(
         aut0 = _diagonal_count(b0_elems, q)
     a_h = f * q * aut0
     aut_order = a_h**m * fm
-    if B0 is not None:
+    if not bipartite:
         b_h = f * f * q * B0.order
-        return aut_order, (2 * b_h) ** m * fm, b_h**m * fm, B0, b0_elems
+        return aut_order, (2 * b_h) ** m * fm, b_h**m * fm, b0_elems
     f2m = math.factorial(2 * m)
     b_order = (a_h // 2) ** (2 * m) * f2m if S.mask else fm**2
-    return aut_order, a_h ** (2 * m) * f2m, b_order, None, None
+    return aut_order, a_h ** (2 * m) * f2m, b_order, None
 
 
 def s3prime_membership(G: AbelianGroup, gam: LabeledGraph, twin_free: bool) -> bool:
@@ -515,14 +502,14 @@ def _diagonal_count(elems, n: int) -> int:
     return sum(left_mul(p)(swap) == p[n:] + p[:n] for p in elems)
 
 
-def s4_s5_membership(
-    G: AbelianGroup, B0: PermutationGroup, elems
-) -> tuple[TriState, TriState]:
+def s4_s5_membership(G: AbelianGroup, b_order: int, elems) -> tuple[TriState, TriState]:
     """Scan subgroups between the translations and B(S) for S4/S5 witnesses.
 
-    B0 is the stabilizer of 0+ in B(S) from `factored_orders`, and elems
-    its list of elements, or None when |B(S)| is over the enumeration cap;
-    the verdict is then indeterminate.
+    b_order is |B(S)| for an S1 set S, and elems the listing of B0, the
+    stabilizer of 0+ in B(S), from `factored_orders`, or None when B0 is
+    not listed. This is the one rule for the two answers that need no
+    scan: no and no when |B(S)| is minimal, whatever elems is, and
+    otherwise indeterminate when B0 is not listed.
 
     Every witness X is generated over the translations R by a single
     element: for S4, R is maximal in X, so adjoining any element of X - R
@@ -556,7 +543,7 @@ def s4_s5_membership(
     verdict, `indeterminate` included, is that of a scan over all of B, and
     exact whenever |B| is within the cap.
     """
-    if G.order * B0.order == minimal_b_order(G):
+    if b_order == minimal_b_order(G):
         # B is the translations extended by inversion; the only candidate
         # X is B itself, whose translation-normalizer is all of X
         return TriState.NO, TriState.NO

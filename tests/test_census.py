@@ -389,7 +389,10 @@ def test_check_record_rejects_inconsistency():
     G = make_group([5])
     rec = classify(G, ConnectionSet(G, 0b10010))
     check_record(rec)
-    broken = dataclasses.replace(rec, in_s2=True, in_s1=False)
+    # verdicts are derived from the facts, so break a fact: an S2 set
+    # with a cover order that is not twice the minimal B
+    assert rec.in_s2
+    broken = dataclasses.replace(rec, cover_aut_order=2 * rec.cover_aut_order)
     with pytest.raises(StabcoverError):
         check_record(broken)
 

@@ -115,6 +115,26 @@ def test_classify_trivially_unstable_csv(capsys):
     assert "bipartite" in rec["reasons"]
 
 
+RECORD_KEYS = (
+    "group", "set", "set_size", "aut_order", "cover_aut_order", "b_order",
+    "connected", "bipartite", "twin_free", "stable", "in_s1", "in_s2",
+    "in_s3prime", "exponent_two", "reasons", "in_s3", "in_s4", "in_s5",
+)
+
+
+def test_classify_record_schema(capsys):
+    # the JSON record's keys in order, and the CSV header: the same names
+    # in the same order, without set_size
+    code, out, _ = run_cli(capsys, "classify", "C5", "1,4")
+    assert code == EXIT_OK
+    assert tuple(json.loads(out)) == RECORD_KEYS
+    code, out, _ = run_cli(capsys, "classify", "C5", "1,4", "--format", "csv")
+    assert code == EXIT_OK
+    header, row = csv.reader(io.StringIO(out))
+    assert header == [k for k in RECORD_KEYS if k != "set_size"]
+    assert len(row) == 17
+
+
 def test_classify_rejects_asymmetric_set(capsys):
     code, _, err = run_cli(capsys, "classify", "C5", "1")
     assert code == EXIT_PRECONDITION

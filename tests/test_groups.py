@@ -106,8 +106,13 @@ def test_negation_orbits_cover_group():
     for G in all_abelian_groups(12):
         orbits = negation_orbits(G)
         assert 1 << len(orbits) == count_inverse_closed(G)
-        flat = sorted(x for orb in orbits for x in orb)
-        assert flat == list(G.elements())
+        # disjoint bit masks whose union is G, ordered by least member
+        union = 0
+        for orbit in orbits:
+            assert orbit and not orbit & union
+            union |= orbit
+        assert union == (1 << G.order) - 1
+        assert orbits == sorted(orbits, key=lambda m: m & -m)
 
 
 def test_inverse_closed_masks_brute():

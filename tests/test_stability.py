@@ -1,7 +1,7 @@
 """Classification pipeline against independent brute-force oracles."""
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +37,7 @@ from stabcover.groups import (
 )
 from stabcover.perms import DEFAULT_ENUM_CAP, as_perm, identity_perm, left_mul, pinv, pmul
 from stabcover.stability import (
+    StabilityRecord,
     TriState,
     b0_group,
     classify,
@@ -150,7 +151,7 @@ def test_factored_orders_against_search():
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
             gam = cayley_graph(G, S)
-            aut, cover_aut, b, _, _ = _factored(G, S, gam)
+            aut, cover_aut, b, _ = _factored(G, S, gam)
             assert aut == automorphism_group(gam).order, (G.spec(), hex(mask))
             full = automorphism_group(double_cover(gam))
             assert cover_aut == full.order, (G.spec(), hex(mask))
@@ -161,10 +162,10 @@ def test_factored_orders_against_search():
 
 
 def test_factored_orders_returns_b0_and_builds_no_quotient_for_s1(monkeypatch):
-    # B0 comes back exactly for non-bipartite sets; for S1 sets it is the
-    # group `b0_group` searches (equal orders, generators inside), since
-    # their twin quotient is Cay(G, S) itself, so no quotient graph is built
-    # for them, nor for any connected twin-free set
+    # B0 is listed only for non-bipartite sets within the cap; for S1 sets
+    # the listing is that of the group `b0_group` searches, since their
+    # twin quotient is Cay(G, S) itself, so no quotient graph is built for
+    # them, nor for any connected twin-free set
     built = []
     real = stability.LabeledGraph
     monkeypatch.setattr(stability, "LabeledGraph", lambda n, rows: built.append(n) or real(n, rows))
@@ -174,21 +175,22 @@ def test_factored_orders_returns_b0_and_builds_no_quotient_for_s1(monkeypatch):
             S = ConnectionSet(G, mask)
             gam = cayley_graph(G, S)
             built.clear()
-            *_, B0, b0_elems = _factored(G, S, gam)
+            *_, b0_elems = _factored(G, S, gam)
             tag = (G.spec(), hex(mask))
-            assert (B0 is None) == is_bipartite(gam), tag
+            bipartite = is_bipartite(gam)
+            if bipartite:
+                assert b0_elems is None, tag
             trivial = is_connected(gam) and is_twin_free(gam)
             assert len(built) == (0 if trivial else 1), tag
-            if trivial and B0 is not None:
+            if trivial and not bipartite:
                 want = b0_group(G, S)
-                assert B0.order == want.order and all(map(want.contains, B0.generators)), tag
                 # listed exactly when |B(S)| = n |B0| is within the cap
-                if G.order * B0.order <= DEFAULT_ENUM_CAP:
+                if G.order * want.order <= DEFAULT_ENUM_CAP:
                     assert set(b0_elems) == set(want.elements()), tag
                 else:
                     assert b0_elems is None, tag
                 kinds["s1"] += 1
-            elif B0 is not None:
+            elif not bipartite:
                 kinds["quotient"] += 1
     assert kinds == {"s1": 194, "quotient": 126}
 
@@ -492,7 +494,7 @@ def test_s4_s5_matches_element_closure_scan(monkeypatch):
                 with monkeypatch.context() as m:
                     m.setattr(stability, "group_context", context)
                     m.setattr(stability, "pinv", lambda p: reps.append(p) or pinv(p))
-                    got = s4_s5_membership(G, B0, elems=es)
+                    got = s4_s5_membership(G, G.order * B0.order, elems=es)
                 assert got == want, (G.spec(), hex(mask), type(es[0]))
                 assert len(reps) == classes, (G.spec(), hex(mask), type(es[0]))
             verdicts[tuple(t.value for t in got)] += 1
@@ -540,9 +542,25 @@ def test_s4_s5_tuple_degree(n, elements, b_order, verdict):
     elems = B.elements()
     assert isinstance(elems[0], tuple)
     B0 = b0_group(G, S)
-    got = s4_s5_membership(G, B0, B0.elements())
+    got = s4_s5_membership(G, G.order * B0.order, B0.elements())
     assert got == _element_closure_scan(G, B) == verdict
     assert stability._diagonal_count(elems, n) == _brute_diagonal_count(elems, n)
+
+
+def test_record_takes_ten_facts_and_derives_its_verdicts():
+    # no verdict can be passed in, and a changed fact re-derives them all
+    assert [f.name for f in fields(StabilityRecord) if f.init] == [
+        "set", "aut_order", "cover_aut_order", "b_order", "connected",
+        "bipartite", "twin_free", "in_s3prime", "in_s4", "in_s5",
+    ]
+    C5 = make_group([5])
+    rec = classify(C5, ConnectionSet(C5, 0b10010))
+    assert rec.stable and rec.in_s1 and rec.in_s2 and not rec.trivially_unstable
+    with pytest.raises(ValueError):
+        replace(rec, in_s1=False)
+    moved = replace(rec, connected=False, cover_aut_order=4 * rec.aut_order)
+    assert not (moved.stable or moved.in_s1 or moved.in_s2)
+    assert moved.trivial_instability_reasons == ("disconnected",)
 
 
 def test_classify_indeterminate_on_tiny_enum_cap():
