@@ -23,6 +23,16 @@ node of depth j where the node's path left the first path. The map fixes
 the first path's prefix of length j and sends its next vertex to the
 node's, so it carries the subtree below the first path's child of that
 node, already searched, onto the subtree being abandoned.
+The adjacency check, `preserves`, reads only the vertices the map moves:
+for a bijection and symmetric adjacency, the rows of the moved vertices
+decide those of the fixed ones.
+
+`automorphism_group` checks each seed it is given the same way, then
+runs `_search_group`, which takes its seeds unchecked. The classifier
+calls `_search_group` directly: its one seed, the inversion of an
+abelian group or its cover lift, is proved an automorphism because the
+connection set is inverse-closed (see `stability`), so re-checking it
+would only repeat a proof.
 
 The canonical form is the lexicographically least leaf encoding. Its
 search is the automorphism search that also encodes each leaf. An
@@ -44,13 +54,15 @@ path vertex to the explored one. One is always found there: below the
 explored vertex runs the image of the first path under an automorphism
 fixing the prefix, whose discrete node at the first leaf's depth passes
 every test, and orbit pruning skips a child only for an explored one
-below which such an image runs too. So `automorphism_group` hands the
+below which such an image runs too. So `_search_group` hands the
 first path to `PermutationGroup` as its base, and no Schreier-Sims runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .errors import CapExceededError, DomainError
 from .graphs import LabeledGraph
@@ -339,13 +351,31 @@ def automorphism_group(
     """Full automorphism group, or the subgroup fixing each given block setwise.
 
     known_automorphisms seeds the pruning with automorphisms the caller can
-    already name (they are verified first); the result is the same group.
-    `stability` passes one seed, the inversion or its cover lift, to
-    searches of a point stabilizer: a translation group regular on the
-    point's block supplies the rest of the order (see its module
-    docstring), so no translation is needed as a seed.
+    already name; each is checked with `preserves` and against the blocks,
+    and the result is the same group. The classifier's one seed, the
+    inversion or its cover lift, is proved an automorphism respecting its
+    blocks (see `stability`), so `stability` calls `_search_group`, the
+    search without the seed check, directly. It searches point
+    stabilizers: a translation group regular on the point's block supplies
+    the rest of the order, so no translation is needed as a seed.
+    """
+    seeds = [as_perm(s, graph.n) for s in known_automorphisms or ()]
+    for s in seeds:
+        if not preserves(graph, s):
+            raise DomainError("generator does not preserve adjacency")
+        _assert_respects_blocks(s, fixed_blocks)
+    return _search_group(graph, fixed_blocks, seeds)
+
+
+def _search_group(graph: LabeledGraph, fixed_blocks, seeds) -> PermutationGroup:
+    """`automorphism_group` from seeds the caller has proved.
+
+    Each seed must be an automorphism of graph respecting fixed_blocks;
+    none is checked here. Identity seeds are dropped.
     """
     _check_cap(graph.n)
+    ident = identity_perm(graph.n)
+    seeds = [s for s in seeds if s != ident]
     colors = [0] * graph.n
     if fixed_blocks is not None:
         for i, block in enumerate(fixed_blocks, start=1):
@@ -353,13 +383,6 @@ def automorphism_group(
                 if colors[v]:
                     raise DomainError("fixed blocks overlap")
                 colors[v] = i
-    ident = as_perm(range(graph.n))
-    seeds = [as_perm(s, graph.n) for s in known_automorphisms or ()]
-    seeds = [s for s in seeds if s != ident]
-    for s in seeds:
-        if not preserves(graph, s):
-            raise DomainError("generator does not preserve adjacency")
-        _assert_respects_blocks(s, fixed_blocks)
     search = _Search(graph, colors, canonical=False, seeds=seeds)
     search.run()
     # generators found by the search were checked to preserve adjacency
@@ -379,11 +402,21 @@ def _assert_respects_blocks(g, fixed_blocks):
 
 
 def preserves(graph: LabeledGraph, g) -> bool:
-    """Whether the permutation g is an automorphism of graph."""
+    """Whether the permutation g is an automorphism of graph.
+
+    Only the vertices g moves are checked for g(N(v)) = N(g(v)), and they
+    are picked out in C. That suffices, because g is a bijection and
+    adjacency is symmetric. Take a fixed u and a neighbour w of u. Either
+    w is fixed, so g(w) = w lies in N(u); or w is moved, and u in N(w)
+    gives u = g(u) in N(g(w)), so g(w) lies in N(u). So g(N(u)) is inside
+    N(u), and the two have the same size, so they are equal.
+    """
     rows = graph.rows
-    for v, nbr in enumerate(graph.nbrs):
+    nbrs = graph.nbrs
+    n = graph.n
+    for v in compress(range(n), map(ne, g, range(n))):
         img = 0
-        for u in nbr:
+        for u in nbrs[v]:
             img |= 1 << g[u]
         if img != rows[g[v]]:
             return False

@@ -256,12 +256,16 @@ def _tally(counts: dict[str, int], rec: StabilityRecord, weight: int = 1) -> Non
 
 
 def check_record(rec: StabilityRecord) -> None:
-    """Structural cross-checks every classification record must satisfy."""
+    """Structural cross-checks every classification record must satisfy.
+
+    Each check ties a verdict to a stored fact, or facts to each other.
+    Containments that `StabilityRecord.__post_init__` makes true by
+    definition are not checked: S1 is its three properties, and S2 and
+    S3 are S1 sets, S3 ones with S3'. "s3 excludes s2" does tie verdicts
+    to facts: it says no set with the least |B| has a holomorph symmetry.
+    """
     target = minimal_b_order(rec.set.group)
     checks = [
-        (rec.in_s1 == (rec.connected and not rec.bipartite and rec.twin_free),
-         "s1 must match its defining properties"),
-        (not rec.in_s2 or rec.in_s1, "s2 is contained in s1"),
         (not rec.in_s2 or rec.stable, "s2 members are stable"),
         (not rec.in_s2 or rec.cover_aut_order == 2 * target,
          "s2 members have the minimal cover group"),
@@ -271,21 +275,15 @@ def check_record(rec: StabilityRecord) -> None:
         (not (rec.connected and not rec.bipartite)
          or rec.cover_aut_order == 2 * rec.b_order,
          "connected non-bipartite cover group is twice B"),
-        (not rec.in_s3 or rec.in_s1, "s3 is contained in s1"),
         (rec.in_s4 != TriState.YES or rec.in_s1, "s4 is contained in s1"),
         (rec.in_s5 != TriState.YES or rec.in_s1, "s5 is contained in s1"),
         (not rec.in_s3 or not rec.in_s2, "s3 excludes s2"),
     ]
-    if not rec.exponent_two:
+    if rec.in_s1 and not (rec.exponent_two or rec.indeterminate or rec.in_s2 or rec.in_s3):
         checks.append(
-            (not rec.in_s3 or rec.in_s3prime,
-             "s3 members carry a holomorph symmetry")
+            (rec.in_s4 == TriState.YES or rec.in_s5 == TriState.YES,
+             "s1 minus s2 minus s3 lies in s4 or s5")
         )
-        if not rec.indeterminate and rec.in_s1 and not rec.in_s2 and not rec.in_s3:
-            checks.append(
-                (rec.in_s4 == TriState.YES or rec.in_s5 == TriState.YES,
-                 "s1 minus s2 minus s3 lies in s4 or s5")
-            )
     for ok, msg in checks:
         if not ok:
             raise StabcoverError(
@@ -398,6 +396,8 @@ def exhaustive_census(
     total = count_inverse_closed(G)
     if total > DEFAULT_SET_CAP:
         raise CapExceededError("census set count", total, DEFAULT_SET_CAP)
+    if enum_cap < 0:
+        raise DomainError("enumeration cap must be non-negative")
     if workers < 1:
         raise DomainError("worker count must be at least 1")
     orbits = hol_orbits(G)
@@ -448,6 +448,8 @@ def monte_carlo_census(
     start = time.monotonic()
     if samples < 0:
         raise DomainError("sample count must be non-negative")
+    if enum_cap < 0:
+        raise DomainError("enumeration cap must be non-negative")
     if workers < 1:
         raise DomainError("worker count must be at least 1")
     jobs = [

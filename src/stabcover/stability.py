@@ -44,12 +44,16 @@ Every group order here follows one rule. If a group of automorphisms
 holds a subgroup R regular on a block of vertices, its order is |R|
 times that of the stabilizer of one point of the block, and the
 stabilizer is searched with the inversion, or its cover lift, as the
-only seed. The translations of G are regular on Cay(G, S), so
-|Aut(Cay(G, S))| = |G| |Aut_0|, and their lifts lie in B(S) and are
-regular on the + block, so |B(S)| = |G| |B0| (`b0_group`). Every set's
-orders come from `factored_orders`, through the twin quotient of the
-component at 0, a Cayley graph of a quotient group with its own
-translations; an S1 set is its own quotient, whose B0 the S4/S5 scan lists.
+only seed. The inversion x -> -x fixes 0 and sends the row S + x to
+-S - x = S + (-x), so it is an automorphism of Cay(G, S) because S = -S;
+its lift fixes 0+ and each block. Both are proved, so the searches take
+them unchecked (`autgrp._search_group`). The translations of G are
+regular on Cay(G, S), so |Aut(Cay(G, S))| = |G| |Aut_0|, and their lifts
+lie in B(S) and are regular on the + block, so |B(S)| = |G| |B0|
+(`b0_group`). Every set's orders come from `factored_orders`, through
+the twin quotient of the component at 0, a Cayley graph of a quotient
+group with its own translations; an S1 set is its own quotient, whose
+B0 the S4/S5 scan lists.
 
 Every per-group table (Aut(G) without 1 and -1, the inversion and its
 lift, the translation lifts and the fix0 tables that reduce an element
@@ -65,7 +69,7 @@ from functools import cached_property, lru_cache
 
 import math
 
-from .autgrp import automorphism_group
+from .autgrp import _search_group
 from .errors import DomainError
 from .graphs import (
     ConnectionSet,
@@ -196,13 +200,11 @@ def _b0_search(cover: LabeledGraph, iota) -> PermutationGroup:
 
     The cover is colored {0+}, the rest of +, and -; a map fixing 0+ and
     the rest of + fixes the + block setwise. iota, the lifted inversion,
-    fixes 0+, is the search's only seed, and must lie in the result.
+    fixes 0+, is the search's only seed, and must lie in the result. It
+    is an automorphism respecting the colors (see the module docstring),
+    so it goes to the search unchecked.
     """
-    B0 = automorphism_group(
-        cover,
-        fixed_blocks=[[0], list(range(1, cover.n // 2))],
-        known_automorphisms=[iota],
-    )
+    B0 = _search_group(cover, [[0], list(range(1, cover.n // 2))], [iota])
     if not B0.contains(iota):
         raise DomainError("inversion missing from the point stabilizer")
     return B0
@@ -340,6 +342,8 @@ def classify(
     left at no, says whether S is S2, which skips the S3' rows rule, and
     whether it is S1, which runs the S4/S5 scan.
     """
+    if enum_cap < 0:
+        raise DomainError("enumeration cap must be non-negative")
     n = G.order
     gam = cayley_graph(G, S)
     rows = gam.rows
@@ -423,7 +427,10 @@ def factored_orders(
     are then q times a point stabilizer (see the module docstring):
     |Aut(Gamma_H/T)| = q |Aut_0| and |B(Gamma_H/T)| = q |B0|, B0 searched
     by `_b0_search` from the projected inversion of H. The class of 0 is
-    vertex 0.
+    vertex 0. The projected inversion g + T -> -g + T is the inversion of
+    H/T, and the image of S is inverse-closed, so it and its lift are the
+    proved seeds of the module docstring, and both searches take them
+    unchecked.
 
     B0, that of Gamma_H/T, is listed when Gamma_H is not bipartite and
     q |B0| is within enum_cap; otherwise the listing is None. The elements
@@ -463,7 +470,7 @@ def factored_orders(
         if q * B0.order <= enum_cap:
             b0_elems = B0.elements(enum_cap)
     if b0_elems is None:
-        aut0 = automorphism_group(quot, fixed_blocks=[[0]], known_automorphisms=[iota]).order
+        aut0 = _search_group(quot, [[0]], [iota]).order
     else:
         aut0 = _diagonal_count(b0_elems, q)
     a_h = f * q * aut0

@@ -1,8 +1,10 @@
 """Automorphism search and canonical forms against factorial brute force."""
 
+import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,8 +28,8 @@ from stabcover.graphs import (
     is_connected,
     is_twin_free,
 )
-from stabcover.groups import all_abelian_groups, inverse_closed_masks, make_group
-from stabcover.perms import as_perm, pmul
+from stabcover.groups import all_abelian_groups, bit_indices, inverse_closed_masks, make_group
+from stabcover.perms import as_perm, identity_perm, pmul
 from stabcover.stability import b0_group
 
 
@@ -159,6 +161,73 @@ def test_known_automorphism_seeds():
     # an automorphism moving a fixed block is rejected as a seed too
     with pytest.raises(DomainError):
         automorphism_group(cyc, fixed_blocks=[[0, 1, 2]], known_automorphisms=[rot])
+
+
+def _with_twin(rng, g):
+    """(g with a vertex v added, u): v's row agrees with that of a random
+    vertex u off {u, v}, and so does its loop flag, so swapping u and v
+    preserves the graph."""
+    n = g.n
+    u = rng.randrange(n)
+    rows = list(g.rows) + [0]
+    for w in bit_indices(g.rows[u] & ~(1 << u)):
+        rows[w] |= 1 << n
+        rows[n] |= 1 << w
+    if (g.rows[u] >> u) & 1:
+        rows[n] |= 1 << n
+    if rng.random() < 0.5:
+        rows[u] |= 1 << n
+        rows[n] |= 1 << u
+    return LabeledGraph(n + 1, tuple(rows)), u
+
+
+def test_preserves_against_relabeling():
+    # `preserves` reads only the vertices a permutation moves; the oracle
+    # relabels the whole graph. Random graphs with loops and a twin pair;
+    # permutations of every support size; every transposition, among them
+    # that of the twins (an automorphism) and those of vertices whose rows
+    # differ; the found automorphisms, and each one times a transposition.
+    # Leaving out any one moved vertex v would still be exact: a pair only
+    # v covers, {v, w} with w fixed or w = v, shares its orbit under g with
+    # pairs {g^i(v), w} that are checked, and adjacency is then constant
+    # around the orbit. So a wrong support must miss two moved vertices
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        g, u = _with_twin(rng, _random_graph(rng, n, p=rng.random(), loops=True))
+        n += 1
+        twin_swap = list(range(n))
+        twin_swap[u], twin_swap[n - 1] = n - 1, u
+        assert autgrp.preserves(g, as_perm(twin_swap))
+        perms = [identity_perm(n)]
+        for k in range(2, n + 1):
+            moved = rng.sample(range(n), k)
+            images = list(range(n))
+            while any(images[v] == v for v in moved):
+                targets = moved[:]
+                rng.shuffle(targets)
+                for v, w in zip(moved, targets):
+                    images[v] = w
+            perms.append(images)
+        swaps = []
+        for a, b in itertools.combinations(range(n), 2):
+            images = list(range(n))
+            images[a], images[b] = b, a
+            swaps.append(as_perm(images))
+        # automorphisms of larger support, as random words in the found
+        # generators, and each one times a transposition
+        gens = automorphism_group(g).generators
+        auts = [functools.reduce(pmul, rng.choices(gens, k=4)) for _ in range(10 if gens else 0)]
+        perms += swaps + auts + [pmul(a, rng.choice(swaps)) for a in auts]
+        for images in perms:
+            p = as_perm(images)
+            want = g.relabel(p) == g
+            assert autgrp.preserves(g, p) == want, (g, images)
+            support = sum(v != w for v, w in enumerate(images))
+            seen[support == 2, want] += 1
+    # both outcomes occur for transpositions and for larger supports
+    assert min(seen[k] for k in itertools.product((True, False), repeat=2)) >= 500, seen
 
 
 def test_canonical_form_invariance():

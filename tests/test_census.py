@@ -390,11 +390,13 @@ def test_check_record_rejects_inconsistency():
     rec = classify(G, ConnectionSet(G, 0b10010))
     check_record(rec)
     # verdicts are derived from the facts, so break a fact: an S2 set
-    # with a cover order that is not twice the minimal B
+    # with a cover order that is not twice the minimal B, or with a
+    # holomorph symmetry, which would also put it in S3
     assert rec.in_s2
-    broken = dataclasses.replace(rec, cover_aut_order=2 * rec.cover_aut_order)
-    with pytest.raises(StabcoverError):
-        check_record(broken)
+    for broken in (dataclasses.replace(rec, cover_aut_order=2 * rec.cover_aut_order),
+                   dataclasses.replace(rec, in_s3prime=True)):
+        with pytest.raises(StabcoverError):
+            check_record(broken)
 
 
 def test_hol_orbit_counts():

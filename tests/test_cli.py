@@ -350,6 +350,18 @@ def test_census_refuses_zero_workers(capsys):
         assert "worker count" in err
 
 
+def test_negative_enum_cap_is_refused(capsys):
+    # a negative cap is refused like a bad worker count; a cap of 0 is legal
+    for argv in ("census C4 --enum-cap -1", "census C4 --samples 5 --seed 1 --enum-cap -1",
+                 "classify C4 1,3 --enum-cap -5"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_PRECONDITION and out == "", argv
+        assert "enumeration cap must be non-negative" in err
+    for argv in ("census C4 --enum-cap 0", "classify C4 1,3 --enum-cap 0"):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == EXIT_OK and out, argv
+
+
 def test_bounds_single_point(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--r", "50000", "--delta", "0.001")
     assert code == EXIT_OK

@@ -66,6 +66,22 @@ def test_only_cayley_graph_and_double_cover_skip_the_symmetry_check():
     assert callers == {"graphs.py:cayley_graph", "graphs.py:double_cover"}
 
 
+def test_only_proved_seeds_skip_the_seed_check():
+    # `autgrp._search_group` takes its seeds unchecked; besides
+    # `automorphism_group`, which checks them first, only the two stability
+    # searches whose one seed is the proved inversion or its lift may name it
+    probe = ast.parse("from m import _t\ndef f(g):\n    return m._t(g, [[0]], [s])\n")
+    assert _referrers(probe, "_t") == {"f"}
+    callers = set()
+    for name, tree in _package_trees():
+        callers |= {f"{name}:{f}" for f in _referrers(tree, "_search_group")}
+    assert callers == {
+        "autgrp.py:automorphism_group",
+        "stability.py:_b0_search",
+        "stability.py:factored_orders",
+    }
+
+
 def _names(tree: ast.Module) -> set[str]:
     """Every name the module imports or reads as a name or an attribute."""
     names = set()

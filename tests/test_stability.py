@@ -195,6 +195,36 @@ def test_factored_orders_returns_b0_and_builds_no_quotient_for_s1(monkeypatch):
     assert kinds == {"s1": 194, "quotient": 126}
 
 
+def test_classify_seeds_are_proved_automorphisms(monkeypatch):
+    # `classify` passes its seeds, the inversion of G or of a twin quotient
+    # H/T and their cover lifts, to the unchecked search; each must be an
+    # automorphism of the searched graph that respects its blocks
+    searches = []
+    real = stability._search_group
+
+    def record(graph, fixed_blocks, seeds):
+        searches.append((G, graph, fixed_blocks, seeds))
+        return real(graph, fixed_blocks, seeds)
+
+    monkeypatch.setattr(stability, "_search_group", record)
+    sets = 0
+    for G in all_abelian_groups(12):
+        for mask in inverse_closed_masks(G):
+            stability.classify(G, ConnectionSet(G, mask))
+            sets += 1
+    assert (sets, len(searches)) == (1002, 1055)
+    quotients = Counter()
+    for G, graph, fixed_blocks, seeds in searches:
+        (s,) = seeds
+        assert len(s) == graph.n and preserves(graph, s), (G.spec(), graph.n)
+        assert all({s[v] for v in block} == set(block) for block in fixed_blocks)
+        if graph.n not in (G.order, 2 * G.order):
+            quotients[len(fixed_blocks)] += 1
+    # proper twin quotients are searched both as Aut_0 (one block, the
+    # point) and as B0 (the point and the rest of the + block)
+    assert quotients[1] and quotients[2]
+
+
 # -- lattice oracle for the normalizer families -------------------------------
 
 
