@@ -23,16 +23,15 @@ node of depth j where the node's path left the first path. The map fixes
 the first path's prefix of length j and sends its next vertex to the
 node's, so it carries the subtree below the first path's child of that
 node, already searched, onto the subtree being abandoned.
-The adjacency check, `preserves`, reads only the vertices the map moves:
-for a bijection and symmetric adjacency, the rows of the moved vertices
-decide those of the fixed ones.
+The adjacency check, `preserves`, maps the rows of only the vertices the
+map moves: for a bijection and symmetric adjacency, those rows decide
+the rows of the fixed ones.
 
-`automorphism_group` checks each seed it is given the same way, then
-runs `_search_group`, which takes its seeds unchecked. The classifier
-calls `_search_group` directly: its one seed, the inversion of an
-abelian group or its cover lift, is proved an automorphism because the
-connection set is inverse-closed (see `stability`), so re-checking it
-would only repeat a proof.
+`automorphism_group` searches from no seed. The classifier calls
+`_search_group`, which takes its seeds unchecked: its one seed, the
+inversion of an abelian group or its cover lift, is proved an
+automorphism because the connection set is inverse-closed (see
+`stability`), so checking it would only repeat a proof.
 
 The canonical form is the lexicographically least leaf encoding. Its
 search is the automorphism search that also encodes each leaf. An
@@ -66,7 +65,7 @@ from operator import ne
 
 from .errors import CapExceededError, DomainError
 from .graphs import LabeledGraph
-from .groups import bit_indices
+from .groups import bit_indices, map_mask
 from .perms import PermutationGroup, as_perm, identity_perm
 
 DEFAULT_VERTEX_CAP = 2000
@@ -200,7 +199,6 @@ class _Search:
         self.graph = graph
         self.n = graph.n
         self.rows = graph.rows
-        self.nbrs = graph.nbrs
         self.canonical = canonical
         # initial cells: color, then loop flag, then degree, all invariant
         keyed: dict[tuple[int, int, int], int] = {}
@@ -245,11 +243,8 @@ class _Search:
 
     def _encode(self, p):
         out = [0] * self.n
-        for v, nbr in enumerate(self.nbrs):
-            img = 0
-            for u in nbr:
-                img |= 1 << p[u]
-            out[p[v]] = img
+        for v, row in enumerate(self.rows):
+            out[p[v]] = map_mask(row, p)
         return tuple(out)
 
     def _confirm(self, cells, prefix) -> int | None:
@@ -343,28 +338,17 @@ def _check_cap(n: int):
         raise CapExceededError("automorphism search vertices", n, DEFAULT_VERTEX_CAP)
 
 
-def automorphism_group(
-    graph: LabeledGraph,
-    fixed_blocks: list | None = None,
-    known_automorphisms=None,
-) -> PermutationGroup:
+def automorphism_group(graph: LabeledGraph, fixed_blocks: list | None = None) -> PermutationGroup:
     """Full automorphism group, or the subgroup fixing each given block setwise.
 
-    known_automorphisms seeds the pruning with automorphisms the caller can
-    already name; each is checked with `preserves` and against the blocks,
-    and the result is the same group. The classifier's one seed, the
+    The search starts from no seed. The classifier's one seed, the
     inversion or its cover lift, is proved an automorphism respecting its
-    blocks (see `stability`), so `stability` calls `_search_group`, the
-    search without the seed check, directly. It searches point
-    stabilizers: a translation group regular on the point's block supplies
-    the rest of the order, so no translation is needed as a seed.
+    blocks (see `stability`), so `stability` passes it to `_search_group`
+    directly. It searches point stabilizers: a translation group regular
+    on the point's block supplies the rest of the order, so no
+    translation is needed as a seed.
     """
-    seeds = [as_perm(s, graph.n) for s in known_automorphisms or ()]
-    for s in seeds:
-        if not preserves(graph, s):
-            raise DomainError("generator does not preserve adjacency")
-        _assert_respects_blocks(s, fixed_blocks)
-    return _search_group(graph, fixed_blocks, seeds)
+    return _search_group(graph, fixed_blocks, ())
 
 
 def _search_group(graph: LabeledGraph, fixed_blocks, seeds) -> PermutationGroup:
@@ -404,21 +388,19 @@ def _assert_respects_blocks(g, fixed_blocks):
 def preserves(graph: LabeledGraph, g) -> bool:
     """Whether the permutation g is an automorphism of graph.
 
-    Only the vertices g moves are checked for g(N(v)) = N(g(v)), and they
-    are picked out in C. That suffices, because g is a bijection and
-    adjacency is symmetric. Take a fixed u and a neighbour w of u. Either
-    w is fixed, so g(w) = w lies in N(u); or w is moved, and u in N(w)
-    gives u = g(u) in N(g(w)), so g(w) lies in N(u). So g(N(u)) is inside
-    N(u), and the two have the same size, so they are equal.
+    Only the vertices g moves are checked for g(N(v)) = N(g(v)): they are
+    picked out in C, and the row of each is mapped by `map_mask` and
+    compared with the row of g(v). That suffices, because g is a
+    bijection and adjacency is symmetric. Take a fixed u and a neighbour
+    w of u. Either w is fixed, so g(w) = w lies in N(u); or w is moved,
+    and u in N(w) gives u = g(u) in N(g(w)), so g(w) lies in N(u). So
+    g(N(u)) is inside N(u), and the two have the same size, so they are
+    equal.
     """
     rows = graph.rows
-    nbrs = graph.nbrs
     n = graph.n
     for v in compress(range(n), map(ne, g, range(n))):
-        img = 0
-        for u in nbrs[v]:
-            img |= 1 << g[u]
-        if img != rows[g[v]]:
+        if map_mask(rows[v], g) != rows[g[v]]:
             return False
     return True
 

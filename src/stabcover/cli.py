@@ -42,7 +42,8 @@ def parse_set_literal(G: AbelianGroup, text: str) -> list[int]:
     integers are only accepted for cyclic groups, where they are the
     single coordinate, and for the trivial group C1 (rank 0), where every
     integer is the identity `()`. Coordinates are reduced modulo the
-    factor sizes. Blank text is the empty set.
+    factor sizes. Blank text is the empty set. Booleans are not integers
+    here: `True,4` is refused, not read as `1,4`.
     """
     if not text.strip():
         return []
@@ -53,7 +54,7 @@ def parse_set_literal(G: AbelianGroup, text: str) -> list[int]:
     out = []
     for item in parsed:
         coords = item
-        if isinstance(item, int):
+        if type(item) is int:
             if G.rank > 1:
                 raise DomainError(
                     f"element {item} is a bare integer; rank-{G.rank} groups need tuples"
@@ -62,7 +63,7 @@ def parse_set_literal(G: AbelianGroup, text: str) -> list[int]:
         if not (
             isinstance(coords, tuple)
             and len(coords) == G.rank
-            and all(isinstance(c, int) for c in coords)
+            and all(type(c) is int for c in coords)
         ):
             raise DomainError(
                 f"element {item!r} of {text!r} is not a length-{G.rank} integer tuple"
@@ -122,6 +123,8 @@ def cmd_census(args) -> int:
             workers=args.workers,
         )
     else:
+        if args.seed is not None:
+            raise DomainError("--seed needs --samples; the exhaustive census draws nothing")
         report = exhaustive_census(G, enum_cap=args.enum_cap, workers=args.workers)
         if args.records:
             with open(args.records, "w") as f:

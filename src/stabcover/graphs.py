@@ -1,15 +1,14 @@
 """Loop-permitting undirected graphs on indexed vertices.
 
-Adjacency is stored as one bit-vector per vertex; a loop is the diagonal
-bit. Includes Cayley graph construction, the standard double cover
-(direct product with a single edge), structural predicates and bi-coset
-graphs.
+Adjacency is stored only as one bit-vector per vertex, its row; a loop
+is the diagonal bit. Includes Cayley graph construction, the standard
+double cover (direct product with a single edge), structural predicates
+and bi-coset graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -33,21 +32,10 @@ class LabeledGraph:
             if row & ~mask:
                 raise DomainError(f"row {v} has bits outside the vertex range")
         rows = self.rows
-        for v, nbr in enumerate(self.nbrs):
-            for u in nbr:
+        for v, row in enumerate(rows):
+            for u in bit_indices(row):
                 if not (rows[u] >> v) & 1:
                     raise DomainError(f"adjacency not symmetric at ({v}, {u})")
-
-    @cached_property
-    def nbrs(self) -> tuple[list[int], ...]:
-        """Neighbours of each vertex in increasing order, built on first read.
-
-        A graph from `_symmetric_graph` may carry its own builder for them.
-        """
-        build = self.__dict__.pop("_build_nbrs", None)
-        if build is not None:
-            return build()
-        return tuple(map(bit_indices, self.rows))
 
     def relabel(self, perm) -> "LabeledGraph":
         """Graph with vertex v renamed to perm[v]."""
@@ -96,22 +84,17 @@ def connection_set(G: AbelianGroup, elements, symmetrize: bool = False) -> Conne
     return ConnectionSet(G, mask)
 
 
-def _symmetric_graph(n: int, rows: tuple[int, ...], build_nbrs=None) -> LabeledGraph:
+def _symmetric_graph(n: int, rows: tuple[int, ...]) -> LabeledGraph:
     """A `LabeledGraph` whose caller has proved its rows symmetric.
 
     Skips the validation in `LabeledGraph.__post_init__`, whose symmetry
     check costs one probe per edge. Only `cayley_graph` and
     `double_cover`, whose docstrings carry the proofs, call it; a
-    source-scan test keeps it so. A caller that can list the rows'
-    neighbours, in increasing order, faster than by reading their bits
-    passes a function that does so as `build_nbrs`; `nbrs` calls it on
-    first read, so a graph whose lists are never read never builds them.
+    source-scan test keeps it so.
     """
     g = object.__new__(LabeledGraph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
-    if build_nbrs is not None:
-        object.__setattr__(g, "_build_nbrs", build_nbrs)
     return g
 
 
@@ -120,21 +103,11 @@ def cayley_graph(G: AbelianGroup, S: ConnectionSet) -> LabeledGraph:
 
     Row i is S + i, a subset of G. The rows are symmetric because S is
     inverse-closed (`ConnectionSet` checks it): j - i in S iff i - j in S.
-    Where G has an addition table, the neighbours of i are S + i read
-    through row i of it, sorted, when they are first read.
     """
     if S.group is not G and S.group != G:
         raise DomainError("connection set belongs to a different group")
     rows = tuple(G.translate_mask(S.mask, i) for i in range(G.order))
-    table = G.addition_rows()
-    if table is None:
-        return _symmetric_graph(G.order, rows)
-
-    def build_nbrs():
-        members = bit_indices(S.mask)
-        return tuple(sorted(map(row.__getitem__, members)) for row in table)
-
-    return _symmetric_graph(G.order, rows, build_nbrs)
+    return _symmetric_graph(G.order, rows)
 
 
 def double_cover(g: LabeledGraph) -> LabeledGraph:
@@ -143,17 +116,10 @@ def double_cover(g: LabeledGraph) -> LabeledGraph:
     u+ ~ v- iff u ~ v in the base graph; no edges inside a block. A loop at v
     becomes the edge v+ ~ v-. The rows are symmetric because g's are:
     v- is in the row of u+ iff v ~ u iff u ~ v iff u+ is in the row of v-.
-    The neighbour lists, built when first read, are lifted the same way:
-    u+ has n + v for each neighbour v of u, and u- has the base list of u,
-    both increasing.
     """
     n = g.n
     rows = [row << n for row in g.rows] + list(g.rows)
-
-    def build_nbrs():
-        return tuple([n + v for v in nb] for nb in g.nbrs) + g.nbrs
-
-    return _symmetric_graph(2 * n, tuple(rows), build_nbrs)
+    return _symmetric_graph(2 * n, tuple(rows))
 
 
 def cover_lift(perm):

@@ -17,7 +17,6 @@ from stabcover.errors import DomainError
 from stabcover.graphs import ConnectionSet, cayley_graph, double_cover
 from stabcover.groups import AbelianGroup, inverse_closed_masks, negation_orbits
 from stabcover.perms import PermutationGroup, as_perm, identity_perm, pinv, pmul
-from stabcover.stability import group_context
 
 
 def has_edge(g, u: int, v: int) -> bool:
@@ -111,18 +110,14 @@ def reference_group(degree: int, generators) -> PermutationGroup:
 def b_group(G: AbelianGroup, S: ConnectionSet, cover=None) -> PermutationGroup:
     """B(S), the + block stabilizer of the cover, searched whole.
 
-    The cover is colored by block and seeded with the lifted translations
-    by G's generators and the lifted inversion. The package never builds
-    B(S): it searches B0 and takes B(S) = R B0, which this checks. A
-    caller that has already built the double cover passes it as `cover`.
+    The cover is colored by block and searched from no seed. The package
+    never builds B(S): it searches B0 and takes B(S) = R B0, which this
+    checks. A caller that has already built the double cover passes it as
+    `cover`.
     """
-    ctx = group_context(G)
     if cover is None:
         cover = double_cover(cayley_graph(G, S))
-    seeds = [ctx.translation_lifts[g] for g in G.generators()] + [ctx.inversion_lift]
-    return automorphism_group(
-        cover, fixed_blocks=[list(range(G.order))], known_automorphisms=seeds
-    )
+    return automorphism_group(cover, fixed_blocks=[list(range(G.order))])
 
 
 def brute_automorphisms(G: AbelianGroup) -> list:

@@ -149,20 +149,6 @@ def test_fixed_blocks_overlap_rejected():
         automorphism_group(g, fixed_blocks=[[0, 1], [1, 2]])
 
 
-def test_known_automorphism_seeds():
-    n = 6
-    cyc = LabeledGraph(
-        n, tuple((1 << ((v + 1) % n)) | (1 << ((v - 1) % n)) for v in range(n))
-    )
-    rot = as_perm([(v + 1) % n for v in range(n)])
-    assert automorphism_group(cyc, known_automorphisms=[rot]).order == 2 * n
-    with pytest.raises(DomainError):
-        automorphism_group(cyc, known_automorphisms=[as_perm([1, 0, 2, 3, 4, 5])])
-    # an automorphism moving a fixed block is rejected as a seed too
-    with pytest.raises(DomainError):
-        automorphism_group(cyc, fixed_blocks=[[0, 1, 2]], known_automorphisms=[rot])
-
-
 def _with_twin(rng, g):
     """(g with a vertex v added, u): v's row agrees with that of a random
     vertex u off {u, v}, and so does its loop flag, so swapping u and v
@@ -228,6 +214,35 @@ def test_preserves_against_relabeling():
             seen[support == 2, want] += 1
     # both outcomes occur for transpositions and for larger supports
     assert min(seen[k] for k in itertools.product((True, False), repeat=2)) >= 500, seen
+    # past degree 256 permutations are tuples: the covers of Cay(C_n, {1, -1})
+    # for n = 130 (two 130-cycles) and 131 (the 262-cycle), each also with a
+    # twin added. Random transpositions, the twin swap, random automorphisms,
+    # each one times a transposition, and a random permutation
+    large = Counter()
+    for n in (130, 131):
+        G = make_group([n])
+        cover = double_cover(cayley_graph(G, ConnectionSet(G, (1 << 1) | (1 << (n - 1)))))
+        twinned, u = _with_twin(rng, cover)
+        for g, twin in ((cover, None), (twinned, u)):
+            m = g.n
+            pairs = [rng.sample(range(m), 2) for _ in range(3)]
+            if twin is not None:
+                pairs.append((twin, m - 1))
+            swaps = []
+            for a, b in pairs:
+                images = list(range(m))
+                images[a], images[b] = b, a
+                swaps.append(as_perm(images))
+            gens = automorphism_group(g).generators
+            auts = [functools.reduce(pmul, rng.choices(gens, k=4)) for _ in range(3)]
+            perms = swaps + auts + [pmul(a, rng.choice(swaps)) for a in auts]
+            perms.append(as_perm(rng.sample(range(m), m)))
+            for p in perms:
+                assert isinstance(p, tuple)
+                want = g.relabel(p) == g
+                assert autgrp.preserves(g, p) == want, (m, p)
+                large[want] += 1
+    assert large[True] >= 14 and large[False] >= 14, large
 
 
 def test_canonical_form_invariance():

@@ -56,6 +56,15 @@ def test_parse_set_literal():
         parse_set_literal(C5, "'a'")
 
 
+@pytest.mark.parametrize("group, literal", [("C5", "True,4"), ("C2xC2", "(True,0)")])
+def test_classify_refuses_booleans(capsys, group, literal):
+    # a bool is an int to isinstance; as an element or a coordinate it
+    # must be refused, not read as 1
+    code, out, err = run_cli(capsys, "classify", group, literal)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "True" in err
+
+
 def test_classify_trivial_group_reads_an_integer_as_the_identity(capsys):
     code, out, _ = run_cli(capsys, "classify", "C1", "0")
     assert code == EXIT_OK
@@ -173,6 +182,15 @@ def test_census_monte_carlo_requires_seed(capsys):
     code, _, err = run_cli(capsys, "census", "C7", "--samples", "10")
     assert code == EXIT_PRECONDITION
     assert "seed" in err
+
+
+def test_census_exhaustive_refuses_a_seed(capsys, monkeypatch):
+    # the exhaustive census draws nothing, so a seed would be ignored;
+    # it is refused before any census runs
+    monkeypatch.setattr(cli, "exhaustive_census", None)
+    code, out, err = run_cli(capsys, "census", "C4", "--seed", "3")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "--seed needs --samples" in err
 
 
 def test_census_monte_carlo_refuses_records(capsys, tmp_path):

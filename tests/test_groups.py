@@ -65,6 +65,8 @@ def test_addition_table_matches_coordinates():
             assert [G.add(a, b) for b in G.elements()] == [
                 _coordinate_sum(G, a, b) for b in G.elements()
             ], (G.spec(), a)
+    # above order 1024 no table is built
+    assert make_group([1031]).addition_rows() is None
 
 
 def test_generators_generate():

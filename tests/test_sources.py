@@ -68,7 +68,7 @@ def test_only_cayley_graph_and_double_cover_skip_the_symmetry_check():
 
 def test_only_proved_seeds_skip_the_seed_check():
     # `autgrp._search_group` takes its seeds unchecked; besides
-    # `automorphism_group`, which checks them first, only the two stability
+    # `automorphism_group`, which passes none, only the two stability
     # searches whose one seed is the proved inversion or its lift may name it
     probe = ast.parse("from m import _t\ndef f(g):\n    return m._t(g, [[0]], [s])\n")
     assert _referrers(probe, "_t") == {"f"}
@@ -104,6 +104,21 @@ def test_one_right_product_path():
     trees = dict(_package_trees())
     assert [name for name, tree in trees.items() if "methodcaller" in _names(tree)] == []
     assert [name for name, tree in trees.items() if "translate" in _names(tree)] == ["perms.py"]
+
+
+def test_one_adjacency_form():
+    # rows are a graph's only adjacency: no package module names `nbrs`,
+    # as an attribute or a name, or `_build_nbrs`, so no second form of
+    # the neighbourhoods grows back beside them
+    probe = ast.parse("nbrs = g.nbrs\nf(_build_nbrs)\n")
+    assert _names(probe) == {"nbrs", "g", "f", "_build_nbrs"}
+    named = [
+        f"{name}: {form}"
+        for name, tree in _package_trees()
+        for form in ("nbrs", "_build_nbrs")
+        if form in _names(tree)
+    ]
+    assert named == []
 
 
 def test_groups_take_a_base_and_searches_confirm_at_nodes():
