@@ -27,9 +27,8 @@ The adjacency check, `preserves`, maps the rows of only the vertices the
 map moves: for a bijection and symmetric adjacency, those rows decide
 the rows of the fixed ones.
 
-`automorphism_group` searches from no seed. The classifier calls
-`_search_group`, which takes its seeds unchecked: its one seed, the
-inversion of an abelian group or its cover lift, is proved an
+`automorphism_group` takes its seeds unchecked. The classifier's one
+seed, the inversion of an abelian group or its cover lift, is proved an
 automorphism because the connection set is inverse-closed (see
 `stability`), so checking it would only repeat a proof.
 
@@ -53,7 +52,7 @@ path vertex to the explored one. One is always found there: below the
 explored vertex runs the image of the first path under an automorphism
 fixing the prefix, whose discrete node at the first leaf's depth passes
 every test, and orbit pruning skips a child only for an explored one
-below which such an image runs too. So `_search_group` hands the
+below which such an image runs too. So `automorphism_group` hands the
 first path to `PermutationGroup` as its base, and no Schreier-Sims runs.
 """
 
@@ -338,24 +337,17 @@ def _check_cap(n: int):
         raise CapExceededError("automorphism search vertices", n, DEFAULT_VERTEX_CAP)
 
 
-def automorphism_group(graph: LabeledGraph, fixed_blocks: list | None = None) -> PermutationGroup:
+def automorphism_group(
+    graph: LabeledGraph, fixed_blocks: list | None = None, *, seeds=()
+) -> PermutationGroup:
     """Full automorphism group, or the subgroup fixing each given block setwise.
 
-    The search starts from no seed. The classifier's one seed, the
-    inversion or its cover lift, is proved an automorphism respecting its
-    blocks (see `stability`), so `stability` passes it to `_search_group`
-    directly. It searches point stabilizers: a translation group regular
-    on the point's block supplies the rest of the order, so no
-    translation is needed as a seed.
-    """
-    return _search_group(graph, fixed_blocks, ())
-
-
-def _search_group(graph: LabeledGraph, fixed_blocks, seeds) -> PermutationGroup:
-    """`automorphism_group` from seeds the caller has proved.
-
-    Each seed must be an automorphism of graph respecting fixed_blocks;
-    none is checked here. Identity seeds are dropped.
+    The search starts from `seeds`, automorphisms of graph respecting
+    fixed_blocks that the caller has proved: none is checked here, and
+    identity seeds are dropped. The classifier passes one, the inversion
+    or its cover lift (see `stability`), and searches point stabilizers:
+    a translation group regular on the point's block supplies the rest
+    of the order, so no translation is needed as a seed.
     """
     _check_cap(graph.n)
     ident = identity_perm(graph.n)

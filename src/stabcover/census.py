@@ -62,7 +62,7 @@ import math
 import random
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 
 from .autgrp import canonical_form
@@ -330,29 +330,17 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
     return records, calls
 
 
-def _samples_shard(
-    G: AbelianGroup, count: int, seed: int, shard: int, enum_cap: int
-) -> tuple[list[StabilityRecord], int]:
-    """Records of `count` uniform samples from the substream seed xor shard.
-
-    One fair bit per negation orbit gives the exact uniform distribution.
-    """
-    orbit_masks = negation_orbits(G)
-    rng = random.Random(seed ^ shard)
-    units = ((mask_union(orbit_masks, rng.getrandbits(len(orbit_masks))),) for _ in range(count))
-    return _units_shard(G, units, enum_cap)
-
-
-def _run_shards(G: AbelianGroup, shard, jobs: list[tuple], workers: int) -> Iterator:
-    """`shard(G, *job)` for each job, in job order.
+def _run_shards(G: AbelianGroup, jobs: Iterable[tuple], workers: int) -> Iterator:
+    """`_units_shard(G, *job)` for each job, in job order.
 
     With one worker every job runs in this process. Otherwise a process
     pool runs them, with at most `workers` jobs submitted and not yet
-    returned, so no more than that many shards' records ever wait here.
+    returned, so no more than that many shards' records ever wait here;
+    `jobs` is read one job per submission, so a generator holds no more.
     """
     if workers == 1:
         for job in jobs:
-            yield shard(G, *job)
+            yield _units_shard(G, *job)
         return
     # imported here: the pool machinery (multiprocessing, logging) is a
     # sizeable share of the start-up of a one-worker run that never uses it
@@ -363,13 +351,13 @@ def _run_shards(G: AbelianGroup, shard, jobs: list[tuple], workers: int) -> Iter
         for job in jobs:
             if len(pending) == workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(_rebuild_and_run, shard, G.invariant_factors, job))
+            pending.append(pool.submit(_rebuild_and_run, G.invariant_factors, job))
         while pending:
             yield pending.popleft().result()
 
 
-def _rebuild_and_run(shard, factors: tuple[int, ...], job: tuple):
-    return shard(make_group(factors), *job)
+def _rebuild_and_run(factors: tuple[int, ...], job: tuple):
+    return _units_shard(make_group(factors), *job)
 
 
 def _shard_ranges(total: int) -> list[tuple[int, int]]:
@@ -407,7 +395,7 @@ def exhaustive_census(
     ]
     records = []
     classified = 0
-    for part, calls in _run_shards(G, _units_shard, jobs, workers):
+    for part, calls in _run_shards(G, jobs, workers):
         records += part
         classified += calls
     counts = _empty_counts()
@@ -439,11 +427,13 @@ def monte_carlo_census(
 ) -> CensusReport:
     """Classify uniform samples over inverse-closed subsets.
 
-    Each of the fixed shard ranges of the samples is drawn, where it is
-    classified, from its own substream (master seed xor shard index), so
-    the sample list does not depend on the worker count, and neither does
-    the report. Each shard's records are tallied as they arrive; none is
-    kept.
+    The samples are the first `samples` draws of `random.Random(seed)`,
+    one fair bit per negation orbit for the exact uniform distribution,
+    whatever the worker and shard counts. Each shard's masks are drawn as
+    its job is submitted and its records are tallied as they arrive, so
+    at most `workers` shards' masks are held and no record is kept. A
+    negative seed is refused: `Random` folds its sign, so it would repeat
+    a positive seed's draws.
     """
     start = time.monotonic()
     if samples < 0:
@@ -452,13 +442,18 @@ def monte_carlo_census(
         raise DomainError("enumeration cap must be non-negative")
     if workers < 1:
         raise DomainError("worker count must be at least 1")
-    jobs = [
-        (hi - lo, seed, shard, enum_cap)
-        for shard, (lo, hi) in enumerate(_shard_ranges(samples))
-    ]
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
+    orbit_masks = negation_orbits(G)
+    rng = random.Random(seed)
+    jobs = (
+        ([(mask_union(orbit_masks, rng.getrandbits(len(orbit_masks))),) for _ in range(hi - lo)],
+         enum_cap)
+        for lo, hi in _shard_ranges(samples)
+    )
     counts = _empty_counts()
     classified = 0
-    for part, calls in _run_shards(G, _samples_shard, jobs, workers):
+    for part, calls in _run_shards(G, jobs, workers):
         for rec in part:
             _tally(counts, rec)
         classified += calls

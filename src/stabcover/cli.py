@@ -2,12 +2,14 @@
 
 Each subcommand is a `cmd_*` function of the parsed arguments alone; its
 argument checks are the library's own. Every command is deterministic
-given its flags: both census modes classify fixed shards of masks, so
+given its flags: both census modes classify fixed shards of masks, a
+Monte-Carlo census drawing them from the one stream of its seed, so
 reports are identical for any `--workers` value, the only worker setting.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on parse
 or precondition errors (an `--out` or `--records` path that cannot be
-written among them, checked before the command runs), 3 when --strict
-is set and capped searches left indeterminate fields in the output.
+written, or the two naming one file, among them, checked before the
+command runs), 3 when --strict is set and capped searches left
+indeterminate fields in the output.
 Only `cmd_bounds` imports mpmath, so the other commands start without it.
 """
 
@@ -269,16 +271,19 @@ def _probe_outputs(args, created: list[str]) -> None:
     """Open every output path for appending, so an unwritable one fails now.
 
     Append mode truncates no existing file. A missing file is created,
-    and its path is added to `created`.
+    and its path is added to `created`. Two paths naming one file are
+    refused, as the report would overwrite the records; both exist once
+    probed, so `os.path.samefile` compares them.
     """
-    for path in (args.out, getattr(args, "records", None)):
-        if path is None:
-            continue
+    paths = [p for p in (args.out, getattr(args, "records", None)) if p is not None]
+    for path in paths:
         try:
             open(path, "x").close()
             created.append(path)
         except FileExistsError:
             open(path, "a").close()
+    if len(paths) == 2 and os.path.samefile(*paths):
+        raise DomainError(f"--out and --records name the same file {paths[1]!r}")
 
 
 def main(argv=None) -> int:

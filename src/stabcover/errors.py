@@ -8,8 +8,10 @@ class StabcoverError(Exception):
 class CapExceededError(StabcoverError):
     """An enumeration or search exceeded its configured cap.
 
-    Callers that can degrade gracefully (tri-state classification fields)
-    catch this and report "indeterminate" instead of failing.
+    No library caller catches it: one that can degrade (the tri-state
+    S4/S5 fields) checks its cap before listing, as `factored_orders`
+    compares q |B0| with the enumeration cap, and the command line maps
+    the error to exit code 2.
     """
 
     def __init__(self, what: str, needed, cap):

@@ -230,7 +230,7 @@ _SPEC_RE = re.compile(r"^c(\d+)$", re.IGNORECASE)
 
 def parse_group_spec(spec: str) -> AbelianGroup:
     """Parse the ``C<n>`` / ``C<n>xC<m>`` grammar (case-insensitive)."""
-    parts = spec.strip().split("x")
+    parts = re.split("[xX]", spec.strip())
     factors = []
     for part in parts:
         m = _SPEC_RE.match(part.strip())

@@ -18,7 +18,7 @@ builds a bound method.
 Groups carry a lazily-built stabilizer chain giving order, membership,
 and bounded element enumeration. A group is always built from a base
 relative to which its generators are strong; in the package only
-`autgrp._search_group` builds one, from its search's first path.
+`autgrp.automorphism_group` builds one, from its search's first path.
 Each level of the chain is then one orbit enumeration, with no Schreier
 generator sifted; deterministic Schreier-Sims survives only as the
 tests' reference, whose strong generating set and base this class takes

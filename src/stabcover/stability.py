@@ -47,7 +47,7 @@ stabilizer is searched with the inversion, or its cover lift, as the
 only seed. The inversion x -> -x fixes 0 and sends the row S + x to
 -S - x = S + (-x), so it is an automorphism of Cay(G, S) because S = -S;
 its lift fixes 0+ and each block. Both are proved, so the searches take
-them unchecked (`autgrp._search_group`). The translations of G are
+them unchecked (`autgrp.automorphism_group`). The translations of G are
 regular on Cay(G, S), so |Aut(Cay(G, S))| = |G| |Aut_0|, and their lifts
 lie in B(S) and are regular on the + block, so |B(S)| = |G| |B0|
 (`b0_group`). Every set's orders come from `factored_orders`, through
@@ -69,7 +69,7 @@ from functools import cached_property, lru_cache
 
 import math
 
-from .autgrp import _search_group
+from .autgrp import automorphism_group
 from .errors import DomainError
 from .graphs import (
     ConnectionSet,
@@ -204,7 +204,7 @@ def _b0_search(cover: LabeledGraph, iota) -> PermutationGroup:
     is an automorphism respecting the colors (see the module docstring),
     so it goes to the search unchecked.
     """
-    B0 = _search_group(cover, [[0], list(range(1, cover.n // 2))], [iota])
+    B0 = automorphism_group(cover, [[0], list(range(1, cover.n // 2))], seeds=[iota])
     if not B0.contains(iota):
         raise DomainError("inversion missing from the point stabilizer")
     return B0
@@ -470,7 +470,7 @@ def factored_orders(
         if q * B0.order <= enum_cap:
             b0_elems = B0.elements(enum_cap)
     if b0_elems is None:
-        aut0 = _search_group(quot, [[0]], [iota]).order
+        aut0 = automorphism_group(quot, [[0]], seeds=[iota]).order
     else:
         aut0 = _diagonal_count(b0_elems, q)
     a_h = f * q * aut0

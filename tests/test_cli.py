@@ -299,6 +299,17 @@ def test_output_probe_truncates_nothing_and_leaves_no_empty_file(tmp_path, capsy
     assert kept.read_text() == "old\n" and not made.exists()
 
 
+def test_out_and_records_naming_one_file_are_refused(tmp_path, capsys, monkeypatch):
+    # the report would overwrite the records; `./p` and `p` are one file,
+    # and the refused command leaves no file behind
+    monkeypatch.chdir(tmp_path)
+    for out, records in (("p", "p"), ("./p", "p")):
+        code, stdout, err = run_cli(capsys, "census", "C2", "--records", records, "--out", out)
+        assert (code, stdout) == (EXIT_PRECONDITION, ""), (out, records)
+        assert "same file" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 # runs in a fresh interpreter: which modules the commands load
 _IMPORT_PROBE = """
 import json, os, sys
@@ -331,26 +342,44 @@ def test_census_and_check_lemmas_load_neither_mpmath_nor_the_process_pool():
 
 
 def test_census_monte_carlo_stream_is_pinned(capsys):
-    # each of the 32 shard ranges of the samples draws from its own
-    # random.Random(seed ^ shard); these tallies pin that stream
+    # the samples are the first draws of one random.Random(seed); these
+    # tallies, the same at --workers 1 and 2, pin that stream
     want = {
-        "disconnected": 18,
-        "connected-bipartite": 10,
-        "not-twin-free": 13,
-        "s1": 264,
-        "s2": 69,
-        "s3": 163,
-        "s3prime": 199,
-        "s4": 50,
-        "s5": 1,
-        "stable": 143,
-        "trivially-unstable": 36,
-        "nontrivially-unstable": 91,
-        "indeterminate": 30,
+        "disconnected": 9,
+        "connected-bipartite": 12,
+        "not-twin-free": 6,
+        "s1": 276,
+        "s2": 87,
+        "s3": 160,
+        "s3prime": 184,
+        "s4": 49,
+        "s5": 2,
+        "stable": 163,
+        "trivially-unstable": 24,
+        "nontrivially-unstable": 88,
+        "indeterminate": 25,
     }
     code, out, _ = run_cli(capsys, "census", "C2xC10", "--samples", "300", "--seed", "7")
     assert code == EXIT_OK
     assert json.loads(out)["counts"] == want
+
+
+def test_census_monte_carlo_seeds_draw_distinct_streams(capsys):
+    # every seed has its own stream: seeds below the shard count are not
+    # permutations of one set of per-shard streams
+    reports = []
+    for seed in ("0", "1", "31"):
+        code, out, _ = run_cli(capsys, "census", "C2xC10", "--samples", "320", "--seed", seed)
+        assert code == EXIT_OK
+        reports.append(json.loads(out)["counts"])
+    assert reports[0] != reports[1] != reports[2] != reports[0]
+
+
+def test_census_refuses_a_negative_seed(capsys):
+    # random.Random folds the sign, so -1 would repeat the draws of 1
+    code, out, err = run_cli(capsys, "census", "C5", "--samples", "5", "--seed", "-1")
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert "seed" in err
 
 
 def test_workers_environment_variable_is_not_read(capsys, monkeypatch):

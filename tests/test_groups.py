@@ -252,6 +252,8 @@ def test_listing_caps_are_the_module_constants():
 def test_parse_group_spec():
     assert parse_group_spec("C5").invariant_factors == (5,)
     assert parse_group_spec("c2xc10").invariant_factors == (2, 10)
+    assert parse_group_spec("C2XC10").invariant_factors == (2, 10)
+    assert parse_group_spec("c2Xc2xC5").invariant_factors == (2, 10)
     assert parse_group_spec("C2xC2xC5").invariant_factors == (2, 10)
     with pytest.raises(DomainError):
         parse_group_spec("D4")

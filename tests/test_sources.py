@@ -66,20 +66,39 @@ def test_only_cayley_graph_and_double_cover_skip_the_symmetry_check():
     assert callers == {"graphs.py:cayley_graph", "graphs.py:double_cover"}
 
 
+def _seeding_callers(tree: ast.Module, name: str) -> set[str]:
+    """Functions whose bodies call `name` with a `seeds` or `**` keyword."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                if any(k.arg in ("seeds", None) for k in node.keywords):
+                    found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
 def test_only_proved_seeds_skip_the_seed_check():
-    # `autgrp._search_group` takes its seeds unchecked; besides
-    # `automorphism_group`, which passes none, only the two stability
-    # searches whose one seed is the proved inversion or its lift may name it
-    probe = ast.parse("from m import _t\ndef f(g):\n    return m._t(g, [[0]], [s])\n")
-    assert _referrers(probe, "_t") == {"f"}
+    # `autgrp.automorphism_group` takes its seeds unchecked; only the two
+    # stability searches whose one seed is the proved inversion or its
+    # lift may pass any
+    probe = ast.parse(
+        "def f(g):\n    return m._t(g, [[0]], seeds=[s])\n"
+        "def h(g):\n    return _t(g, **k)\n"
+        "def k(g):\n    return _t(g, [[0]]), u(seeds=[s])\n"
+    )
+    assert _seeding_callers(probe, "_t") == {"f", "h"}
     callers = set()
     for name, tree in _package_trees():
-        callers |= {f"{name}:{f}" for f in _referrers(tree, "_search_group")}
-    assert callers == {
-        "autgrp.py:automorphism_group",
-        "stability.py:_b0_search",
-        "stability.py:factored_orders",
-    }
+        callers |= {f"{name}:{f}" for f in _seeding_callers(tree, "automorphism_group")}
+    assert callers == {"stability.py:_b0_search", "stability.py:factored_orders"}
 
 
 def _names(tree: ast.Module) -> set[str]:

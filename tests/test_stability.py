@@ -197,16 +197,17 @@ def test_factored_orders_returns_b0_and_builds_no_quotient_for_s1(monkeypatch):
 
 def test_classify_seeds_are_proved_automorphisms(monkeypatch):
     # `classify` passes its seeds, the inversion of G or of a twin quotient
-    # H/T and their cover lifts, to the unchecked search; each must be an
-    # automorphism of the searched graph that respects its blocks
+    # H/T and their cover lifts, to the search, which does not check them;
+    # each must be an automorphism of the searched graph that respects its
+    # blocks
     searches = []
-    real = stability._search_group
+    real = stability.automorphism_group
 
-    def record(graph, fixed_blocks, seeds):
+    def record(graph, fixed_blocks=None, *, seeds=()):
         searches.append((G, graph, fixed_blocks, seeds))
-        return real(graph, fixed_blocks, seeds)
+        return real(graph, fixed_blocks, seeds=seeds)
 
-    monkeypatch.setattr(stability, "_search_group", record)
+    monkeypatch.setattr(stability, "automorphism_group", record)
     sets = 0
     for G in all_abelian_groups(12):
         for mask in inverse_closed_masks(G):
