@@ -337,44 +337,33 @@ def _check_cap(n: int):
         raise CapExceededError("automorphism search vertices", n, DEFAULT_VERTEX_CAP)
 
 
-def automorphism_group(
-    graph: LabeledGraph, fixed_blocks: list | None = None, *, seeds=()
-) -> PermutationGroup:
-    """Full automorphism group, or the subgroup fixing each given block setwise.
+def automorphism_group(graph: LabeledGraph, colors=None, *, seeds=()) -> PermutationGroup:
+    """Automorphisms of graph preserving a vertex coloring, all of them by default.
 
-    The search starts from `seeds`, automorphisms of graph respecting
-    fixed_blocks that the caller has proved: none is checked here, and
-    identity seeds are dropped. The classifier passes one, the inversion
-    or its cover lift (see `stability`), and searches point stabilizers:
-    a translation group regular on the point's block supplies the rest
-    of the order, so no translation is needed as a seed.
+    colors gives one color per vertex, any sortable values; the search
+    starts from the cells of equal color. It also starts from `seeds`,
+    automorphisms of graph preserving the colors that the caller has
+    proved: none is checked here, and identity seeds are dropped. The
+    classifier passes one, the inversion or its cover lift (see
+    `stability`), and searches point stabilizers: a translation group
+    regular on the point's block supplies the rest of the order, so no
+    translation is needed as a seed.
     """
     _check_cap(graph.n)
+    if colors is None:
+        colors = [0] * graph.n
+    elif len(colors) != graph.n:
+        raise DomainError("the coloring does not give one color per vertex")
     ident = identity_perm(graph.n)
     seeds = [s for s in seeds if s != ident]
-    colors = [0] * graph.n
-    if fixed_blocks is not None:
-        for i, block in enumerate(fixed_blocks, start=1):
-            for v in block:
-                if colors[v]:
-                    raise DomainError("fixed blocks overlap")
-                colors[v] = i
     search = _Search(graph, colors, canonical=False, seeds=seeds)
     search.run()
     # generators found by the search were checked to preserve adjacency
-    # when they were confirmed; only their block behavior still needs
-    # checking
+    # when they were confirmed; only the colors still need checking
     for g in search.gens[len(seeds):]:
-        _assert_respects_blocks(g, fixed_blocks)
+        if any(map(ne, map(colors.__getitem__, g), colors)):
+            raise DomainError("generator does not preserve the colors")
     return PermutationGroup(graph.n, search.gens, search.first_path)
-
-
-def _assert_respects_blocks(g, fixed_blocks):
-    if fixed_blocks is None:
-        return
-    for block in fixed_blocks:
-        if {g[v] for v in block} != set(block):
-            raise DomainError("generator does not respect a fixed block")
 
 
 def preserves(graph: LabeledGraph, g) -> bool:

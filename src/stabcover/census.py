@@ -306,14 +306,14 @@ def _units_shard(G: AbelianGroup, units, enum_cap: int) -> tuple[list[StabilityR
     full = (1 << G.order) - 1
     records, calls = [], 0
     for first_mask, *partner in units:
-        first = classify(G, ConnectionSet(G, first_mask), enum_cap=enum_cap)
+        first = classify(ConnectionSet(G, first_mask), enum_cap=enum_cap)
         records.append(first)
         calls += 1
         for mask in partner:
             S = ConnectionSet(G, mask)
             derivable = first.in_s1 or (first.twin_free and first.b_order > enum_cap)
-            if not derivable or component_of(cayley_graph(G, S)) != (full, False):
-                records.append(classify(G, S, enum_cap=enum_cap))
+            if not derivable or component_of(cayley_graph(S)) != (full, False):
+                records.append(classify(S, enum_cap=enum_cap))
                 calls += 1
                 continue
             if first.in_s1:
@@ -518,7 +518,8 @@ def hol_orbits(G: AbelianGroup) -> list[list[int]]:
     acting with its automorphism part only (translations centralize each
     other), so the classes are the Aut(G)-orbits: each is the set of
     images of one inverse-closed mask through the tables of
-    `GroupContext.automorphisms`, sorted.
+    `GroupContext.twists`, sorted: -tau maps an inverse-closed set as tau
+    does, so the twists give every image.
 
     The orbits come in complement pairs: orbits[2k] is an orbit O, the
     one `inverse_closed_masks` meets first, and orbits[2k + 1] is
@@ -529,14 +530,14 @@ def hol_orbits(G: AbelianGroup) -> list[list[int]]:
     without mapping: S -> G - S reverses the order of masks, so O^c is O
     complemented and reversed.
     """
-    auts = group_context(G).automorphisms
+    twists = group_context(G).twists
     full = (1 << G.order) - 1
     orbits = []
     seen: set[int] = set()
     for mask in inverse_closed_masks(G):
         if mask in seen:
             continue
-        orbit = sorted({map_mask(mask, tau) for tau in auts})
+        orbit = sorted({map_mask(mask, tau) for tau in twists})
         complement = [full ^ m for m in reversed(orbit)]
         seen.update(orbit, complement)
         orbits += orbit, complement
@@ -559,7 +560,7 @@ def unlabeled_census(report: CensusReport) -> UnlabeledReport:
     good_sizes = []
     for orbit, rec in report.orbit_records:
         good = rec.cover_aut_order == 2 * target
-        classes.setdefault(canonical_form(cayley_graph(G, rec.set)).bytes, set()).add(good)
+        classes.setdefault(canonical_form(cayley_graph(rec.set)).bytes, set()).add(good)
         if good:
             good_sizes.append(len(orbit))
     if {True, False} in classes.values():

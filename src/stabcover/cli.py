@@ -97,7 +97,7 @@ def cmd_classify(args) -> int:
     G = parse_group_spec(args.group)
     elements = parse_set_literal(G, args.set)
     S = connection_set(G, elements, symmetrize=args.symmetrize)
-    rec = classify(G, S, args.enum_cap)
+    rec = classify(S, args.enum_cap)
     if args.fmt == "csv":
         row = rec.to_csv_dict()
         _write_csv(args.out, row, [row.values()])

@@ -19,19 +19,21 @@ from .perms import as_perm, left_mul, mul_each, mul_table, pinv
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Undirected graph with loops permitted (diagonal bit of a row)."""
+    """Undirected graph with loops permitted (diagonal bit of a row).
 
-    n: int
+    The vertex count n is the number of rows.
+    """
+
     rows: tuple[int, ...]
+    n: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.rows) != self.n:
-            raise DomainError("row count does not match vertex count")
-        mask = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        rows = self.rows
+        object.__setattr__(self, "n", len(rows))
+        mask = (1 << len(rows)) - 1
+        for v, row in enumerate(rows):
             if row & ~mask:
                 raise DomainError(f"row {v} has bits outside the vertex range")
-        rows = self.rows
         for v, row in enumerate(rows):
             for u in bit_indices(row):
                 if not (rows[u] >> v) & 1:
@@ -45,7 +47,7 @@ class LabeledGraph:
             for u in bit_indices(row):
                 img |= 1 << perm[u]
             new_rows[perm[v]] = img
-        return LabeledGraph(self.n, tuple(new_rows))
+        return LabeledGraph(tuple(new_rows))
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def connection_set(G: AbelianGroup, elements, symmetrize: bool = False) -> Conne
     return ConnectionSet(G, mask)
 
 
-def _symmetric_graph(n: int, rows: tuple[int, ...]) -> LabeledGraph:
+def _symmetric_graph(rows: tuple[int, ...]) -> LabeledGraph:
     """A `LabeledGraph` whose caller has proved its rows symmetric.
 
     Skips the validation in `LabeledGraph.__post_init__`, whose symmetry
@@ -93,21 +95,19 @@ def _symmetric_graph(n: int, rows: tuple[int, ...]) -> LabeledGraph:
     source-scan test keeps it so.
     """
     g = object.__new__(LabeledGraph)
-    object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", rows)
+    object.__setattr__(g, "n", len(rows))
     return g
 
 
-def cayley_graph(G: AbelianGroup, S: ConnectionSet) -> LabeledGraph:
-    """Vertices are group elements; i ~ j iff element(j) - element(i) is in S.
+def cayley_graph(S: ConnectionSet) -> LabeledGraph:
+    """Vertices are the elements of G = S.group; i ~ j iff j - i is in S.
 
     Row i is S + i, a subset of G. The rows are symmetric because S is
     inverse-closed (`ConnectionSet` checks it): j - i in S iff i - j in S.
     """
-    if S.group is not G and S.group != G:
-        raise DomainError("connection set belongs to a different group")
-    rows = tuple(G.translate_mask(S.mask, i) for i in range(G.order))
-    return _symmetric_graph(G.order, rows)
+    G = S.group
+    return _symmetric_graph(tuple(G.translate_mask(S.mask, i) for i in range(G.order)))
 
 
 def double_cover(g: LabeledGraph) -> LabeledGraph:
@@ -118,8 +118,7 @@ def double_cover(g: LabeledGraph) -> LabeledGraph:
     v- is in the row of u+ iff v ~ u iff u ~ v iff u+ is in the row of v-.
     """
     n = g.n
-    rows = [row << n for row in g.rows] + list(g.rows)
-    return _symmetric_graph(2 * n, tuple(rows))
+    return _symmetric_graph(tuple([row << n for row in g.rows] + list(g.rows)))
 
 
 def cover_lift(perm):
@@ -310,19 +309,18 @@ def bicoset_graph(frame: BiCosetFrame, d) -> LabeledGraph:
             if z in d:
                 rows[a] |= 1 << (nh + b)
                 rows[nh + b] |= 1 << a
-    return LabeledGraph(len(rows), tuple(rows))
+    return LabeledGraph(tuple(rows))
 
 
-def verify_bicoset_isomorphism(
-    G: AbelianGroup, S: ConnectionSet, frame: BiCosetFrame
-) -> bool:
-    """Check the explicit bi-coset model of a double cover.
+def verify_bicoset_isomorphism(S: ConnectionSet, frame: BiCosetFrame) -> bool:
+    """Check the explicit bi-coset model of the double cover of Cay(G, S).
 
-    `frame` is the `BiCosetFrame` of a group X of permutations of the 2n
-    cover vertices: H and K are the stabilizers of 0+ and 0-. With Y the
-    set of x in X sending 0- into the neighbourhood of 0+, the frame's
-    orbit map, sending (0+)^x to Hx and (0-)^x to Kx, must be a graph
-    isomorphism from the cover onto the bi-coset graph of (X, H, K, Y).
+    G is S.group, and `frame` is the `BiCosetFrame` of a group X of
+    permutations of the 2n cover vertices: H and K are the stabilizers
+    of 0+ and 0-. With Y the set of x in X sending 0- into the
+    neighbourhood of 0+, the frame's orbit map, sending (0+)^x to Hx and
+    (0-)^x to Kx, must be a graph isomorphism from the cover onto the
+    bi-coset graph of (X, H, K, Y).
     Also checks the inversion symmetry: K R(g) H inside Y iff K R(-g) H
     inside Y. Only Y and what reads it are built per call.
 
@@ -333,10 +331,11 @@ def verify_bicoset_isomorphism(
     {x : (0-)^x = (0-)^y}, and Y is the union of the cosets whose
     representative y sends 0- into N(0+).
     """
+    G = S.group
     n = G.order
     if frame.n != n:
         raise DomainError("the frame is not that of a double cover of G")
-    cover = double_cover(cayley_graph(G, S))
+    cover = double_cover(cayley_graph(S))
     nbhd0 = cover.rows[0]
     y_sub = frozenset(
         chain.from_iterable(coset for y, coset in frame.k_cosets if (nbhd0 >> y[n]) & 1)

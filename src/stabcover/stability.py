@@ -38,7 +38,8 @@ holomorph: x -> tau(x) + g fixes S exactly when tau(S) = S - g, a row.
 For tau = 1 or -1, tau(S) = S, so the element is neither 1 nor the
 inversion exactly when g is nonzero and S - g = S: Gamma has twins. So
 S is in S3' exactly when Gamma has twins or tau(S) is a row of Gamma
-for some tau in Aut(G) other than 1 and -1.
+for some tau in Aut(G) other than 1 and -1; since -tau maps S as tau
+does, one of each pair is tried (`GroupContext.twists`).
 
 Every group order here follows one rule. If a group of automorphisms
 holds a subgroup R regular on a block of vertices, its order is |R|
@@ -55,10 +56,10 @@ the twin quotient of the component at 0, a Cayley graph of a quotient
 group with its own translations; an S1 set is its own quotient, whose
 B0 the S4/S5 scan lists.
 
-Every per-group table (Aut(G) without 1 and -1, the inversion and its
-lift, the translation lifts and the fix0 tables that reduce an element
-of B(S) to the stabilizer of 0+) lives in one `GroupContext`, built once
-per group by `group_context`.
+Every per-group table (Aut(G), one of tau and -tau for each pair in it,
+the inversion and its lift, the translation lifts and the fix0 tables
+that reduce an element of B(S) to the stabilizer of 0+) lives in one
+`GroupContext`, built once per group by `group_context`.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class TriState(Enum):
 class GroupContext:
     """The tables every classification of sets in one group reads.
 
-    Aut(G) as permutation tables, for the census's orbit list and
-    |Hol(G)|; those tables without 1 and -1 for the S3' test; the
+    Aut(G) as permutation tables, for |Hol(G)|; one of tau and -tau for
+    each pair, for the census's orbit list and the S3' test; the
     inversion, the seed of an Aut_0 search on Cay(G, S), and its lift,
     the one seed of every B0 search on the cover of Cay(G, S); the
     translation lifts and the fix0 tables of the S4/S5 scan. The scan
@@ -132,10 +133,20 @@ class GroupContext:
         return as_perm([self.G.neg(v) for v in self.G.elements()])
 
     @cached_property
-    def s3prime_twists(self) -> tuple:
-        """Aut(G) without the identity and the inversion (one table at exponent two)."""
-        trivial = (identity_perm(self.G.order), self.inversion)
-        return tuple(tau for tau in self.automorphisms if tau not in trivial)
+    def twists(self) -> tuple:
+        """One of tau and -tau for each pair in Aut(G), the identity first.
+
+        For an inverse-closed S, (-tau)(S) = tau(-S) = tau(S), so the
+        other of each pair only repeats an image of S. At exponent two
+        -tau = tau, and this is all of Aut(G).
+        """
+        ident, neg = identity_perm(self.G.order), self.inversion
+        out, seen = [ident], {ident, neg}
+        for tau in self.automorphisms:
+            if tau not in seen:
+                out.append(tau)
+                seen.update((tau, pmul(tau, neg)))
+        return tuple(out)
 
     @cached_property
     def inversion_lift(self):
@@ -177,10 +188,8 @@ def group_context(G: AbelianGroup) -> GroupContext:
 # -- B(S) --------------------------------------------------------------------
 
 
-def b0_group(
-    G: AbelianGroup, S: ConnectionSet, cover: LabeledGraph | None = None
-) -> PermutationGroup:
-    """B0, the stabilizer of the vertex 0+ in B(S).
+def b0_group(S: ConnectionSet, cover: LabeledGraph | None = None) -> PermutationGroup:
+    """B0, the stabilizer of the vertex 0+ in B(S), for G = S.group.
 
     The lifted translations are cover automorphisms unchecked, since
     `cayley_graph` builds row i as S + i and `double_cover` lifts rows.
@@ -191,20 +200,21 @@ def b0_group(
     already built the double cover of Cay(G, S) passes it as `cover`.
     """
     if cover is None:
-        cover = double_cover(cayley_graph(G, S))
-    return _b0_search(cover, group_context(G).inversion_lift)
+        cover = double_cover(cayley_graph(S))
+    return _b0_search(cover, group_context(S.group).inversion_lift)
 
 
 def _b0_search(cover: LabeledGraph, iota) -> PermutationGroup:
     """The stabilizer of 0+ in the + block stabilizer of a double cover.
 
-    The cover is colored {0+}, the rest of +, and -; a map fixing 0+ and
-    the rest of + fixes the + block setwise. iota, the lifted inversion,
-    fixes 0+, is the search's only seed, and must lie in the result. It
-    is an automorphism respecting the colors (see the module docstring),
-    so it goes to the search unchecked.
+    The cover is colored 1 at 0+, 2 on the rest of + and 0 on -; a map
+    preserving the colors fixes 0+ and the + block setwise. iota, the
+    lifted inversion, fixes 0+, is the search's only seed, and must lie
+    in the result. It is an automorphism preserving the colors (see the
+    module docstring), so it goes to the search unchecked.
     """
-    B0 = automorphism_group(cover, [[0], list(range(1, cover.n // 2))], seeds=[iota])
+    half = cover.n // 2
+    B0 = automorphism_group(cover, [1] + [2] * (half - 1) + [0] * half, seeds=[iota])
     if not B0.contains(iota):
         raise DomainError("inversion missing from the point stabilizer")
     return B0
@@ -321,12 +331,8 @@ class StabilityRecord:
 # -- the classification pipeline ---------------------------------------------
 
 
-def classify(
-    G: AbelianGroup,
-    S: ConnectionSet,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> StabilityRecord:
-    """Classify one connection set; caps yield indeterminate fields, not errors.
+def classify(S: ConnectionSet, enum_cap: int = DEFAULT_ENUM_CAP) -> StabilityRecord:
+    """Classify one connection set of G = S.group; caps yield indeterminate fields.
 
     One BFS (`component_of`) gives H = <S>, the component of 0, and
     whether it is bipartite. The translations are automorphisms of
@@ -344,8 +350,9 @@ def classify(
     """
     if enum_cap < 0:
         raise DomainError("enumeration cap must be non-negative")
+    G = S.group
     n = G.order
-    gam = cayley_graph(G, S)
+    gam = cayley_graph(S)
     rows = gam.rows
     component, bipartite = component_of(gam)
     twins = [t for t in bit_indices(component) if rows[t] == rows[0]]
@@ -353,7 +360,7 @@ def classify(
     twin_free = rows.count(rows[0]) == 1
 
     aut_order, cover_aut_order, b_order, b0_elems = factored_orders(
-        G, S, gam, component, twins, bipartite, enum_cap
+        S, gam, component, twins, bipartite, enum_cap
     )
     facts = (S, aut_order, cover_aut_order, b_order, connected, bipartite, twin_free)
     first = StabilityRecord(*facts, False, TriState.NO, TriState.NO)
@@ -367,10 +374,10 @@ def classify(
 
 
 def factored_orders(
-    G: AbelianGroup, S: ConnectionSet, gam: LabeledGraph, component: int,
-    twins: list[int], bipartite: bool, enum_cap: int = DEFAULT_ENUM_CAP,
+    S: ConnectionSet, gam: LabeledGraph, component: int, twins: list[int],
+    bipartite: bool, enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple:
-    """(|Aut|, |Aut of cover|, |B|, B0's elements) for gam = Cay(G, S).
+    """(|Aut|, |Aut of cover|, |B|, B0's elements) for gam = Cay(G, S), G = S.group.
 
     component is the vertex mask of H = <S>, twins lists T (below), and
     bipartite says whether gam is, all from `classify`'s structure pass.
@@ -439,6 +446,7 @@ def factored_orders(
     Aut_0 is searched. For an S1 set the listing is that of its own B0,
     the input of the S4/S5 scan.
     """
+    G = S.group
     n = G.order
     members = bit_indices(component)
     m = n // len(members)
@@ -460,7 +468,7 @@ def factored_orders(
         q = len(reps)
         f = math.factorial(len(twins)) ** q
         # row g is S + g, inside H for g in H, so pos maps all of it
-        quot = LabeledGraph(q, tuple(map_mask(gam.rows[g], pos) for g in reps))
+        quot = LabeledGraph(tuple(map_mask(gam.rows[g], pos) for g in reps))
         iota = as_perm([pos[G.neg(g)] for g in reps])
         cover_iota = cover_lift(iota)
     fm = math.factorial(m)
@@ -470,7 +478,7 @@ def factored_orders(
         if q * B0.order <= enum_cap:
             b0_elems = B0.elements(enum_cap)
     if b0_elems is None:
-        aut0 = automorphism_group(quot, [[0]], seeds=[iota]).order
+        aut0 = automorphism_group(quot, [1] + [0] * (q - 1), seeds=[iota]).order
     else:
         aut0 = _diagonal_count(b0_elems, q)
     a_h = f * q * aut0
@@ -493,7 +501,8 @@ def s3prime_membership(G: AbelianGroup, gam: LabeledGraph, twin_free: bool) -> b
         return True
     rows = set(gam.rows)
     mask = gam.rows[0]
-    return any(map_mask(mask, tau) in rows for tau in group_context(G).s3prime_twists)
+    # twists[0] is the identity, and the inversion is its pair
+    return any(map_mask(mask, tau) in rows for tau in group_context(G).twists[1:])
 
 
 # -- S4 / S5 -----------------------------------------------------------------

@@ -187,19 +187,19 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
     for G in all_abelian_groups(max_order):
         n = G.order
         vertices = (1 << n) - 1
-        plus_points = [[v] for v in range(n)]
+        plus_apart = list(range(1, n + 1)) + [0] * n
         for pair in complement_pairs(G):
             b_order = None
             for mask in pair:
                 S = ConnectionSet(G, mask)
-                gam = cayley_graph(G, S)
+                gam = cayley_graph(S)
                 cover = double_cover(gam)
                 tag = f"{G.spec()} 0x{mask:x}"
                 component, bipartite = component_of(gam)
                 if component == vertices and not bipartite:
                     cases += 1
                     if b_order is None:
-                        b_order = n * b0_group(G, S, cover).order
+                        b_order = n * b0_group(S, cover).order
                     full = automorphism_group(cover)
                     if component_of(cover)[0] != (1 << 2 * n) - 1:
                         failures.append(f"{tag}: cover disconnected")
@@ -207,7 +207,7 @@ def check_cover_decomposition(max_order: int = 10) -> CheckResult:
                         failures.append(f"{tag}: |Aut(D)|={full.order}, 2|B|={2 * b_order}")
                 if gam.rows.count(gam.rows[0]) == 1:
                     cases += 1
-                    if automorphism_group(cover, fixed_blocks=plus_points).order != 1:
+                    if automorphism_group(cover, plus_apart).order != 1:
                         failures.append(f"{tag}: non-identity element acts trivially on +")
     return CheckResult("cover-block-stabilizer", cases, tuple(failures))
 
@@ -236,7 +236,7 @@ def check_bicoset_model(max_order: int = 8) -> CheckResult:
         for masks in complement_pairs(G):
             pair = [ConnectionSet(G, mask) for mask in masks]
             tags = [f"{G.spec()} 0x{S.mask:x}" for S in pair]
-            B0, B0c = (b0_group(G, S) for S in pair)
+            B0, B0c = map(b0_group, pair)
             if B0.order != B0c.order or not all(map(B0c.contains, B0.generators)):
                 failures.append(f"{tags[0]}: B0 differs from that of {tags[1]}")
                 continue
@@ -253,7 +253,7 @@ def check_bicoset_model(max_order: int = 8) -> CheckResult:
                 continue
             for S, tag in zip(pair, tags):
                 try:
-                    if not verify_bicoset_isomorphism(G, S, frame):
+                    if not verify_bicoset_isomorphism(S, frame):
                         failures.append(tag)
                 except DomainError as e:
                     failures.append(f"{tag}: {e}")
@@ -277,7 +277,7 @@ def check_hierarchy(max_order: int = 10) -> CheckResult:
             continue
         for mask in inverse_closed_masks(G):
             cases += 1
-            rec = classify(G, ConnectionSet(G, mask))
+            rec = classify(ConnectionSet(G, mask))
             try:
                 check_record(rec)
             except StabcoverError as e:

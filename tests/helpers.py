@@ -107,7 +107,7 @@ def reference_group(degree: int, generators) -> PermutationGroup:
     return PermutationGroup(degree, *schreier_sims(degree, generators))
 
 
-def b_group(G: AbelianGroup, S: ConnectionSet, cover=None) -> PermutationGroup:
+def b_group(S: ConnectionSet, cover=None) -> PermutationGroup:
     """B(S), the + block stabilizer of the cover, searched whole.
 
     The cover is colored by block and searched from no seed. The package
@@ -116,8 +116,9 @@ def b_group(G: AbelianGroup, S: ConnectionSet, cover=None) -> PermutationGroup:
     `cover`.
     """
     if cover is None:
-        cover = double_cover(cayley_graph(G, S))
-    return automorphism_group(cover, fixed_blocks=[list(range(G.order))])
+        cover = double_cover(cayley_graph(S))
+    n = S.group.order
+    return automorphism_group(cover, [1] * n + [0] * n)
 
 
 def brute_automorphisms(G: AbelianGroup) -> list:

@@ -42,7 +42,7 @@ def _random_graph(rng, n, p=0.5, loops=False):
             if rng.random() < p:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return LabeledGraph(n, tuple(rows))
+    return LabeledGraph(tuple(rows))
 
 
 def _brute_automorphisms(g):
@@ -74,15 +74,14 @@ def test_all_graphs_up_to_four_vertices():
                         rows[u] |= 1 << v
                         rows[v] |= 1 << u
                     k += 1
-            g = LabeledGraph(n, tuple(rows))
+            g = LabeledGraph(tuple(rows))
             brute = _brute_automorphisms(g)
             _assert_is_brute(automorphism_group(g), brute)
             _assert_is_brute(_leaf_only_group(g), brute)
             # and with the first two vertices colored apart from the rest
             if n > 2:
-                block = [0, 1]
                 kept = [p for p in brute if {p[0], p[1]} == {0, 1}]
-                _assert_is_brute(automorphism_group(g, fixed_blocks=[block]), kept)
+                _assert_is_brute(automorphism_group(g, [1, 1] + [0] * (n - 2)), kept)
 
 
 def test_random_graphs_with_loops():
@@ -97,12 +96,10 @@ def test_random_graphs_with_loops():
 
 def test_known_orders():
     n = 7
-    cyc = LabeledGraph(
-        n, tuple((1 << ((v + 1) % n)) | (1 << ((v - 1) % n)) for v in range(n))
-    )
+    cyc = LabeledGraph(tuple((1 << ((v + 1) % n)) | (1 << ((v - 1) % n)) for v in range(n)))
     assert automorphism_group(cyc).order == 2 * n
     full = (1 << n) - 1
-    kn = LabeledGraph(n, tuple(full & ~(1 << v) for v in range(n)))
+    kn = LabeledGraph(tuple(full & ~(1 << v) for v in range(n)))
     assert automorphism_group(kn).order == math.factorial(n)
 
 
@@ -115,7 +112,7 @@ def test_petersen_graph():
     for u, v in edges:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    g = LabeledGraph(10, tuple(rows))
+    g = LabeledGraph(tuple(rows))
     assert automorphism_group(g).order == 120
 
 
@@ -134,19 +131,38 @@ def test_fixed_blocks_stabilizer():
     for g, size in cases:
         n = g.n
         block = list(range(size))
-        A = automorphism_group(g, fixed_blocks=[block])
+        colors = [1 if v in block else 0 for v in range(n)]
+        A = automorphism_group(g, colors)
         brute = [
             p for p in _brute_automorphisms(g) if {p[v] for v in block} == set(block)
         ]
         _assert_is_brute(A, brute)
-        colors = [1 if v in block else 0 for v in range(n)]
         _assert_is_brute(_leaf_only_group(g, colors), brute)
 
 
-def test_fixed_blocks_overlap_rejected():
-    g = LabeledGraph(3, (0, 0, 0))
-    with pytest.raises(DomainError):
-        automorphism_group(g, fixed_blocks=[[0, 1], [1, 2]])
+def test_coloring_of_the_wrong_length_rejected():
+    g = LabeledGraph((0, 0, 0))
+    for colors in ([0, 1], [0, 1, 2, 0]):
+        with pytest.raises(DomainError):
+            automorphism_group(g, colors)
+
+
+def test_random_colorings_match_brute_force():
+    # three or more color classes with unordered, gapped values, which a
+    # list of fixed blocks could not express; the group is every
+    # automorphism keeping each vertex's color
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        g = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]), loops=True)
+        values = rng.sample([-4, 9, 2, 30, -1], rng.randint(3, min(5, n)))
+        colors = values + [rng.choice(values) for _ in range(n - len(values))]
+        rng.shuffle(colors)
+        brute = [
+            p for p in _brute_automorphisms(g) if all(colors[p[v]] == colors[v] for v in range(n))
+        ]
+        _assert_is_brute(automorphism_group(g, colors), brute)
+        _assert_is_brute(_leaf_only_group(g, colors), brute)
 
 
 def _with_twin(rng, g):
@@ -164,7 +180,7 @@ def _with_twin(rng, g):
     if rng.random() < 0.5:
         rows[u] |= 1 << n
         rows[n] |= 1 << u
-    return LabeledGraph(n + 1, tuple(rows)), u
+    return LabeledGraph(tuple(rows)), u
 
 
 def test_preserves_against_relabeling():
@@ -221,7 +237,7 @@ def test_preserves_against_relabeling():
     large = Counter()
     for n in (130, 131):
         G = make_group([n])
-        cover = double_cover(cayley_graph(G, ConnectionSet(G, (1 << 1) | (1 << (n - 1)))))
+        cover = double_cover(cayley_graph(ConnectionSet(G, (1 << 1) | (1 << (n - 1)))))
         twinned, u = _with_twin(rng, cover)
         for g, twin in ((cover, None), (twinned, u)):
             m = g.n
@@ -294,7 +310,7 @@ def test_canonical_relabeling_witness():
 
 def test_vertex_cap():
     n = DEFAULT_VERTEX_CAP + 1
-    g = LabeledGraph(n, tuple([0] * n))
+    g = LabeledGraph(tuple([0] * n))
     with pytest.raises(CapExceededError):
         automorphism_group(g)
 
@@ -320,8 +336,8 @@ def _assert_matches_schreier_sims(A, elements_up_to=2_000):
 
 
 def _search_groups(G, S):
-    gam = cayley_graph(G, S)
-    return b_group(G, S), automorphism_group(gam), automorphism_group(double_cover(gam))
+    gam = cayley_graph(S)
+    return b_group(S), automorphism_group(gam), automorphism_group(double_cover(gam))
 
 
 def test_first_path_chain_matches_schreier_sims():
@@ -355,13 +371,13 @@ def test_plus_pointwise_stabilizer_matches_enumeration():
         n = G.order
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
-            B = b_group(G, S)
+            B = b_group(S)
             if B.order > 20_000:
                 continue
             plus_ident = bytes(range(n))
             expected = sum(1 for p in B.elements() if p[:n] == plus_ident)
-            cover = double_cover(cayley_graph(G, S))
-            found = automorphism_group(cover, fixed_blocks=[[v] for v in range(n)])
+            cover = double_cover(cayley_graph(S))
+            found = automorphism_group(cover, list(range(1, n + 1)) + [0] * n)
             assert found.order == expected
             nontrivial += expected > 1
     assert nontrivial > 0
@@ -477,17 +493,12 @@ def test_node_confirmation_matches_leaf_only_search():
     for G in all_abelian_groups(8):
         n = G.order
         for mask in inverse_closed_masks(G):
-            gam = cayley_graph(G, ConnectionSet(G, mask))
+            gam = cayley_graph(ConnectionSet(G, mask))
             cover = double_cover(gam)
             _assert_same_group(automorphism_group(gam), _leaf_only_group(gam))
-            for blocks in ([list(range(n))], [[0], list(range(1, n))]):
-                colors = [0] * (2 * n)
-                for i, block in enumerate(blocks, start=1):
-                    for v in block:
-                        colors[v] = i
+            for colors in ([1] * n + [0] * n, [1] + [2] * (n - 1) + [0] * n):
                 _assert_same_group(
-                    automorphism_group(cover, fixed_blocks=blocks),
-                    _leaf_only_group(cover, colors),
+                    automorphism_group(cover, colors), _leaf_only_group(cover, colors)
                 )
 
 
@@ -496,7 +507,7 @@ def _disjoint_union(graphs):
     for g in graphs:
         rows += [row << offset for row in g.rows]
         offset += g.n
-    return LabeledGraph(offset, tuple(rows))
+    return LabeledGraph(tuple(rows))
 
 
 def test_canonical_form_matches_leaf_only_search():
@@ -506,7 +517,7 @@ def test_canonical_form_matches_leaf_only_search():
     # every Cayley graph of order at most 10 and its cover
     for G in all_abelian_groups(10):
         for mask in inverse_closed_masks(G):
-            gam = cayley_graph(G, ConnectionSet(G, mask))
+            gam = cayley_graph(ConnectionSet(G, mask))
             for g in (gam, double_cover(gam)):
                 assert canonical_form(g).bytes == _leaf_only_canonical_bytes(g), (
                     G.spec(), hex(mask), g.n
@@ -519,7 +530,7 @@ def test_canonical_form_matches_leaf_only_search():
     # caught here and not above)
     rng = random.Random(3)
     small = [
-        cayley_graph(G, ConnectionSet(G, mask))
+        cayley_graph(ConnectionSet(G, mask))
         for G in all_abelian_groups(6)
         for mask in inverse_closed_masks(G)
     ]
@@ -576,19 +587,12 @@ def test_node_confirmation_on_shrikhande_graphs(monkeypatch):
     G = make_group([4, 4])
     n = G.order
     for mask in SHRIKHANDE_SETS:
-        gam = cayley_graph(G, ConnectionSet(G, mask))
+        gam = cayley_graph(ConnectionSet(G, mask))
         cover = double_cover(gam)
         _assert_same_group(automorphism_group(gam), _leaf_only_group(gam))
         _assert_same_group(automorphism_group(cover), _leaf_only_group(cover))
-        for blocks in ([list(range(n))], [[0], list(range(1, n))]):
-            colors = [0] * (2 * n)
-            for i, block in enumerate(blocks, start=1):
-                for v in block:
-                    colors[v] = i
-            _assert_same_group(
-                automorphism_group(cover, fixed_blocks=blocks),
-                _leaf_only_group(cover, colors),
-            )
+        for colors in ([1] * n + [0] * n, [1] + [2] * (n - 1) + [0] * n):
+            _assert_same_group(automorphism_group(cover, colors), _leaf_only_group(cover, colors))
     # every candidate reaching the adjacency check mapped the prefix; some
     # were stopped at the prefix, and some by adjacency
     assert True in prefix_stops and False in results
@@ -605,7 +609,7 @@ def test_confirm_checks_adjacency_in_both_modes(canonical):
         for u, v in edges:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        search = _Search(LabeledGraph(4, tuple(rows)), [0] * 4, canonical=canonical)
+        search = _Search(LabeledGraph(tuple(rows)), [0] * 4, canonical=canonical)
         search.first_path = [0, 2]
         search.first_cells = [[0b11, 0b1100], [0b1, 0b10, 0b1100]]
         assert search._confirm([0b10, 0b1, 0b1100], [1]) == want, edges
@@ -627,11 +631,11 @@ def test_one_leaf_per_search_on_s1_covers(monkeypatch):
     nontrivial = ref_leaves = 0
     for orbit in hol_orbits(G):
         S = ConnectionSet(G, orbit[0])
-        gam = cayley_graph(G, S)
+        gam = cayley_graph(S)
         if not (is_connected(gam) and not is_bipartite(gam) and is_twin_free(gam)):
             continue
         leaves.append(0)
-        B0 = b0_group(G, S, double_cover(gam))
+        B0 = b0_group(S, double_cover(gam))
         nontrivial += B0.order > 2
         assert leaves[-1] == 1, hex(orbit[0])
         # the leaf-only search, colored as `b0_group` colors the cover
@@ -753,7 +757,7 @@ def test_refine_matches_oracle_on_cayley_graphs_and_covers():
     for G in all_abelian_groups(8):
         n = G.order
         for mask in inverse_closed_masks(G):
-            gam = cayley_graph(G, ConnectionSet(G, mask))
+            gam = cayley_graph(ConnectionSet(G, mask))
             individualized += _check_refine_tree(gam, [0] * n, rng)
             # the cover with its blocks colored apart, as `b_group` searches it
             individualized += _check_refine_tree(
@@ -778,5 +782,5 @@ def test_refine_matches_oracle_on_random_graphs_with_loops():
             rows[v] |= (1 << (v + d) % n) | (1 << (v - d) % n)
     for v in range(0, n, 6):
         rows[v] |= 1 << v
-    g = LabeledGraph(n, tuple(rows))
+    g = LabeledGraph(tuple(rows))
     assert _check_refine_tree(g, [0] * n, rng, individualize=3) == 1

@@ -155,7 +155,7 @@ def _per_set_oracle(G, **caps):
     """Plain `classify` on every set: records by mask and their tally."""
     records, counts = {}, {k: 0 for k in BUCKETS}
     for mask in inverse_closed_masks(G):
-        rec = classify(G, ConnectionSet(G, mask), **caps)
+        rec = classify(ConnectionSet(G, mask), **caps)
         check_record(rec)
         _tally(counts, rec)
         records[mask] = rec
@@ -169,9 +169,9 @@ def _counted_census(monkeypatch, G, seen=None, **kwargs):
     """
     calls = [] if seen is None else seen
 
-    def counted(*args, **kw):
-        calls.append(args[1].mask)
-        return classify(*args, **kw)
+    def counted(S, *args, **kw):
+        calls.append(S.mask)
+        return classify(S, *args, **kw)
 
     with monkeypatch.context() as m:
         m.setattr(census, "classify", counted)
@@ -335,8 +335,8 @@ def test_monte_carlo_memory_is_bounded_per_shard(monkeypatch):
             return SimpleNamespace(result=result)
 
     G = make_group([2, 10])
-    rec = classify(G, ConnectionSet(G, (1 << G.order) - 1))
-    monkeypatch.setattr(census, "classify", lambda G, S, enum_cap: rec)
+    rec = classify(ConnectionSet(G, (1 << G.order) - 1))
+    monkeypatch.setattr(census, "classify", lambda S, enum_cap: rec)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     tracemalloc.start()
     try:
@@ -385,7 +385,7 @@ def test_census_report_serialization(monkeypatch):
 
 def test_check_record_rejects_inconsistency():
     G = make_group([5])
-    rec = classify(G, ConnectionSet(G, 0b10010))
+    rec = classify(ConnectionSet(G, 0b10010))
     check_record(rec)
     # verdicts are derived from the facts, so break a fact: an S2 set
     # with a cover order that is not twice the minimal B, or with a
@@ -467,8 +467,8 @@ def _per_set_unlabeled(G):
     good_masks = set()
     for mask in inverse_closed_masks(G):
         S = ConnectionSet(G, mask)
-        rec = census.classify(G, S)
-        key = census.canonical_form(census.cayley_graph(G, S)).bytes
+        rec = census.classify(S)
+        key = census.canonical_form(census.cayley_graph(S)).bytes
         classes.setdefault(key, []).append(mask)
         if rec.cover_aut_order == 2 * target:
             good_masks.add(mask)
@@ -533,8 +533,8 @@ def test_unlabeled_census_merged_classes(monkeypatch, mixed):
     good, bad = [], []
     for orbit in hol_orbits(G):
         S = ConnectionSet(G, orbit[0])
-        key = census.canonical_form(cayley_graph(G, S)).bytes
-        is_good = classify(G, S).cover_aut_order == 2 * target
+        key = census.canonical_form(cayley_graph(S)).bytes
+        is_good = classify(S).cover_aut_order == 2 * target
         (good if is_good else bad).append(key)
     merge = {good[1] if not mixed else bad[0]: good[0]}
     real = census.canonical_form

@@ -465,14 +465,14 @@ def test_check_lemmas_reports_a_failed_bicoset_check(capsys, monkeypatch, pair):
     # fails with exit 1 and the report still has every check's line.
     real = verify.b0_group
     C4 = make_group([4])
-    B0 = real(C4, ConnectionSet(C4, 0b1010))
+    B0 = real(ConnectionSet(C4, 0b1010))
     swap = list(range(8))
     swap[5], swap[6] = 6, 5
     bad = PermutationGroup(8, B0.generators + [as_perm(swap)], B0._base)
     masks = (0b1010, 0b0101) if pair else (0b1010,)
 
-    def b0_group(G, S, cover=None):
-        return bad if G.spec() == "C4" and S.mask in masks else real(G, S, cover)
+    def b0_group(S, cover=None):
+        return bad if S.group.spec() == "C4" and S.mask in masks else real(S, cover)
 
     monkeypatch.setattr(verify, "b0_group", b0_group)
     code, out, err = run_cli(capsys, "check-lemmas", "--order-limit", "4")

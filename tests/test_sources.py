@@ -1,9 +1,12 @@
 """Static checks on the package sources."""
 
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import stabcover
+from stabcover.graphs import LabeledGraph
 
 
 def _package_trees():
@@ -138,6 +141,48 @@ def test_one_adjacency_form():
         if form in _names(tree)
     ]
     assert named == []
+
+
+def _group_and_set_takers(tree: ast.Module) -> list[str]:
+    """Functions with a parameter annotated `AbelianGroup` and one annotated `ConnectionSet`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            words = set()
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                if arg.annotation is not None:
+                    words |= set(re.findall(r"\w+", ast.unparse(arg.annotation)))
+            if {"AbelianGroup", "ConnectionSet"} <= words:
+                found.append(node.name)
+    return found
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    """`_names`, and every parameter and keyword argument name."""
+    args = {n.arg for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.keyword))}
+    return _names(tree) | (args - {None})
+
+
+def test_each_input_is_given_once():
+    # a connection set carries its group, a graph its vertex count and a
+    # search its one coloring: no package function takes a group beside a
+    # set, no module names `fixed_blocks`, and a graph is built from its
+    # rows alone
+    probe = ast.parse(
+        "def f(G: AbelianGroup, S: 'ConnectionSet | None' = None): pass\n"
+        "def g(G: AbelianGroup, n: int, S=None):\n"
+        "    def h(x, *, s: ConnectionSet, H: groups.AbelianGroup): pass\n"
+        "a(g, fixed_blocks=[])\n"
+    )
+    assert _group_and_set_takers(probe) == ["f", "h"]
+    assert "fixed_blocks" in _identifiers(probe)
+    assert "fixed_blocks" in _identifiers(ast.parse("def f(fixed_blocks): pass\n"))
+    trees = dict(_package_trees())
+    takers = [f"{name}: {f}" for name, tree in trees.items() for f in _group_and_set_takers(tree)]
+    assert takers == []
+    assert [name for name, tree in trees.items() if "fixed_blocks" in _identifiers(tree)] == []
+    assert [f.name for f in dataclasses.fields(LabeledGraph) if f.init] == ["rows"]
 
 
 def test_groups_take_a_base_and_searches_confirm_at_nodes():

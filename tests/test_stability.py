@@ -63,7 +63,7 @@ def _inversion(G):
 def test_b_group_pentagon():
     C5 = make_group([5])
     S = ConnectionSet(C5, 0b10010)
-    B = b_group(C5, S)
+    B = b_group(S)
     assert B.order == 10
     for t in group_context(C5).translation_lifts:
         assert B.contains(t)
@@ -82,17 +82,17 @@ def test_b_group_from_point_stabilizer():
         ctx = group_context(G)
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
-            cover = double_cover(cayley_graph(G, S))
+            cover = double_cover(cayley_graph(S))
             for t in (*ctx.translation_lifts, ctx.inversion_lift):
                 assert preserves(cover, t)
-            B0 = b0_group(G, S, cover)
+            B0 = b0_group(S, cover)
             if n * B0.order > 20_000:
                 continue
             b0_elems = B0.elements()
             assert all(x[0] == 0 for x in b0_elems)
             products = {pmul(x, r) for r in ctx.translation_lifts for x in b0_elems}
             assert len(products) == n * B0.order == n * len(set(b0_elems))
-            ref = reference_group(2 * n, b_group(G, S, cover).generators)
+            ref = reference_group(2 * n, b_group(S, cover).generators)
             assert products == set(ref.elements()), (G.spec(), hex(mask))
             checked += 1
     assert checked == 366  # of 426 sets; the other 60 have |B| > 20 000
@@ -100,7 +100,7 @@ def test_b_group_from_point_stabilizer():
 
 def test_classify_pentagon():
     C5 = make_group([5])
-    rec = classify(C5, ConnectionSet(C5, 0b10010))
+    rec = classify(ConnectionSet(C5, 0b10010))
     assert (rec.aut_order, rec.cover_aut_order, rec.b_order) == (10, 20, 10)
     assert rec.stable and rec.in_s1 and rec.in_s2
     assert rec.in_s3 is False
@@ -111,7 +111,7 @@ def test_classify_pentagon():
 def test_classify_complete_graph_k5():
     # K5 has B = Sym(5) acting diagonally: huge normalizer growth
     C5 = make_group([5])
-    rec = classify(C5, ConnectionSet(C5, 0b11110))
+    rec = classify(ConnectionSet(C5, 0b11110))
     assert rec.b_order == 120
     assert rec.aut_order == 120
     assert rec.cover_aut_order == 240
@@ -123,7 +123,7 @@ def test_classify_complete_graph_k5():
 
 def test_classify_bipartite_square():
     C4 = make_group([4])
-    rec = classify(C4, ConnectionSet(C4, 0b1010))
+    rec = classify(ConnectionSet(C4, 0b1010))
     assert rec.bipartite and not rec.stable and rec.trivially_unstable
     assert "bipartite-with-nontrivial-aut" in rec.trivial_instability_reasons
     assert "twins" in rec.trivial_instability_reasons
@@ -139,7 +139,7 @@ def _factored(G, S, gam, enum_cap=DEFAULT_ENUM_CAP):
     """`factored_orders`, with H = <S> from `close_subgroup` and T from translating S."""
     component = close_subgroup(G, bit_indices(S.mask))
     twins = [t for t in bit_indices(component) if G.translate_mask(S.mask, t) == S.mask]
-    return factored_orders(G, S, gam, component, twins, is_bipartite(gam), enum_cap)
+    return factored_orders(S, gam, component, twins, is_bipartite(gam), enum_cap)
 
 
 def test_factored_orders_against_search():
@@ -150,12 +150,12 @@ def test_factored_orders_against_search():
         G = make_group(facs)
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
-            gam = cayley_graph(G, S)
+            gam = cayley_graph(S)
             aut, cover_aut, b, _ = _factored(G, S, gam)
             assert aut == automorphism_group(gam).order, (G.spec(), hex(mask))
             full = automorphism_group(double_cover(gam))
             assert cover_aut == full.order, (G.spec(), hex(mask))
-            assert b == b_group(G, S).order, (G.spec(), hex(mask))
+            assert b == b_group(S).order, (G.spec(), hex(mask))
             if is_connected(gam) and not is_bipartite(gam):
                 kinds["s1" if is_twin_free(gam) else "twins"] += 1
     assert kinds == {"s1": 529, "twins": 94}
@@ -168,12 +168,12 @@ def test_factored_orders_returns_b0_and_builds_no_quotient_for_s1(monkeypatch):
     # them, nor for any connected twin-free set
     built = []
     real = stability.LabeledGraph
-    monkeypatch.setattr(stability, "LabeledGraph", lambda n, rows: built.append(n) or real(n, rows))
+    monkeypatch.setattr(stability, "LabeledGraph", lambda rows: built.append(len(rows)) or real(rows))
     kinds = Counter()
     for G in all_abelian_groups(8):
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
-            gam = cayley_graph(G, S)
+            gam = cayley_graph(S)
             built.clear()
             *_, b0_elems = _factored(G, S, gam)
             tag = (G.spec(), hex(mask))
@@ -183,7 +183,7 @@ def test_factored_orders_returns_b0_and_builds_no_quotient_for_s1(monkeypatch):
             trivial = is_connected(gam) and is_twin_free(gam)
             assert len(built) == (0 if trivial else 1), tag
             if trivial and not bipartite:
-                want = b0_group(G, S)
+                want = b0_group(S)
                 # listed exactly when |B(S)| = n |B0| is within the cap
                 if G.order * want.order <= DEFAULT_ENUM_CAP:
                     assert set(b0_elems) == set(want.elements()), tag
@@ -198,31 +198,31 @@ def test_factored_orders_returns_b0_and_builds_no_quotient_for_s1(monkeypatch):
 def test_classify_seeds_are_proved_automorphisms(monkeypatch):
     # `classify` passes its seeds, the inversion of G or of a twin quotient
     # H/T and their cover lifts, to the search, which does not check them;
-    # each must be an automorphism of the searched graph that respects its
-    # blocks
+    # each must be an automorphism of the searched graph that preserves its
+    # colors
     searches = []
     real = stability.automorphism_group
 
-    def record(graph, fixed_blocks=None, *, seeds=()):
-        searches.append((G, graph, fixed_blocks, seeds))
-        return real(graph, fixed_blocks, seeds=seeds)
+    def record(graph, colors=None, *, seeds=()):
+        searches.append((G, graph, colors, seeds))
+        return real(graph, colors, seeds=seeds)
 
     monkeypatch.setattr(stability, "automorphism_group", record)
     sets = 0
     for G in all_abelian_groups(12):
         for mask in inverse_closed_masks(G):
-            stability.classify(G, ConnectionSet(G, mask))
+            stability.classify(ConnectionSet(G, mask))
             sets += 1
     assert (sets, len(searches)) == (1002, 1055)
     quotients = Counter()
-    for G, graph, fixed_blocks, seeds in searches:
+    for G, graph, colors, seeds in searches:
         (s,) = seeds
         assert len(s) == graph.n and preserves(graph, s), (G.spec(), graph.n)
-        assert all({s[v] for v in block} == set(block) for block in fixed_blocks)
+        assert all(colors[s[v]] == colors[v] for v in range(graph.n))
         if graph.n not in (G.order, 2 * G.order):
-            quotients[len(fixed_blocks)] += 1
-    # proper twin quotients are searched both as Aut_0 (one block, the
-    # point) and as B0 (the point and the rest of the + block)
+            quotients[max(colors)] += 1
+    # proper twin quotients are searched both as Aut_0 (the point colored
+    # 1) and as B0 (the point 1 and the rest of the + block 2)
     assert quotients[1] and quotients[2]
 
 
@@ -306,12 +306,12 @@ def test_families_against_lattice_oracle(facs):
     outside_s1 = 0
     for mask in inverse_closed_masks(G):
         S = ConnectionSet(G, mask)
-        gam = cayley_graph(G, S)
+        gam = cayley_graph(S)
         if not (is_connected(gam) and not is_bipartite(gam)):
             continue
-        rec = classify(G, S)
+        rec = classify(S)
         if rec.in_s1:
-            B = b_group(G, S)
+            B = b_group(S)
             if B.order > 300:
                 continue
             exp3, exp4, exp5 = _oracle_families(G, B)
@@ -335,7 +335,7 @@ def test_normalizer_order_identity():
         r_set = _cover_translations(G)
         hol = holomorph(G)
         for mask in inverse_closed_masks(G):
-            B = b_group(G, ConnectionSet(G, mask))
+            B = b_group(ConnectionSet(G, mask))
             if B.order > 20_000:
                 continue
             normalizer = len(_normalizer_in(B.elements(20_000), r_set))
@@ -354,7 +354,7 @@ def test_s3prime_from_rows_against_holomorph():
         hol = [a for a in holomorph(G) if a not in trivial]
         for mask in inverse_closed_masks(G):
             want = any(map_mask(mask, a) == mask for a in hol)
-            gam = cayley_graph(G, ConnectionSet(G, mask))
+            gam = cayley_graph(ConnectionSet(G, mask))
             twin_free = is_twin_free(gam)
             assert stability.s3prime_membership(G, gam, twin_free) == want, (G.spec(), hex(mask))
             checked[want, twin_free] += 1
@@ -381,9 +381,9 @@ def test_s2_sets_skip_the_s3prime_scan(monkeypatch):
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
             scanned.clear()
-            rec = classify(G, S)
+            rec = classify(S)
             assert scanned == ([] if rec.in_s2 else [mask]), (G.spec(), hex(mask))
-            gam = cayley_graph(G, S)
+            gam = cayley_graph(S)
             want = real(G, gam, is_twin_free(gam))
             assert rec.in_s3prime == want, (G.spec(), hex(mask))
             s2 += rec.in_s2
@@ -399,7 +399,7 @@ def test_complement_shares_the_classification():
     seen = Counter()
     for G in all_abelian_groups(12):
         full = (1 << G.order) - 1
-        recs = {mask: classify(G, ConnectionSet(G, mask)) for mask in inverse_closed_masks(G)}
+        recs = {mask: classify(ConnectionSet(G, mask)) for mask in inverse_closed_masks(G)}
         for mask, rec in recs.items():
             other = recs[full ^ mask]
             assert (rec.aut_order, rec.in_s3prime, rec.twin_free) == (
@@ -410,7 +410,7 @@ def test_complement_shares_the_classification():
                 seen["s1"] += 1
             if G.order > 8 or mask > full ^ mask:
                 continue
-            B0, C0 = b0_group(G, rec.set), b0_group(G, other.set)
+            B0, C0 = b0_group(rec.set), b0_group(other.set)
             if B0.order <= 5_000:
                 assert set(B0.elements()) == set(C0.elements()), (G.spec(), hex(mask))
                 seen["b0 elements"] += 1
@@ -493,10 +493,10 @@ def test_s4_s5_matches_element_closure_scan(monkeypatch):
         fix0_tables = group_context(G).fix0_tables
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
-            gam = cayley_graph(G, S)
+            gam = cayley_graph(S)
             if not (is_connected(gam) and not is_bipartite(gam) and is_twin_free(gam)):
                 continue
-            B = b_group(G, S)
+            B = b_group(S)
             if B.order > 20_000:
                 continue
             want = _element_closure_scan(G, B)
@@ -514,7 +514,7 @@ def test_s4_s5_matches_element_closure_scan(monkeypatch):
             diagonal = stability._diagonal_count
             assert diagonal(elems, n) == n * diagonal(stab0, n)
             # the scan lists the searched B0, which is that stabilizer
-            B0 = b0_group(G, S)
+            B0 = b0_group(S)
             b0_elems = B0.elements()
             assert set(b0_elems) == set(stab0)
             for context, es in (
@@ -545,7 +545,7 @@ def test_diagonal_count_on_both_representations():
     for G in all_abelian_groups(8):
         n = G.order
         for mask in inverse_closed_masks(G):
-            B = b_group(G, ConnectionSet(G, mask))
+            B = b_group(ConnectionSet(G, mask))
             if B.order > 20_000:
                 continue
             elems = B.elements()
@@ -568,11 +568,11 @@ def test_s4_s5_tuple_degree(n, elements, b_order, verdict):
     # more than 256 cover vertices: permutations are tuples, not bytes
     G = make_group([n])
     S = connection_set(G, elements)
-    B = b_group(G, S)
+    B = b_group(S)
     assert B.order == b_order
     elems = B.elements()
     assert isinstance(elems[0], tuple)
-    B0 = b0_group(G, S)
+    B0 = b0_group(S)
     got = s4_s5_membership(G, G.order * B0.order, B0.elements())
     assert got == _element_closure_scan(G, B) == verdict
     assert stability._diagonal_count(elems, n) == _brute_diagonal_count(elems, n)
@@ -585,7 +585,7 @@ def test_record_takes_ten_facts_and_derives_its_verdicts():
         "bipartite", "twin_free", "in_s3prime", "in_s4", "in_s5",
     ]
     C5 = make_group([5])
-    rec = classify(C5, ConnectionSet(C5, 0b10010))
+    rec = classify(ConnectionSet(C5, 0b10010))
     assert rec.stable and rec.in_s1 and rec.in_s2 and not rec.trivially_unstable
     with pytest.raises(ValueError):
         replace(rec, in_s1=False)
@@ -596,7 +596,7 @@ def test_record_takes_ten_facts_and_derives_its_verdicts():
 
 def test_classify_indeterminate_on_tiny_enum_cap():
     C5 = make_group([5])
-    rec = classify(C5, ConnectionSet(C5, 0b11110), enum_cap=10)
+    rec = classify(ConnectionSet(C5, 0b11110), enum_cap=10)
     # S3 needs no enumeration of B(S); only the S4/S5 scan is capped
     assert rec.in_s3 is True
     assert rec.in_s4 == rec.in_s5 == TriState.INDETERMINATE
@@ -604,9 +604,9 @@ def test_classify_indeterminate_on_tiny_enum_cap():
     # orders are still exact: they come from the stabilizer chain
     assert rec.b_order == 120
     # the cap is on |B| = 120, not on the |B0| = 24 elements listed
-    assert b0_group(C5, ConnectionSet(C5, 0b11110)).order == 24
-    assert classify(C5, ConnectionSet(C5, 0b11110), enum_cap=119).indeterminate
-    assert not classify(C5, ConnectionSet(C5, 0b11110), enum_cap=120).indeterminate
+    assert b0_group(ConnectionSet(C5, 0b11110)).order == 24
+    assert classify(ConnectionSet(C5, 0b11110), enum_cap=119).indeterminate
+    assert not classify(ConnectionSet(C5, 0b11110), enum_cap=120).indeterminate
 
 
 def test_aut_order_over_the_enumeration_cap(monkeypatch):
@@ -625,15 +625,15 @@ def test_aut_order_over_the_enumeration_cap(monkeypatch):
         for mask in inverse_closed_masks(G):
             S = ConnectionSet(G, mask)
             counted.clear()
-            rec = classify(G, S)
+            rec = classify(S)
             if rec.bipartite:
                 continue
             kinds["s1" if rec.in_s1 else "other"] += 1
             kinds["diagonal"] += len(counted)
-            want = automorphism_group(cayley_graph(G, S)).order
+            want = automorphism_group(cayley_graph(S)).order
             assert rec.aut_order == want, (G.spec(), hex(mask))
             counted.clear()
-            assert classify(G, S, enum_cap=0).aut_order == want, (G.spec(), hex(mask))
+            assert classify(S, enum_cap=0).aut_order == want, (G.spec(), hex(mask))
             assert counted == [], (G.spec(), hex(mask))
     # at the default cap the diagonal count serves 418 of the 438 sets
     assert kinds == {"s1": 279, "other": 159, "diagonal": 418}
