@@ -5,9 +5,12 @@ Cells are vertex bit-vectors; refinement splits cells by the count of
 neighbours inside each splitter cell until the partition is equitable.
 It follows Hopcroft's rule: a processed cell's counts were uniform, so the
 counts into its largest part follow from those into its other parts, and
-a cell split after processing requeues every part but one largest. Counts
+a cell split after processing requeues every part but one largest. A
+one-vertex splitter splits every cell in one pass, by its row; counts
 into a multi-vertex splitter are bit-sliced, added row by row into
-counter planes. The resulting cells are the coarsest equitable refinement
+counter planes. Refinement stops once no cell can split: at n cells, or,
+at the root of a search whose one seed s is an involution, at the number
+of <s>-orbits. The resulting cells are the coarsest equitable refinement
 of the input, in an order read from cells and counts alone, so labels
 never steer the search (see `_refine`).
 Both searches confirm automorphisms at the node where they show (as
@@ -60,12 +63,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import eq, ne
 
 from .errors import CapExceededError, DomainError
 from .graphs import LabeledGraph
 from .groups import bit_indices, map_mask
-from .perms import PermutationGroup, as_perm, identity_perm
+from .perms import PermutationGroup, as_perm, identity_perm, pmul
 
 DEFAULT_VERTEX_CAP = 2000
 
@@ -83,7 +86,9 @@ class CanonicalForm:
     relabeling: tuple
 
 
-def _refine(rows, cells: list[int], splitters: list[int] | None = None) -> list[int]:
+def _refine(
+    rows, cells: list[int], splitters: list[int] | None = None, stop: int | None = None
+) -> list[int]:
     """Split cells by neighbour counts into splitter cells until equitable.
 
     Each cell that splits is replaced in place by its parts, in increasing
@@ -104,49 +109,79 @@ def _refine(rows, cells: list[int], splitters: list[int] | None = None) -> list[
     cell order, is read from the ordered cells and the counts alone, never
     from vertex labels, so relabeling the input relabels the output.
 
-    A multi-vertex splitter's counts are bit-sliced: the rows of its
-    vertices are summed into counter planes by a ripple-carry adder, and
-    cells are split plane by plane, most significant first; a one-vertex
-    splitter has its row as the one plane. Cells meeting no row are
-    skipped. Explicit splitters restore equitability after individualizing
-    v in an equitable partition: the counts into v's old cell were uniform,
-    so pushing [1 << v] alone suffices.
+    A one-vertex splitter splits each cell in one pass, into the cell's
+    vertices off its row and those on it; a singleton never splits, as
+    its part on the row is empty or all of it. A multi-vertex splitter's
+    counts are bit-sliced: the rows of its vertices are summed into
+    counter planes by a ripple-carry adder, and cells meeting some row are
+    split plane by plane, most significant first. Explicit splitters
+    restore equitability after individualizing v in an equitable
+    partition: the counts into v's old cell were uniform, so pushing
+    [1 << v] alone suffices.
 
-    The loop stops early once every cell is a singleton: a discrete
-    partition has no cell to split, so the remaining splitters would
-    change nothing.
+    The loop stops early once there are `stop` cells, n by default: a
+    discrete partition has no cell to split, so the remaining splitters
+    would change nothing. The root refinement of a search whose one seed
+    is an involution s stops at the number of <s>-orbits, (n + f) / 2 for
+    f fixed points of s (`_root_stop`). s is a proved automorphism
+    preserving the colors, so each initial cell (color, loop, degree) is
+    s-invariant, and a split of an s-invariant cell by the counts into an
+    s-invariant splitter gives s-invariant parts, as v and s(v) have the
+    same count. So every cell, and so every splitter, is a union of
+    orbits throughout. Once the cells are as many as the orbits, each
+    cell is one orbit, and no s-invariant splitter splits an orbit; so the
+    cells are the full refinement, in the same order.
     """
     cells = list(cells)
     stack = list(cells) if splitters is None else list(splitters)
     pending = set(stack)
-    while stack and len(cells) < len(rows):
+    if stop is None:
+        stop = len(rows)
+    while stack and len(cells) < stop:
         s = stack.pop()
         if s not in pending:
             continue  # split after it was pushed: its parts are pending
         pending.discard(s)
         if s & (s - 1) == 0:
-            # one-vertex splitter: the one count plane is that vertex's row
-            planes = [rows[s.bit_length() - 1]]
-            touched = planes[0]
-        else:
-            # bit-sliced neighbour counts: bit v of planes[k] is bit k of
-            # |N(v) & s|, summed row by row with a ripple-carry adder
-            planes = []
-            touched = 0
-            m = s
-            while m:
-                low = m & -m
-                carry = rows[low.bit_length() - 1]
-                m ^= low
-                touched |= carry
-                for k, plane in enumerate(planes):
-                    planes[k] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
+            # one-vertex splitter: each cell splits into cell ^ one, off
+            # the row, then one, on it
+            row = rows[s.bit_length() - 1]
+            ones = [
+                (i, one) for i, cell in enumerate(cells) if (one := cell & row) and one != cell
+            ]
+            for i, one in ones:
+                cell = cells[i]
+                rest = cell ^ one
+                if cell in pending:
+                    pending.discard(cell)
+                    stack += (rest, one)
+                    pending.update((rest, one))
                 else:
-                    planes.append(carry)
-            planes.reverse()
+                    # push the smaller part, the one part on a tie
+                    small = one if one.bit_count() <= rest.bit_count() else rest
+                    stack.append(small)
+                    pending.add(small)
+            for i, one in reversed(ones):
+                cells[i:i + 1] = (cells[i] ^ one, one)
+            continue
+        # bit-sliced neighbour counts: bit v of planes[k] is bit k of
+        # |N(v) & s|, summed row by row with a ripple-carry adder
+        planes = []
+        touched = 0
+        m = s
+        while m:
+            low = m & -m
+            carry = rows[low.bit_length() - 1]
+            m ^= low
+            touched |= carry
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        planes.reverse()
         splits = []
         for i, cell in enumerate(cells):
             if not cell & touched or cell & (cell - 1) == 0:
@@ -184,6 +219,19 @@ def _refine(rows, cells: list[int], splitters: list[int] | None = None) -> list[
     return cells
 
 
+def _root_stop(seeds, n: int) -> int:
+    """Cell count at which the root refinement is final (see `_refine`).
+
+    With one seed s that is an involution, the number of <s>-orbits,
+    (n + f) / 2 for f fixed points; with no seed or several, n.
+    """
+    if len(seeds) == 1:
+        (s,) = seeds
+        if pmul(s, s) == identity_perm(n):
+            return (n + sum(map(eq, s, range(n)))) // 2
+    return n
+
+
 class _Search:
     """One individualization-refinement traversal of a colored graph.
 
@@ -217,7 +265,7 @@ class _Search:
             self.first_path = []
             self.best = ((), p)
             return
-        self._node(_refine(self.rows, self.initial), [])
+        self._node(_refine(self.rows, self.initial, stop=_root_stop(self.gens, self.n)), [])
 
     def _add_gen(self, a):
         if a != identity_perm(self.n) and a not in self._gen_set:
@@ -263,15 +311,15 @@ class _Search:
         first = self.first_cells[len(prefix)]
         if len(first) != len(cells):
             return None
-        images = list(range(self.n))
+        moved = []
         for a, b in zip(first, cells):
-            if a & (a - 1):
-                if a != b:
+            if a != b:
+                if a & (a - 1) or b & (b - 1):
                     return None
-            elif b & (b - 1):
-                return None
-            else:
-                images[a.bit_length() - 1] = b.bit_length() - 1
+                moved.append((a, b))
+        images = list(range(self.n))
+        for a, b in moved:
+            images[a.bit_length() - 1] = b.bit_length() - 1
         if any(images[x] != y for x, y in zip(self.first_path, prefix)):
             return None
         g = as_perm(images)
@@ -300,6 +348,8 @@ class _Search:
         target = sizes.index(biggest)
         cell = cells[target]
         done = 0  # union of orbits already explored
+        usable = []  # the generators fixing the prefix, of self.gens[:seen]
+        seen = 0
         for v in bit_indices(cell):
             if (done >> v) & 1:
                 continue
@@ -312,24 +362,26 @@ class _Search:
             jump = self._node(refined, prefix + [v])
             if jump is not None and jump < depth:
                 return jump
-            done |= self._orbit_of(v, prefix)
+            usable += [g for g in self.gens[seen:] if all(g[p] == p for p in prefix)]
+            seen = len(self.gens)
+            done |= _orbit_of(v, usable)
         return None
 
-    def _orbit_of(self, v: int, prefix) -> int:
-        """Orbit of v under known generators fixing the individualized prefix."""
-        usable = [g for g in self.gens if all(g[p] == p for p in prefix)]
-        orbit = 1 << v
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in usable:
-                    y = g[x]
-                    if not (orbit >> y) & 1:
-                        orbit |= 1 << y
-                        nxt.append(y)
-            frontier = nxt
-        return orbit
+
+def _orbit_of(v: int, usable) -> int:
+    """Orbit of v under the generators usable, those fixing the prefix."""
+    orbit = 1 << v
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in usable:
+                y = g[x]
+                if not (orbit >> y) & 1:
+                    orbit |= 1 << y
+                    nxt.append(y)
+        frontier = nxt
+    return orbit
 
 
 def _check_cap(n: int):
@@ -347,7 +399,9 @@ def automorphism_group(graph: LabeledGraph, colors=None, *, seeds=()) -> Permuta
     classifier passes one, the inversion or its cover lift (see
     `stability`), and searches point stabilizers: a translation group
     regular on the point's block supplies the rest of the order, so no
-    translation is needed as a seed.
+    translation is needed as a seed. A single seed that is an involution
+    also bounds the root refinement, which stops at its number of orbits
+    (see `_refine`).
     """
     _check_cap(graph.n)
     if colors is None:

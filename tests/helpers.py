@@ -6,16 +6,25 @@ stabilizer B(S) by one search, Aut(G) by brute force, the subgroup
 generated by given elements, the subgroup lattice and the per-set census
 records. It also holds the sigma statistics on cosets of a subgroup with
 cyclic quotient and the Psi coincidence census, which the acceptance and
-stability tests check against the agreement-count bound.
+stability tests check against the agreement-count bound, and the
+fixed-seed sets of the oracles at orders 256 and 512.
 """
 
 import itertools
+import random
 from dataclasses import dataclass, replace
 
 from stabcover.autgrp import automorphism_group
 from stabcover.errors import DomainError
 from stabcover.graphs import ConnectionSet, cayley_graph, double_cover
-from stabcover.groups import AbelianGroup, inverse_closed_masks, negation_orbits
+from stabcover.groups import (
+    AbelianGroup,
+    inverse_closed_masks,
+    make_group,
+    map_mask,
+    mask_union,
+    negation_orbits,
+)
 from stabcover.perms import PermutationGroup, as_perm, identity_perm, pinv, pmul
 
 
@@ -119,6 +128,24 @@ def b_group(S: ConnectionSet, cover=None) -> PermutationGroup:
         cover = double_cover(cayley_graph(S))
     n = S.group.order
     return automorphism_group(cover, [1] * n + [0] * n)
+
+
+def cyclic_oracle_sets(r: int, seed: int) -> list[ConnectionSet]:
+    """Four fixed-seed sets of C_r, for r a power of two from 8 on.
+
+    Two uniform draws, as the Monte-Carlo census draws them; a sparse set
+    of four negation orbits without 0; and that set closed under
+    x -> (r/2 + 1) x, a unit of order two, so that its holomorph
+    stabilizer and its B0 exceed {1, -1}.
+    """
+    G = make_group([r])
+    orbits = negation_orbits(G)
+    rng = random.Random(seed)
+    uniform = [mask_union(orbits, rng.getrandbits(len(orbits))) for _ in range(2)]
+    sparse = mask_union(orbits, sum(1 << k for k in rng.sample(range(1, len(orbits)), 4)))
+    unit = r // 2 + 1
+    fixed = sparse | map_mask(sparse, [unit * x % r for x in range(r)])
+    return [ConnectionSet(G, m) for m in (*uniform, sparse, fixed)]
 
 
 def brute_automorphisms(G: AbelianGroup) -> list:

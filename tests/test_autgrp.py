@@ -8,11 +8,12 @@ from collections import Counter
 
 import pytest
 
-from helpers import b_group, has_edge, reference_group
+from helpers import b_group, cyclic_oracle_sets, has_edge, reference_group
 from stabcover import autgrp
 from stabcover.autgrp import (
     DEFAULT_VERTEX_CAP,
     _refine,
+    _root_stop,
     _Search,
     automorphism_group,
     canonical_form,
@@ -30,7 +31,7 @@ from stabcover.graphs import (
 )
 from stabcover.groups import all_abelian_groups, bit_indices, inverse_closed_masks, make_group
 from stabcover.perms import as_perm, identity_perm, pmul
-from stabcover.stability import b0_group
+from stabcover.stability import b0_group, group_context
 
 
 def _random_graph(rng, n, p=0.5, loops=False):
@@ -703,10 +704,20 @@ def _relabel_mask(mask, perm):
     return sum(1 << perm[v] for v in _members(mask))
 
 
-def _check_refine(g, cells, splitters, rng):
-    """`_refine` against the oracle on one input, and under a relabeling."""
+def _check_refine(g, cells, splitters, rng, seed=None):
+    """`_refine` against the oracle on one input, and under a relabeling.
+
+    With a seed, an involutive automorphism preserving the cells, the
+    refinement stopped at `_root_stop` must equal the full one list for
+    list, here and under the relabeling. Returns whether the full one
+    ends at the stop count with fewer than n cells, so the stop can cut it
+    short.
+    """
     rows = g.rows
     got = _refine(rows, list(cells), splitters)
+    stop = g.n if seed is None else _root_stop([seed], g.n)
+    if seed is not None:
+        assert _refine(rows, list(cells), splitters, stop) == got
     assert sorted(got) == sorted(_reference_refine(rows, list(cells), splitters))
     members = [_members(x) for x in got]
     for y in got:
@@ -721,12 +732,18 @@ def _check_refine(g, cells, splitters, rng):
         assert seq == sorted(seq)
     perm = rng.sample(range(g.n), g.n)
     h = g.relabel(as_perm(perm))
-    moved = _refine(
-        h.rows,
-        [_relabel_mask(c, perm) for c in cells],
-        None if splitters is None else [_relabel_mask(s, perm) for s in splitters],
-    )
-    assert moved == [_relabel_mask(c, perm) for c in got]
+    moved_cells = [_relabel_mask(c, perm) for c in cells]
+    moved_splitters = None if splitters is None else [_relabel_mask(s, perm) for s in splitters]
+    want = [_relabel_mask(c, perm) for c in got]
+    assert _refine(h.rows, moved_cells, moved_splitters) == want
+    if seed is not None:
+        # the seed conjugated by the relabeling: perm[v] -> perm[seed[v]]
+        moved_seed = [0] * g.n
+        for v, w in enumerate(seed):
+            moved_seed[perm[v]] = perm[w]
+        moved_stop = _root_stop([as_perm(moved_seed)], g.n)
+        assert _refine(h.rows, moved_cells, moved_splitters, moved_stop) == want
+    return len(got) == stop < g.n
 
 
 def _check_refine_tree(g, colors, rng, individualize=None):
@@ -764,6 +781,64 @@ def test_refine_matches_oracle_on_cayley_graphs_and_covers():
                 double_cover(gam), [1] * n + [0] * n, rng
             )
     assert individualized > 0
+
+
+def test_root_refinement_stops_at_the_seed_orbits():
+    # every inverse-closed set of every group of order <= 12, colored and
+    # seeded as the classifier searches it: Cay(G, S) with 0 apart and the
+    # inversion, the cover with 0+, the rest of + and - apart and its lift
+    rng = random.Random(23)
+    cut = searches = 0
+    for G in all_abelian_groups(12):
+        n = G.order
+        ctx = group_context(G)
+        for mask in inverse_closed_masks(G):
+            gam = cayley_graph(ConnectionSet(G, mask))
+            for g, colors, seed in (
+                (gam, [1] + [0] * (n - 1), ctx.inversion),
+                (double_cover(gam), [1] + [2] * (n - 1) + [0] * n, ctx.inversion_lift),
+            ):
+                initial = _Search(g, colors, canonical=False).initial
+                cut += _check_refine(g, initial, None, rng, seed)
+                searches += 1
+    assert searches == 2004 and cut > 300
+
+
+def test_root_stop_counts_the_orbits_of_one_involution():
+    n = 6
+    swap = as_perm([1, 0, 2, 3, 5, 4])
+    cycle = as_perm([1, 2, 0, 3, 4, 5])
+    assert _root_stop([swap], n) == 4
+    assert _root_stop([identity_perm(n)], n) == n
+    # not an involution, several seeds, or none: no bound below n
+    assert _root_stop([cycle], n) == n
+    assert _root_stop([swap, swap], n) == n
+    assert _root_stop([], n) == n
+
+
+def test_b0_search_is_label_free_at_orders_256_and_512():
+    # relabel the cover by a random p, with the colors and the lifted
+    # inversion moved along: the search, its root stop count included,
+    # must find a point stabilizer of the same order
+    rng = random.Random(29)
+    orders = []
+    for r in (256, 512):
+        for S in cyclic_oracle_sets(r, seed=r):
+            cover = double_cover(cayley_graph(S))
+            n = cover.n
+            colors = [1] + [2] * (r - 1) + [0] * r
+            iota = group_context(S.group).inversion_lift
+            p = rng.sample(range(n), n)
+            moved_colors, moved_iota = [0] * n, [0] * n
+            for v in range(n):
+                moved_colors[p[v]] = colors[v]
+                moved_iota[p[v]] = p[iota[v]]
+            moved = automorphism_group(
+                cover.relabel(as_perm(p)), moved_colors, seeds=[as_perm(moved_iota)]
+            )
+            orders.append(b0_group(S).order)
+            assert moved.order == orders[-1], (r, hex(S.mask))
+    assert orders == [2, 2, 2, 16, 2, 2, 2, 2**64]
 
 
 def test_refine_matches_oracle_on_random_graphs_with_loops():

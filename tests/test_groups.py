@@ -1,6 +1,7 @@
 """Group arithmetic, subset machinery, and automorphisms against brute force."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from helpers import brute_automorphisms, close_subgroup, subgroups
 from stabcover.errors import CapExceededError, DomainError
 from stabcover.groups import (
-    DEFAULT_GROUP_CAP,
+    ADDITION_TABLE_ORDER,
+    DEFAULT_AUT_CAP,
     HOLOMORPH_CAP,
     AbelianGroup,
     all_abelian_groups,
+    automorphism_count,
     automorphism_group_of_G,
     count_inverse_closed,
     holomorph,
@@ -230,6 +233,23 @@ def test_automorphism_group_known_orders():
         assert len(automorphism_group_of_G(make_group(facs))) == size
 
 
+def test_automorphism_count_matches_the_listing():
+    # the closed form against the listing for every group of order <= 64
+    # within the cap; above it are C2^5, C2^3xC6 and five groups of order 64
+    refused = []
+    for G in all_abelian_groups(64):
+        count = automorphism_count(G)
+        if count > DEFAULT_AUT_CAP:
+            refused.append(G.spec())
+            continue
+        assert len(automorphism_group_of_G(G)) == count, G.spec()
+    assert len(refused) == 7 and "C2xC2xC2xC2xC2" in refused
+    # phi(r) for cyclic groups, past the listing's reach
+    for r in (1, 2, 600, 1000, 1031, 4096):
+        phi = sum(math.gcd(k, r) == 1 for k in range(r))
+        assert automorphism_count(make_group([r])) == phi
+
+
 def test_holomorph_size_and_action():
     for G in all_abelian_groups(8):
         hol = holomorph(G)
@@ -239,11 +259,18 @@ def test_holomorph_size_and_action():
 
 
 def test_listing_caps_are_the_module_constants():
-    # |G| = 513 is refused before any listing; |Hol(C2^4)| = 16 * 20160
-    # is refused once Aut(G) is listed
+    # |Aut(C2^6)| = |GL(6, 2)| is refused before any listing, while C600,
+    # past order 512, lists its phi(600) = 160; an order past the addition
+    # table is refused; |Hol(C2^4)| = 16 * 20160 is refused once Aut(G) is
+    # listed
     with pytest.raises(CapExceededError) as exc:
-        automorphism_group_of_G(make_group([DEFAULT_GROUP_CAP + 1]))
-    assert (exc.value.needed, exc.value.cap) == (DEFAULT_GROUP_CAP + 1, DEFAULT_GROUP_CAP)
+        automorphism_group_of_G(make_group([2] * 6))
+    assert (exc.value.needed, exc.value.cap) == (20_158_709_760, DEFAULT_AUT_CAP)
+    assert "|Aut(C2xC2xC2xC2xC2xC2)|" in str(exc.value)
+    assert len(automorphism_group_of_G(make_group([600]))) == 160
+    with pytest.raises(CapExceededError) as exc:
+        automorphism_group_of_G(make_group([1031]))
+    assert (exc.value.needed, exc.value.cap) == (1031, ADDITION_TABLE_ORDER)
     with pytest.raises(CapExceededError) as exc:
         holomorph(make_group([2, 2, 2, 2]))
     assert (exc.value.needed, exc.value.cap) == (322_560, HOLOMORPH_CAP)

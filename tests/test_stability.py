@@ -1,5 +1,6 @@
 """Classification pipeline against independent brute-force oracles."""
 
+import random
 from collections import Counter
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     b_group,
     close_subgroup,
+    cyclic_oracle_sets,
     make_sigma_context,
     psi_census,
     reference_group,
@@ -420,6 +422,31 @@ def test_complement_shares_the_classification():
     # 408 S1 sets with an S1 complement; 183 of the 213 pairs at order 8 or
     # less have |B0| within 5 000
     assert seen == {"s1": 408, "b0 elements": 183, "b0 order": 30}
+
+
+def test_classify_is_aut_g_equivariant_at_order_256():
+    # x -> ax for a unit a is an automorphism of C256, and every field of
+    # the record but the set is the same on an Aut(G)-orbit (`census`
+    # module docstring)
+    rng = random.Random(31)
+    for S in cyclic_oracle_sets(256, seed=256):
+        rec = classify(S)
+        for a in rng.sample(range(3, 255, 2), 3):
+            image = ConnectionSet(S.group, map_mask(S.mask, [a * x % 256 for x in range(256)]))
+            assert replace(classify(image), set=S) == rec, (hex(S.mask), a)
+
+
+def test_complements_share_b_twins_and_s3prime_at_orders_256_and_512():
+    # the census module docstring's shared facts of S and G - S, on covers
+    # that are dense where the other is sparse
+    for r in (256, 512):
+        full = (1 << r) - 1
+        for S in cyclic_oracle_sets(r, seed=r):
+            rec = classify(S)
+            other = classify(ConnectionSet(S.group, full ^ S.mask))
+            assert (other.b_order, other.twin_free, other.in_s3prime) == (
+                rec.b_order, rec.twin_free, rec.in_s3prime
+            ), (r, hex(S.mask))
 
 
 # -- element-closure witness for the class-mask scan ---------------------------
