@@ -71,6 +71,7 @@ from .graphs import ConnectionSet, cayley_graph, component_of
 from .groups import (
     DEFAULT_SET_CAP,
     AbelianGroup,
+    automorphism_count,
     count_inverse_closed,
     inverse_closed_masks,
     make_group,
@@ -548,14 +549,15 @@ def unlabeled_census(report: CensusReport) -> UnlabeledReport:
     """Group the orbits of an exhaustive census by the canonical form of their graph.
 
     Each orbit is labeled by its least mask, and its goodness is read off
-    its record.
+    its record. Hol(G) = R(G) x| Aut(G), so |Hol(G)| = |G| |Aut(G)|, with
+    |Aut(G)| in closed form (`automorphism_count`).
     """
     start = time.monotonic()
     if not report.orbit_records:
         raise DomainError("the unlabeled census needs an exhaustive census report")
     G = report.orbit_records[0][1].set.group
     target = minimal_b_order(G)
-    hol_order = G.order * len(group_context(G).automorphisms)
+    hol_order = G.order * automorphism_count(G)
     classes: dict[bytes, set[bool]] = {}
     good_sizes = []
     for orbit, rec in report.orbit_records:

@@ -119,15 +119,13 @@ class AbelianGroup:
         return idx
 
     def add(self, i: int, j: int) -> int:
-        tab = self._sum or self.addition_rows()
-        if tab is None:
-            a, b = self._coords[i], self._coords[j]
-            return self.index(tuple(x + y for x, y in zip(a, b)))
-        return tab[i][j]
+        return (self._sum or self.addition_rows())[i][j]
 
-    def addition_rows(self) -> list[list[int]] | None:
-        """The addition table, row a listing a + x for every x; None above order 1024."""
-        if self._sum is None and self.order <= ADDITION_TABLE_ORDER:
+    def addition_rows(self) -> list[list[int]]:
+        """The addition table, row a listing a + x for every x; refused above order 1024."""
+        if self._sum is None:
+            if self.order > ADDITION_TABLE_ORDER:
+                raise CapExceededError("addition table, |G|", self.order, ADDITION_TABLE_ORDER)
             object.__setattr__(self, "_sum", self._addition_table())
         return self._sum
 
@@ -277,12 +275,8 @@ def all_abelian_groups(max_order: int) -> list[AbelianGroup]:
 
 
 def involution_set(G: AbelianGroup) -> int:
-    """Bitmask of all x with 2x = 0, identity included."""
-    mask = 0
-    for i in G.elements():
-        if G.add(i, i) == 0:
-            mask |= 1 << i
-    return mask
+    """Bitmask of all x with 2x = 0, identity included: those with x = -x."""
+    return sum(1 << x for x in G.elements() if G.neg(x) == x)
 
 
 def count_inverse_closed(G: AbelianGroup) -> int:
@@ -391,7 +385,8 @@ def automorphism_group_of_G(G: AbelianGroup) -> list:
 
     |Aut(G)| is capped before any listing, by `automorphism_count`: the
     listing costs |Aut(G)| tables of |G| entries, and C2^6, with
-    2.0 10^10 automorphisms, is refused at once.
+    2.0 10^10 automorphisms, is refused at once, and `addition_rows`
+    refuses an order past the addition table.
 
     A backtrack over the images of the canonical generators e_1, ..., e_k,
     from the last up; the image of e_i must have order dividing d_i.
@@ -410,10 +405,6 @@ def automorphism_group_of_G(G: AbelianGroup) -> list:
             f"automorphism enumeration, |Aut({G.spec()})|", count, DEFAULT_AUT_CAP
         )
     rows = G.addition_rows()
-    if rows is None:
-        raise CapExceededError(
-            "automorphism enumeration, |G| with an addition table", G.order, ADDITION_TABLE_ORDER
-        )
     facs = G.invariant_factors
     candidates = [[x for x in G.elements() if G.scalar_mul(d, x) == 0] for d in facs]
     out = []

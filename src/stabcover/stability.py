@@ -56,9 +56,9 @@ the twin quotient of the component at 0, a Cayley graph of a quotient
 group with its own translations; an S1 set is its own quotient, whose
 B0 the S4/S5 scan lists.
 
-Every per-group table (Aut(G), one of tau and -tau for each pair in it,
-the inversion and its lift, the translation lifts and the fix0 tables
-that reduce an element of B(S) to the stabilizer of 0+) lives in one
+Every per-group table (one of tau and -tau for each pair in Aut(G), the
+inversion and its lift, the translation lifts and the fix0 tables that
+reduce an element of B(S) to the stabilizer of 0+) lives in one
 `GroupContext`, built once per group by `group_context`.
 """
 
@@ -85,7 +85,6 @@ from .perms import (
     DEFAULT_ENUM_CAP,
     PermutationGroup,
     as_perm,
-    identity_perm,
     left_mul,
     mul_each,
     mul_table,
@@ -110,22 +109,17 @@ class TriState(Enum):
 class GroupContext:
     """The tables every classification of sets in one group reads.
 
-    Aut(G) as permutation tables, for |Hol(G)|; one of tau and -tau for
-    each pair, for the census's orbit list and the S3' test; the
-    inversion, the seed of an Aut_0 search on Cay(G, S), and its lift,
-    the one seed of every B0 search on the cover of Cay(G, S); the
-    translation lifts and the fix0 tables of the S4/S5 scan. The scan
-    lists the point stabilizer B0 of 0+, not B(S), though its enumeration
-    cap is still on |B(S)| = |G| |B0|. Each field is built on first use,
-    so a caller needing only a seed never lists Aut(G).
+    One of tau and -tau for each pair in Aut(G), for the census's orbit
+    list and the S3' test; the inversion, the seed of an Aut_0 search on
+    Cay(G, S), and its lift, the one seed of every B0 search on the cover
+    of Cay(G, S); the translation lifts and the fix0 tables of the S4/S5
+    scan. The scan lists the point stabilizer B0 of 0+, not B(S), though
+    its enumeration cap is still on |B(S)| = |G| |B0|. Each field is
+    built on first use, so a caller needing only a seed never lists
+    Aut(G).
     """
 
     G: AbelianGroup
-
-    @cached_property
-    def automorphisms(self) -> list:
-        """Aut(G), as the image tables of `automorphism_group_of_G`."""
-        return automorphism_group_of_G(self.G)
 
     @cached_property
     def inversion(self):
@@ -137,16 +131,14 @@ class GroupContext:
         """One of tau and -tau for each pair in Aut(G), the identity first.
 
         For an inverse-closed S, (-tau)(S) = tau(-S) = tau(S), so the
-        other of each pair only repeats an image of S. At exponent two
-        -tau = tau, and this is all of Aut(G).
+        other of each pair only repeats an image of S. The one kept has
+        tau(e) <= -tau(e) for e = e_k (index 1): above exponent two tau(e)
+        has order d_k > 2, so exactly one of the pair passes; at exponent
+        two -tau = tau passes. The listing runs over tau(e) ascending,
+        outermost, so the first listed of each pair is kept.
         """
-        ident, neg = identity_perm(self.G.order), self.inversion
-        out, seen = [ident], {ident, neg}
-        for tau in self.automorphisms:
-            if tau not in seen:
-                out.append(tau)
-                seen.update((tau, pmul(tau, neg)))
-        return tuple(out)
+        e, neg = 1 % self.G.order, self.inversion
+        return tuple(t for t in automorphism_group_of_G(self.G) if t[e] <= neg[t[e]])
 
     @cached_property
     def inversion_lift(self):
@@ -338,10 +330,9 @@ def classify(S: ConnectionSet, enum_cap: int = DEFAULT_ENUM_CAP) -> StabilityRec
     whether it is bipartite. The translations are automorphisms of
     Cay(G, S), so every component is a translate g + H of it, and the
     graph is bipartite exactly when the component of 0 is. One row count
-    gives the twins T of 0 in H (row t is S + t), and twin-freeness over
-    all of G (for S empty every vertex is a twin): rows g and h are equal
-    exactly when rows 0 and h - g are. `factored_orders` takes every order
-    from this structure pass.
+    gives twin-freeness over all of G (for S empty every vertex is a
+    twin): rows g and h are equal exactly when rows 0 and h - g are.
+    `factored_orders` takes every order from this structure pass.
 
     Only facts are computed here; `StabilityRecord` derives the verdicts.
     A first record of the structure and the orders, with S3', S4 and S5
@@ -355,12 +346,11 @@ def classify(S: ConnectionSet, enum_cap: int = DEFAULT_ENUM_CAP) -> StabilityRec
     gam = cayley_graph(S)
     rows = gam.rows
     component, bipartite = component_of(gam)
-    twins = [t for t in bit_indices(component) if rows[t] == rows[0]]
     connected = component == (1 << n) - 1
     twin_free = rows.count(rows[0]) == 1
 
     aut_order, cover_aut_order, b_order, b0_elems = factored_orders(
-        S, gam, component, twins, bipartite, enum_cap
+        S, gam, component, bipartite, enum_cap
     )
     facts = (S, aut_order, cover_aut_order, b_order, connected, bipartite, twin_free)
     first = StabilityRecord(*facts, False, TriState.NO, TriState.NO)
@@ -374,13 +364,13 @@ def classify(S: ConnectionSet, enum_cap: int = DEFAULT_ENUM_CAP) -> StabilityRec
 
 
 def factored_orders(
-    S: ConnectionSet, gam: LabeledGraph, component: int, twins: list[int],
-    bipartite: bool, enum_cap: int = DEFAULT_ENUM_CAP,
+    S: ConnectionSet, gam: LabeledGraph, component: int, bipartite: bool,
+    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple:
     """(|Aut|, |Aut of cover|, |B|, B0's elements) for gam = Cay(G, S), G = S.group.
 
-    component is the vertex mask of H = <S>, twins lists T (below), and
-    bipartite says whether gam is, all from `classify`'s structure pass.
+    component is the vertex mask of H = <S>, and bipartite says whether
+    gam is, both from `classify`'s structure pass.
 
     The components of Cay(G, S) are the cosets of H, all isomorphic
     to the component Gamma_H at the identity, so every order factors
@@ -406,7 +396,9 @@ def factored_orders(
     rows, loop bit included, are equal: g + S = h + S, that is h - g lies
     in the subgroup T = {t in H : S + t = S}. For S nonempty this T holds
     every t with S + t = S, since s + t in S for s in S puts t in H. So the
-    twin classes of Gamma_H are the cosets of T, q = |H|/|T| of them.
+    twin classes of Gamma_H are the cosets of T, q = |H|/|T| of them: the
+    classes of equal rows, numbered in the order each row value first
+    appears over the ascending members, so each is named by its least.
     Inside the class g + T, g ~ g + t exactly when t lies in S; if
     some t in T does, then 0 = t - t lies in S - t = S and T = 0 + T lies
     in S, so each class is a clique with loops (0 in S) or has no edge at
@@ -424,7 +416,7 @@ def factored_orders(
         fixes both blocks.
 
     A connected twin-free set, S1 among them, has the trivial quotient:
-    H = G, T = {0}, q = n, f = 1, m = 1, and Gamma_H/T is gam itself.
+    m = 1 and q = n, so H = G, T = {0}, f = 1, and Gamma_H/T is gam itself.
 
     Gamma_H/T is bipartite exactly when Gamma_H, or gam, is: a 2-coloring
     of either is constant on classes and a loop exists in both or in
@@ -448,27 +440,29 @@ def factored_orders(
     """
     G = S.group
     n = G.order
-    members = bit_indices(component)
-    m = n // len(members)
-    if m == 1 and len(twins) == 1:
+    rows = gam.rows
+    m = n // component.bit_count()
+    # q is the number of row values in H, and H = G when m = 1
+    if m == 1 and len(set(rows)) == n:
         # the trivial quotient: gam itself, with G's inversion as the seed
         q, f, quot = n, 1, gam
         ctx = group_context(G)
         iota, cover_iota = ctx.inversion, ctx.inversion_lift
     else:
-        # pos maps each member of H to the index of its twin class; the
-        # class of g is represented by its least member
-        reps: list[int] = []
+        # pos maps each member of H to the index of its twin class, that is
+        # of its row value; reps lists each class's least member
+        members = bit_indices(component)
         pos: dict[int, int] = {}
+        ids: dict[int, int] = {}
+        reps: list[int] = []
         for g in members:
-            if g not in pos:
-                for t in twins:
-                    pos[G.add(g, t)] = len(reps)
+            pos[g] = ids.setdefault(rows[g], len(reps))
+            if pos[g] == len(reps):
                 reps.append(g)
         q = len(reps)
-        f = math.factorial(len(twins)) ** q
+        f = math.factorial(len(members) // q) ** q
         # row g is S + g, inside H for g in H, so pos maps all of it
-        quot = LabeledGraph(tuple(map_mask(gam.rows[g], pos) for g in reps))
+        quot = LabeledGraph(tuple(map_mask(rows[g], pos) for g in reps))
         iota = as_perm([pos[G.neg(g)] for g in reps])
         cover_iota = cover_lift(iota)
     fm = math.factorial(m)

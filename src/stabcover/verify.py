@@ -27,6 +27,7 @@ from .graphs import (
 from .groups import (
     AbelianGroup,
     all_abelian_groups,
+    automorphism_group_of_G,
     count_inverse_closed,
     inverse_closed_masks,
     involution_set,
@@ -143,7 +144,7 @@ def check_fixed_point_cosets(max_order: int = 12) -> CheckResult:
     failures = []
     cases = 0
     for G in all_abelian_groups(max_order):
-        for tau in group_context(G).automorphisms:
+        for tau in automorphism_group_of_G(G):
             fix_tau = sum(1 << x for x in G.elements() if tau[x] == x)
             fixed_total = 0
             for g in G.elements():

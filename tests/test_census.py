@@ -25,6 +25,7 @@ from stabcover.errors import DomainError, StabcoverError
 from stabcover.graphs import ConnectionSet, cayley_graph
 from stabcover.groups import (
     all_abelian_groups,
+    automorphism_group_of_G,
     count_inverse_closed,
     inverse_closed_masks,
     make_group,
@@ -462,7 +463,7 @@ def _per_set_unlabeled(G):
     test that patches them there changes the oracle the same way.
     """
     target = G.order if G.exponent <= 2 else 2 * G.order
-    hol_order = G.order * len(group_context(G).automorphisms)
+    hol_order = G.order * len(automorphism_group_of_G(G))
     classes = {}
     good_masks = set()
     for mask in inverse_closed_masks(G):

@@ -69,7 +69,9 @@ def test_addition_table_matches_coordinates():
                 _coordinate_sum(G, a, b) for b in G.elements()
             ], (G.spec(), a)
     # above order 1024 no table is built
-    assert make_group([1031]).addition_rows() is None
+    with pytest.raises(CapExceededError) as exc:
+        make_group([1031]).addition_rows()
+    assert (exc.value.needed, exc.value.cap) == (1031, ADDITION_TABLE_ORDER)
 
 
 def test_generators_generate():
@@ -79,8 +81,8 @@ def test_generators_generate():
 
 def test_translate_mask_matches_elementwise_images():
     # one masked rotation per coordinate against the image of each member
-    # under G.add: every group of order <= 32 with every translation, and
-    # C2xC1024, whose order 2048 is past the addition table, with a sample
+    # by coordinates: every group of order <= 32 with every translation,
+    # and C2xC1024, whose order 2048 is past the addition table, with a sample
     rng = random.Random(11)
     for G in all_abelian_groups(32) + [make_group([2, 1024])]:
         n = G.order
@@ -91,7 +93,7 @@ def test_translate_mask_matches_elementwise_images():
                 want = 0
                 for x in range(n):
                     if mask >> x & 1:
-                        want |= 1 << G.add(x, t)
+                        want |= 1 << _coordinate_sum(G, x, t)
                 assert G.translate_mask(mask, t) == want, (G.spec(), t, hex(mask))
 
 

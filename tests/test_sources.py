@@ -7,6 +7,7 @@ from pathlib import Path
 
 import stabcover
 from stabcover.graphs import LabeledGraph
+from stabcover.stability import GroupContext
 
 
 def _package_trees():
@@ -221,6 +222,28 @@ def test_classify_has_no_s1_branch():
         if "classify" in _referrers(trees["stability.py"], name)
     )
     assert named == []
+
+
+def test_one_form_per_group_fact():
+    # only `addition_rows` names the addition table's limit (<module> is
+    # its definition), no module reads a listing of Aut(G) off the context,
+    # and no function in stability.py adds group elements or names twins:
+    # twin classes are the classes of equal rows
+    probe = ast.parse(
+        "ADDITION_TABLE_ORDER = 1\n"
+        "def addition_rows(): ADDITION_TABLE_ORDER\n"
+        "def f(G): return G.add(1, 2), ctx.automorphisms\n"
+        "def g(twins): return twins\n"
+    )
+    assert _referrers(probe, "ADDITION_TABLE_ORDER") == {"<module>", "addition_rows"}
+    assert _referrers(probe, "add") == {"f"} and _referrers(probe, "twins") == {"g"}
+    assert "automorphisms" in _names(probe)
+    trees = dict(_package_trees())
+    assert _referrers(trees["groups.py"], "ADDITION_TABLE_ORDER") == {"<module>", "addition_rows"}
+    assert [name for name, tree in trees.items() if "automorphisms" in _names(tree)] == []
+    assert not hasattr(GroupContext, "automorphisms")
+    assert _referrers(trees["stability.py"], "add") == set()
+    assert _referrers(trees["stability.py"], "twins") == set()
 
 
 # public names that no package module calls, each kept for a reason

@@ -36,6 +36,8 @@ from stabcover.groups import (
     inverse_closed_masks,
     make_group,
     map_mask,
+    mask_union,
+    negation_orbits,
 )
 from stabcover.perms import DEFAULT_ENUM_CAP, as_perm, identity_perm, left_mul, pinv, pmul
 from stabcover.stability import (
@@ -138,10 +140,9 @@ FACTORED_GROUPS = [
 
 
 def _factored(G, S, gam, enum_cap=DEFAULT_ENUM_CAP):
-    """`factored_orders`, with H = <S> from `close_subgroup` and T from translating S."""
+    """`factored_orders`, with H = <S> from `close_subgroup`."""
     component = close_subgroup(G, bit_indices(S.mask))
-    twins = [t for t in bit_indices(component) if G.translate_mask(S.mask, t) == S.mask]
-    return factored_orders(S, gam, component, twins, is_bipartite(gam), enum_cap)
+    return factored_orders(S, gam, component, is_bipartite(gam), enum_cap)
 
 
 def test_factored_orders_against_search():
@@ -434,6 +435,37 @@ def test_classify_is_aut_g_equivariant_at_order_256():
         for a in rng.sample(range(3, 255, 2), 3):
             image = ConnectionSet(S.group, map_mask(S.mask, [a * x % 256 for x in range(256)]))
             assert replace(classify(image), set=S) == rec, (hex(S.mask), a)
+
+
+def test_classify_is_aut_g_equivariant_at_orders_600_and_1000():
+    # x -> ax for a unit a other than +-1, on one uniform draw at each
+    # order and on {+-1, +-2, +-299} in C600, which is S1 and S3' but not
+    # S2: the S3' sign test and the S4/S5 scan run on tuple permutations,
+    # used above 256 points
+    cases = []
+    for r, a in [(600, 7), (1000, 3)]:
+        G = make_group([r])
+        orbits = negation_orbits(G)
+        draw = mask_union(orbits, random.Random(r).getrandbits(len(orbits)))
+        cases.append((ConnectionSet(G, draw), a))
+    special = connection_set(cases[0][0].group, [1, 2, 299], symmetrize=True)
+    for S, a in cases + [(special, 7)]:
+        r = S.group.order
+        rec = classify(S)
+        image = ConnectionSet(S.group, map_mask(S.mask, [a * x % r for x in range(r)]))
+        assert replace(classify(image), set=S) == rec, (r, hex(S.mask))
+    assert (rec.in_s1, rec.in_s2, rec.in_s3prime) == (True, False, True)
+
+
+def test_odd_order_s1_sets_past_order_32_are_stable():
+    # no odd-order set is nontrivially unstable (`test_acceptance`, which
+    # runs censuses up to order 15); uniform draws at these orders are all
+    # S2, so take sets {+-1, +-a} with a^2 = 1, whose B(S) holds x -> ax,
+    # and {+-(0, 1), +-(1, 0)} in C3xC81, indices 1 and 81
+    cases = [((255,), a) for a in (16, 86, 101)] + [((225,), a) for a in (26, 199)]
+    for facs, a in cases + [((3, 81), 81)]:
+        rec = classify(connection_set(make_group(facs), [1, a], symmetrize=True))
+        assert (rec.in_s1, rec.in_s2, rec.stable) == (True, False, True), (facs, a)
 
 
 def test_complements_share_b_twins_and_s3prime_at_orders_256_and_512():
